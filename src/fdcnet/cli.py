@@ -222,7 +222,8 @@ def _run_train(args, parser) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model, log = train(dataset, cfg, checkpoint_path=out_dir / "model.fdcn")
     write_log_csv(out_dir / "training_log.csv", log)
-    write_config(out_dir / "model.cfg", {"model": model.cfg.to_dict()})
+    split = {"split": cfg.split, "seed": cfg.seed, "split_by_subject": cfg.split_by_subject}
+    write_config(out_dir / "model.cfg", {"model": model.cfg.to_dict(), "split": split})
     run_values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
     run_values["data"] = args.data
     run_values["out_dir"] = str(out_dir)
@@ -239,7 +240,9 @@ def _run_train(args, parser) -> int:
 
 # -- shared model loading ------------------------------------------------------
 
-def _load_model(model_path: str, config_path: str | None) -> FdcNet:
+def _load_model(model_path: str, config_path: str | None) -> tuple[FdcNet, dict]:
+    """The model and its .cfg sections; [split] is absent in configs written
+    before the training split was recorded."""
     cfg_path = Path(config_path) if config_path else Path(model_path).with_suffix(".cfg")
     if not cfg_path.exists():
         raise FileFormatError(
@@ -249,13 +252,14 @@ def _load_model(model_path: str, config_path: str | None) -> FdcNet:
     if "model" not in sections:
         raise FileFormatError(f"{cfg_path}: missing [model] section")
     cfg = ModelConfig.from_dict(sections["model"])
-    return FdcNet.load(model_path, cfg)
+    return FdcNet.load(model_path, cfg), sections
 
 
-def _select_segments(segments, use: str, split: float, split_seed: int):
+def _select_segments(segments, use: str, split: float, split_seed: int, by_subject: bool):
     if use == "all":
         return segments
-    train_idx, test_idx = split_indices(len(segments), split, split_seed)
+    subjects = [s.subject_id for s in segments] if by_subject else None
+    train_idx, test_idx = split_indices(len(segments), split, split_seed, subjects=subjects)
     idx = train_idx if use == "train" else test_idx
     return [segments[int(i)] for i in idx]
 
@@ -281,16 +285,43 @@ def _build_eval(sub):
     p.add_argument("--sample-rate", type=float, default=128.0)
     p.add_argument("--use", choices=["all", "train", "test"], default="all",
                    help="evaluate on the whole file or one side of a split")
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=0)
+    # default: the training split recorded in the model config, else 0.8 / 0
+    p.add_argument("--split", type=float, default=None)
+    p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--out", help="output CSV path")
     return p
 
 
+def _resolve_split(args, recorded: dict | None, parser) -> bool:
+    """Fill args.split and args.split_seed from the model's training split;
+    returns whether that split is by subject. Flags that disagree with the
+    recorded split are a usage error."""
+    if recorded is None:
+        args.split = 0.8 if args.split is None else args.split
+        args.split_seed = 0 if args.split_seed is None else args.split_seed
+        return False
+    missing = {"split", "seed", "split_by_subject"} - set(recorded)
+    if missing:
+        raise FileFormatError(f"model config [split] section lacks {sorted(missing)}")
+    for flag, key in (("split", "split"), ("split_seed", "seed")):
+        given = getattr(args, flag)
+        if given is not None and given != recorded[key]:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} {given} conflicts with the model's training "
+                f"split ({key} = {recorded[key]})",
+                parser,
+            )
+        setattr(args, flag, recorded[key])
+    return bool(recorded["split_by_subject"])
+
+
 def _run_eval(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
-    model = _load_model(args.model, args.model_config)
-    segments = _select_segments(load_dataset(args.data), args.use, args.split, args.split_seed)
+    model, sections = _load_model(args.model, args.model_config)
+    by_subject = _resolve_split(args, sections.get("split"), parser)
+    segments = _select_segments(
+        load_dataset(args.data), args.use, args.split, args.split_seed, by_subject
+    )
     grid = parse_snr_grid(args.snr_grid)
     report = evaluate(
         model,
@@ -333,7 +364,7 @@ def _run_denoise(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
     from .tensor import no_grad
 
-    model = _load_model(args.model, args.model_config)
+    model, _ = _load_model(args.model, args.model_config)
     segments = load_dataset(args.data)
     out_segments = []
     with no_grad():

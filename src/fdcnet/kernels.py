@@ -49,7 +49,8 @@ def relu(x) -> Tensor:
 def gelu(x) -> Tensor:
     x = as_tensor(x)
     d = x.data
-    u = _GELU_C * (d + 0.044715 * d**3)
+    # d * d * d, not d**3: NumPy sends integer powers other than 2 to libm pow
+    u = _GELU_C * (d + 0.044715 * (d * d * d))
     t = np.tanh(u)
     y = 0.5 * d * (1.0 + t)
 

@@ -41,7 +41,8 @@ def inject_noise(clean: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, float]
     achieved_snr_db is measured against the scaled bio-artifact only.
     """
     spec.validate()
-    clean = np.asarray(clean, dtype=np.float64)
+    # C order keeps each row's reductions the same pairwise sums as a 1-D row
+    clean = np.ascontiguousarray(clean, dtype=np.float64)
     if clean.ndim != 2:
         raise DimensionError(f"inject_noise expects (C, T), got shape {clean.shape}")
     c, t = clean.shape
@@ -51,21 +52,15 @@ def inject_noise(clean: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, float]
 
     root = np.random.SeedSequence(spec.seed)
     emg_ss, eog_ss, gauss_ss = root.spawn(3)
-    emg_children = emg_ss.spawn(c)
-    eog_children = eog_ss.spawn(c)
+    # one generator per channel, each from its own SeedSequence child
+    emg = synth_artifact("emg", t, emg_ss.spawn(c), spec.sample_rate_hz)
+    eog = synth_artifact("eog", t, eog_ss.spawn(c), spec.sample_rate_hz)
     ratio = spec.emg_eog_ratio
-    mix_norm = math.sqrt(1.0 + ratio * ratio)
-    amp_ratio = 10.0 ** (spec.target_snr_db / 20.0)
-
-    scaled = np.empty_like(clean)
-    for ch in range(c):
-        emg = synth_artifact("emg", t, np.random.default_rng(emg_children[ch]), spec.sample_rate_hz)
-        eog = synth_artifact("eog", t, np.random.default_rng(eog_children[ch]), spec.sample_rate_hz)
-        n = (emg + ratio * eog) / mix_norm
-        rms_n = math.sqrt(float(np.mean(np.square(n))))
-        rms_c = math.sqrt(float(np.mean(np.square(clean[ch]))))
-        lam = rms_c / (rms_n * amp_ratio)
-        scaled[ch] = lam * n
+    n = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
+    rms_n = np.sqrt(np.mean(np.square(n), axis=-1))
+    rms_c = np.sqrt(np.mean(np.square(clean), axis=-1))
+    lam = rms_c / (rms_n * 10.0 ** (spec.target_snr_db / 20.0))
+    scaled = lam[:, None] * n
 
     noisy = clean + scaled
     if spec.gaussian_sigma > 0:

@@ -148,15 +148,8 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
     return out
 
 
-def _bandpass_white(rng, n: int, fs: float, lo: float, hi: float) -> np.ndarray:
-    """White noise hard-masked in the frequency domain to [lo, hi] Hz."""
-    f = np.fft.rfftfreq(n, 1.0 / fs)
-    mask = (f >= lo) & (f <= hi)
-    if not mask.any():
-        raise DegenerateDataError(
-            f"no frequency bins in [{lo}, {hi}] Hz for length {n} at {fs} Hz"
-        )
-    return np.fft.irfft(np.fft.rfft(rng.standard_normal(n)) * mask, n)
+# EMG pass bands in Hz: the burst carrier, then its slow envelope
+_EMG_BANDS = ((20.0, 45.0), (0.0, 1.0))
 
 
 def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0) -> np.ndarray:
@@ -164,40 +157,58 @@ def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0) -> 
 
     emg: 20-45 Hz filtered white noise under a slow random burst envelope.
     eog: sub-4 Hz smoothed random-step drift plus blink bumps.
+
+    `seed` is one seed or Generator, giving a (length,) realization, or a
+    list of them, giving a (len(seed), length) array with one row per entry.
+    Each row draws from its own generator in the order a single call does,
+    so row k equals synth_artifact(kind, length, seed[k]) bit for bit.
     """
     if length < 1:
         raise DimensionError(f"artifact length must be >= 1, got {length}")
-    rng = _rng(seed)
+    single = not isinstance(seed, list)
+    rngs = [_rng(s) for s in ([seed] if single else seed)]
     fs = sample_rate
+    f = np.fft.rfftfreq(length, 1.0 / fs)
     if kind == "emg":
-        band = _bandpass_white(rng, length, fs, 20.0, 45.0)
-        slow = _bandpass_white(rng, length, fs, 0.0, 1.0)
-        env = 0.2 + (slow - slow.min())
+        # white noise hard-masked in the frequency domain to each band
+        masks = np.array([(f >= lo) & (f <= hi) for lo, hi in _EMG_BANDS])
+        for (lo, hi), mask in zip(_EMG_BANDS, masks):
+            if not mask.any():
+                raise DegenerateDataError(
+                    f"emg: no frequency bins in [{lo}, {hi}] Hz for length {length} at {fs} Hz"
+                )
+        white = np.array([[rng.standard_normal(length) for _ in _EMG_BANDS] for rng in rngs])
+        band, slow = np.fft.irfft(np.fft.rfft(white) * masks, length).swapaxes(0, 1)
+        env = 0.2 + (slow - slow.min(axis=-1, keepdims=True))
         x = band * env
     elif kind == "eog":
         # random-step drift: piecewise-constant levels held ~0.7 s each
         hold = max(1, int(round(0.7 * fs)))
         n_steps = length // hold + 2
-        steps = np.repeat(rng.normal(0.0, 1.0, n_steps), hold)[:length]
         # blink bumps: positive Gaussian transients
         n_blinks = max(1, int(round(length / fs * 0.25)))
+        levels = np.empty((len(rngs), n_steps))
+        bumps = np.empty((n_blinks, 3, len(rngs), 1))  # center, width, amp
+        for r, rng in enumerate(rngs):
+            levels[r] = rng.normal(0.0, 1.0, n_steps)
+            for b in range(n_blinks):
+                bumps[b, :, r, 0] = (rng.uniform(0.0, length / fs), rng.uniform(0.08, 0.15),
+                                     rng.uniform(1.0, 3.0))
+        steps = np.repeat(levels, hold, axis=-1)[:, :length]
         t = np.arange(length) / fs
-        blinks = np.zeros(length)
-        for _ in range(n_blinks):
-            center = rng.uniform(0.0, length / fs)
-            width = rng.uniform(0.08, 0.15)
-            amp = rng.uniform(1.0, 3.0)
+        blinks = np.zeros((len(rngs), length))
+        for center, width, amp in bumps:
             blinks += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
         raw = steps + blinks
         # hard low-pass keeps the spectrum strictly below 4 Hz
-        f = np.fft.rfftfreq(length, 1.0 / fs)
         x = np.fft.irfft(np.fft.rfft(raw) * (f < 3.5), length)
     else:
         raise ConfigError(f"unknown artifact kind {kind!r}; expected 'emg' or 'eog'")
-    r = _rms(x)
-    if r == 0.0:
+    r = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True))
+    if not r.all():
         raise DegenerateDataError(f"{kind} surrogate degenerated to zero RMS at length {length}")
-    return x / r
+    x = x / r
+    return x[0] if single else x
 
 
 def segment_windows(trial: np.ndarray, window: int = 128, overlap: float = 0.5) -> list[np.ndarray]:

@@ -145,9 +145,11 @@ def _labels(segments: list[EegSegment]) -> np.ndarray:
     return np.array([[s.valence, s.arousal] for s in segments], dtype=np.float64)
 
 
-def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> dict[int, np.ndarray]:
-    """Fresh noisy realizations for the chosen segments at the given SNR."""
-    out = {}
+def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> np.ndarray:
+    """Fresh noisy realizations of segments[indices] at the given SNR, as an
+    (N, C, T) stack in `indices` order. Segment i draws its noise from
+    derive_seed(cfg.seed, label, *key, i)."""
+    out = np.empty((len(indices),) + segments[0].clean.shape)
     for j, i in enumerate(indices):
         spec = NoiseSpec(
             target_snr_db=snr_db,
@@ -156,8 +158,7 @@ def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> 
             seed=derive_seed(cfg.seed, label, *key, int(i)),
             sample_rate_hz=cfg.sample_rate_hz,
         )
-        noisy, _ = inject_noise(segments[i].clean, spec)
-        out[int(i)] = noisy
+        out[j], _ = inject_noise(segments[int(i)].clean, spec)
     return out
 
 
@@ -192,15 +193,16 @@ def train(
     log: list[LogRow] = []
     for epoch in range(cfg.epochs):
         snr = curriculum_snr(epoch, cfg.epochs, cfg)
-        noisy_map = _reinject(dataset, train_idx, snr, cfg, "train-noise", epoch)
+        noisy = _reinject(dataset, train_idx, snr, cfg, "train-noise", epoch)
         order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(
             len(train_idx)
         )
         total = total_mse = total_cls = 0.0
         seen = 0
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
-            batch_ids = train_idx[order[lo : lo + cfg.batch_size]]
-            xb = np.stack([noisy_map[int(i)] for i in batch_ids])
+            batch = order[lo : lo + cfg.batch_size]
+            batch_ids = train_idx[batch]
+            xb = noisy[batch]
             cb = np.stack([dataset[int(i)].clean for i in batch_ids])
             yb = labels[batch_ids]
             rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, step))
@@ -242,8 +244,7 @@ def train(
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:
     if len(test_idx) == 0:
         return float("nan"), float("nan")
-    noisy_map = _reinject(dataset, test_idx, snr, cfg, "val-noise", epoch)
-    xs = np.stack([noisy_map[int(i)] for i in test_idx])
+    xs = _reinject(dataset, test_idx, snr, cfg, "val-noise", epoch)
     ccs = []
     ps = []
     pos = 0
@@ -277,18 +278,15 @@ def evaluate(
     if not segments:
         raise DegenerateDataError("empty evaluation set")
     labels = _labels(segments)
+    noise_cfg = TrainConfig(
+        seed=eval_seed,
+        emg_eog_ratio=emg_eog_ratio,
+        gaussian_sigma=gaussian_sigma,
+        sample_rate_hz=sample_rate_hz,
+    )
     rows: list[EvalRow] = []
     for gi, snr in enumerate(snr_grid):
-        noisy = np.empty((len(segments),) + segments[0].clean.shape)
-        for i, seg in enumerate(segments):
-            spec = NoiseSpec(
-                target_snr_db=snr,
-                emg_eog_ratio=emg_eog_ratio,
-                gaussian_sigma=gaussian_sigma,
-                seed=derive_seed(eval_seed, "eval-noise", gi, i),
-                sample_rate_hz=sample_rate_hz,
-            )
-            noisy[i], _ = inject_noise(seg.clean, spec)
+        noisy = _reinject(segments, range(len(segments)), snr, noise_cfg, "eval-noise", gi)
         in_snrs, out_snrs, ccs, mses, ps = [], [], [], [], []
         pos = 0
         for x_hat, p in _forward_batches(model, noisy, batch_size):

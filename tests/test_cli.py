@@ -185,3 +185,87 @@ class TestDeskPreset:
         cfg_text = (run / "run_config.txt").read_text()
         assert "d_model = 32" in cfg_text
         assert "epochs = 1" in cfg_text
+
+
+class TestEvalSplit:
+    """eval --use test evaluates on the model's own held-out split."""
+
+    TINY = ["--epochs", "1", "--batch-size", "8", "--d-model", "8", "--n-layers", "1",
+            "--n-heads", "2", "--ff-dim", "16", "--head-hidden", "8",
+            "--gate-reduction", "2", "--kernel-size", "5"]
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("split") / "data.fdcd"
+        assert main(["synth", "--subjects", "3", "--trials", "4", "--channels", "2",
+                     "--trial-seconds", "2", "--seed", "5", "--out", str(data)]) == 0
+        return data
+
+    def _evaluated(self, monkeypatch, tmp_path, data, run, *flags):
+        """Corpus indices of the segments eval hands to the evaluator, or
+        the exit code when eval fails."""
+        from fdcnet import cli
+        from fdcnet.dataset import load_dataset
+
+        captured = []
+
+        def capture(model, segments, *args, **kwargs):
+            captured.extend(segments)
+            return evaluate(model, segments, *args, **kwargs)
+
+        evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", capture)
+        code = main(["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--snr-grid", "0", "--use", "test", "--out", str(tmp_path / "e.csv"),
+                     *flags])
+        if code != 0:
+            return code
+        index = {s.clean.tobytes(): i for i, s in enumerate(load_dataset(data))}
+        return {index[s.clean.tobytes()] for s in captured}
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--split-by-subject"]])
+    def test_test_split_is_disjoint_from_training(self, corpus, tmp_path, monkeypatch, flags):
+        from fdcnet.dataset import load_dataset, split_indices
+
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out-dir", str(run), *self.TINY, *flags]) == 0
+        segments = load_dataset(corpus)
+        seed = 3 if "--seed" in flags else 0
+        subjects = [s.subject_id for s in segments] if "--split-by-subject" in flags else None
+        train_idx, test_idx = split_indices(len(segments), 0.8, seed, subjects=subjects)
+        # the split an evaluation from --split-seed 0 alone would use leaks here
+        assert set(split_indices(len(segments), 0.8, 0)[1]) & set(train_idx.tolist())
+
+        evaluated = self._evaluated(monkeypatch, tmp_path, corpus, run)
+        assert evaluated == set(test_idx.tolist())
+        assert not evaluated & set(train_idx.tolist())
+        # a flag that agrees with the recorded split is accepted
+        assert self._evaluated(monkeypatch, tmp_path, corpus, run, "--split-seed", str(seed)) == evaluated
+
+    def test_conflicting_split_flags_are_usage_errors(self, corpus, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out-dir", str(run), *self.TINY,
+                     "--seed", "3"]) == 0
+        assert self._evaluated(monkeypatch, tmp_path, corpus, run, "--split-seed", "0") == 1
+        assert "--split-seed" in capsys.readouterr().err
+        assert self._evaluated(monkeypatch, tmp_path, corpus, run, "--split", "0.5") == 1
+
+    def test_config_without_split_section_keeps_flags(self, corpus, tmp_path, monkeypatch):
+        from fdcnet.configfile import read_config, write_config
+        from fdcnet.dataset import load_dataset, split_indices
+
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out-dir", str(run), *self.TINY,
+                     "--seed", "3"]) == 0
+        write_config(run / "model.cfg", {"model": read_config(run / "model.cfg")["model"]})
+        n = len(load_dataset(corpus))
+        assert self._evaluated(monkeypatch, tmp_path, corpus, run) == set(
+            split_indices(n, 0.8, 0)[1].tolist())
+        assert self._evaluated(monkeypatch, tmp_path, corpus, run, "--split-seed", "3") == set(
+            split_indices(n, 0.8, 3)[1].tolist())
+
+        # a [split] section missing a key is a malformed file, not a crash
+        sections = read_config(run / "model.cfg")
+        sections["split"] = {"split": 0.8, "seed": 3}
+        write_config(run / "model.cfg", sections)
+        assert self._evaluated(monkeypatch, tmp_path, corpus, run) == 2

@@ -74,6 +74,14 @@ class TestActivations:
         err = check_grad(lambda t: tsum(gelu(t)), np.array([0.3]), tol=1e-6, h=1e-5)
         assert err < 1e-6
 
+    def test_gelu_matches_cube_power_formula(self):
+        x = rng(2).normal(scale=3.0, size=(32, 128, 8))
+        c = np.sqrt(2.0 / np.pi)
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        # atol covers the negative tail, where y ~ 1 + tanh(u) ~ 1e-3 and one
+        # ulp of tanh alone is a relative 1e-13 of y
+        np.testing.assert_allclose(gelu(Tensor(x)).numpy(), want, rtol=1e-14, atol=1e-15)
+
     def test_relu_values(self):
         np.testing.assert_array_equal(
             relu(Tensor(np.array([-1.0, 0.0, 2.0]))).numpy(), [0.0, 0.0, 2.0]

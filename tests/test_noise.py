@@ -1,5 +1,7 @@
 """SNR-targeted noise injection: amplitude law, determinism, degeneracy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rng
 from fdcnet.errors import ConfigError, DegenerateDataError
 from fdcnet.noise import NoiseSpec, inject_noise
+from fdcnet.synth import synth_artifact
 
 
 def _clean(seed=0, c=4, t=256):
@@ -16,6 +19,43 @@ def _clean(seed=0, c=4, t=256):
 def recomputed_snr(clean, noisy):
     resid = noisy - clean
     return 10.0 * np.log10((clean ** 2).sum() / (resid ** 2).sum())
+
+
+def per_channel_oracle(clean, spec):
+    """inject_noise as a loop over channels, one single-seed synth_artifact
+    call per channel and kind; the batched code must match it bit for bit."""
+    c, t = clean.shape
+    emg_ss, eog_ss, gauss_ss = np.random.SeedSequence(spec.seed).spawn(3)
+    emg_children, eog_children = emg_ss.spawn(c), eog_ss.spawn(c)
+    ratio = spec.emg_eog_ratio
+    amp_ratio = 10.0 ** (spec.target_snr_db / 20.0)
+    scaled = np.empty_like(clean)
+    for ch in range(c):
+        emg = synth_artifact("emg", t, np.random.default_rng(emg_children[ch]), spec.sample_rate_hz)
+        eog = synth_artifact("eog", t, np.random.default_rng(eog_children[ch]), spec.sample_rate_hz)
+        n = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
+        rms_n = math.sqrt(float(np.mean(np.square(n))))
+        rms_c = math.sqrt(float(np.mean(np.square(clean[ch]))))
+        scaled[ch] = rms_c / (rms_n * amp_ratio) * n
+    noisy = clean + scaled
+    if spec.gaussian_sigma > 0:
+        noisy = noisy + np.random.default_rng(gauss_ss).normal(0.0, spec.gaussian_sigma, clean.shape)
+    achieved = 10.0 * math.log10(float(np.sum(np.square(clean))) / float(np.sum(np.square(scaled))))
+    return noisy, achieved
+
+
+class TestPerChannelOracle:
+    @pytest.mark.parametrize("shape", [(8, 128), (32, 1344), (1, 128)])
+    @pytest.mark.parametrize("target", [-3.0, 3.0])
+    @pytest.mark.parametrize("ratio", [1e-9, 1.0, 1e9])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_batched_matches_per_channel_bytes(self, shape, target, ratio, sigma):
+        clean = rng(shape[0]).normal(size=shape)
+        spec = NoiseSpec(target, emg_eog_ratio=ratio, gaussian_sigma=sigma, seed=shape[1] + 17)
+        noisy, achieved = inject_noise(clean, spec)
+        want, want_achieved = per_channel_oracle(clean, spec)
+        assert noisy.tobytes() == want.tobytes()
+        assert achieved == want_achieved
 
 
 class TestTargeting:
@@ -99,6 +139,10 @@ class TestContracts:
     def test_zero_clean_rejected(self):
         with pytest.raises(DegenerateDataError):
             inject_noise(np.zeros((2, 128)), NoiseSpec(0.0, seed=0))
+
+    def test_empty_artifact_band_names_kind(self):
+        with pytest.raises(DegenerateDataError, match="emg"):
+            inject_noise(np.ones((2, 2)), NoiseSpec(0.0, seed=0))
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import welch
 
-from fdcnet.errors import ConfigError, DimensionError
+from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
 from fdcnet.synth import (
     BANDS,
     DEFAULT_BAND_POWERS,
@@ -118,6 +118,32 @@ class TestArtifacts:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             synth_artifact("ecg", 128, seed=0)
+
+    @pytest.mark.parametrize("kind", ["emg", "eog"])
+    @pytest.mark.parametrize("length", [3, 128, 1344])
+    def test_seed_list_rows_equal_single_seed_calls(self, kind, length):
+        seeds = [7, np.random.SeedSequence(8), np.random.default_rng(9)]
+        rows = synth_artifact(kind, length, seeds)
+        assert rows.shape == (3, length)
+        singles = [synth_artifact(kind, length, s) for s in (7, np.random.SeedSequence(8),
+                                                           np.random.default_rng(9))]
+        for row, single in zip(rows, singles):
+            assert row.tobytes() == single.tobytes()
+
+    def test_zero_rms_error_names_kind(self):
+        class Silent(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                return np.zeros(size)
+
+        for seed in (Silent(np.random.PCG64(0)), [1, Silent(np.random.PCG64(0))]):
+            with pytest.raises(DegenerateDataError, match="emg"):
+                synth_artifact("emg", 128, seed)
+
+    def test_empty_band_error_names_kind(self):
+        # two samples at 128 Hz hold only the 0 and 64 Hz bins
+        for seed in (0, [0, 1]):
+            with pytest.raises(DegenerateDataError, match="emg"):
+                synth_artifact("emg", 2, seed)
 
     def test_determinism(self):
         np.testing.assert_array_equal(
