@@ -17,6 +17,7 @@ if _threads and _threads.isdigit():
 
 import argparse
 import difflib
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -71,15 +72,18 @@ def parse_snr_grid(text: str) -> list[float]:
     a single number is a one-point grid."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, end, step = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(
             f"snr grid must be 'start:end:step' or a number, got {text!r}"
         ) from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"snr grid values must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, end, step = values
     if step == 0 or (end - start) * step < 0:
         raise ConfigError(f"inconsistent snr grid {text!r}")
     n = int(round((end - start) / step))

@@ -27,6 +27,11 @@ class NoiseSpec:
     sample_rate_hz: float = 128.0
 
     def validate(self) -> None:
+        for name in ("target_snr_db", "emg_eog_ratio", "gaussian_sigma", "sample_rate_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.sample_rate_hz <= 0:
+            raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.gaussian_sigma < 0:
             raise ConfigError(f"gaussian_sigma must be >= 0, got {self.gaussian_sigma}")
         if self.emg_eog_ratio <= 0:

@@ -54,6 +54,9 @@ class SynthSpec:
     def validate(self) -> None:
         if self.n_subjects < 1 or self.trials_per_subject < 1 or self.n_channels < 1:
             raise ConfigError("n_subjects, trials_per_subject, n_channels must be >= 1")
+        for name in ("sample_rate_hz", "trial_length_s", "pink_power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sample_rate_hz <= 0 or self.trial_length_s <= 0:
             raise ConfigError("sample_rate_hz and trial_length_s must be positive")
         # trials must fit at least one default-length analysis window
@@ -65,8 +68,8 @@ class SynthSpec:
         for name, p in self.band_powers.items():
             if name not in BANDS:
                 raise ConfigError(f"unknown band {name!r}; expected one of {sorted(BANDS)}")
-            if p < 0:
-                raise ConfigError(f"band power for {name!r} must be >= 0, got {p}")
+            if not 0 <= p < math.inf:
+                raise ConfigError(f"band power for {name!r} must be finite and >= 0, got {p}")
         if self.pink_power < 0:
             raise ConfigError("pink_power must be >= 0")
         if not 0.0 <= self.label_effect <= 1.0:
@@ -83,34 +86,38 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
+def _sinusoid_sums(freqs, phases, amps, n: int, fs: float) -> np.ndarray:
+    """Row sums of amps * sin(2*pi*freqs*k/fs + phases) for k in [0, n).
+
+    freqs, phases and amps are (C, J); the result is (C, n). Writing
+    k = b*m + l with m = ceil(sqrt(n)) splits each sine by the angle-sum
+    identity into a table over block starts b*m and a table over offsets l,
+    so each row is one (nb, 2J) @ (2J, m) product and costs 2*J*(nb + m)
+    transcendental calls instead of J*n. Every sample uses one entry of each
+    table, so rounding does not grow with k.
+    """
+    m = math.isqrt(n - 1) + 1
+    nb = -(-n // m)
+    w = (2.0 * math.pi / fs) * freqs
+    alpha = w[:, None, :] * (m * np.arange(nb))[:, None] + phases[:, None, :]  # (C, nb, J)
+    beta = w[:, :, None] * np.arange(m)  # (C, J, m)
+    amps = amps[:, None, :]
+    blocks = np.concatenate([amps * np.sin(alpha), amps * np.cos(alpha)], axis=-1)
+    offsets = np.concatenate([np.cos(beta), np.sin(beta)], axis=1)
+    return (blocks @ offsets).reshape(len(freqs), nb * m)[:, :n]
 
 
-def _band_mixture(rng, n: int, fs: float, lo: float, hi: float, power: float) -> np.ndarray:
-    """Sum of random-phase sinusoids with uniform random frequencies in
-    [lo, hi] and expected total power `power`."""
-    if power == 0.0:
-        return np.zeros(n)
-    n_sin = max(3, int(round(hi - lo)))
-    freqs = rng.uniform(lo, hi, n_sin)
-    phases = rng.uniform(0.0, 2.0 * math.pi, n_sin)
-    amp = math.sqrt(2.0 * power / n_sin)
-    t = np.arange(n) / fs
-    return amp * np.sin(2.0 * math.pi * freqs[:, None] * t + phases[:, None]).sum(axis=0)
-
-
-def _pink_noise(rng, n: int, fs: float, power: float) -> np.ndarray:
-    """1/f-power noise normalized to the requested mean power."""
-    if power == 0.0 or n < 2:
-        return np.zeros(n)
-    white = rng.standard_normal(n)
+def _pink_noise(white: np.ndarray, fs: float, power: float) -> np.ndarray:
+    """1/f-power noise shaped from a (C, n) white block, each row normalized
+    to mean power `power`."""
+    n = white.shape[-1]
     f = np.fft.rfftfreq(n, 1.0 / fs)
     shape = np.zeros_like(f)
     shape[1:] = 1.0 / np.sqrt(f[1:])
     x = np.fft.irfft(np.fft.rfft(white) * shape, n)
-    r = _rms(x)
-    return x * (math.sqrt(power) / r) if r > 0 else x
+    r = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True))
+    # a zero-RMS row is all zeros, so any finite scale leaves it as it is
+    return x * (math.sqrt(power) / np.where(r > 0, r, 1.0))
 
 
 def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
@@ -118,10 +125,17 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
 
     Returns a list of (trial (C, n_samples) float64, valence, arousal,
     subject_id), deterministic per spec.seed.
+
+    Each channel is 1/f pink noise plus, for every band with non-zero power,
+    a sum of random-phase sinusoids with uniform random frequencies in the
+    band and expected total power equal to the band power. Per channel the
+    generator draws the pink-noise white samples, then for each band in
+    BANDS order its frequencies and then its phases.
     """
     spec.validate()
     n = spec.n_samples
     fs = spec.sample_rate_hz
+    n_ch = spec.n_channels
     root = np.random.SeedSequence(spec.seed)
     children = root.spawn(spec.n_subjects * spec.trials_per_subject)
     out = []
@@ -138,12 +152,27 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
                 powers["alpha"] *= (1.0 + e) if valence else (1.0 - e)
             if "beta" in powers:
                 powers["beta"] *= (1.0 + e) if arousal else (1.0 - e)
-            trial = np.empty((spec.n_channels, n))
-            for c in range(spec.n_channels):
-                sig = _pink_noise(rng, n, fs, spec.pink_power)
-                for name, (lo, hi) in BANDS.items():
-                    sig = sig + _band_mixture(rng, n, fs, lo, hi, powers.get(name, 0.0))
-                trial[c] = sig
+            # (lo, hi, n_sin) per band that draws, with one amplitude per sinusoid
+            bands, amps = [], []
+            for name, (lo, hi) in BANDS.items():
+                power = powers.get(name, 0.0)
+                if power != 0.0:
+                    n_sin = max(3, int(round(hi - lo)))
+                    bands.append((lo, hi, n_sin))
+                    amps += [math.sqrt(2.0 * power / n_sin)] * n_sin
+            white = np.zeros((n_ch, n))
+            freqs = np.empty((n_ch, len(amps)))
+            phases = np.empty((n_ch, len(amps)))
+            for c in range(n_ch):
+                if spec.pink_power != 0.0:
+                    white[c] = rng.standard_normal(n)
+                j = 0
+                for lo, hi, n_sin in bands:
+                    freqs[c, j : j + n_sin] = rng.uniform(lo, hi, n_sin)
+                    phases[c, j : j + n_sin] = rng.uniform(0.0, 2.0 * math.pi, n_sin)
+                    j += n_sin
+            sines = _sinusoid_sums(freqs, phases, np.broadcast_to(amps, freqs.shape), n, fs)
+            trial = _pink_noise(white, fs, spec.pink_power) + sines
             out.append((trial, valence, arousal, subject))
     return out
 

@@ -1,10 +1,19 @@
 """Command-line surface: parsing, exit codes, config round trips, pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdcnet.cli import main, parse_snr_grid
 from fdcnet.errors import ConfigError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS")
 
 
 class TestSnrGrid:
@@ -35,6 +44,12 @@ class TestSnrGrid:
             parse_snr_grid("a:b:c")
         with pytest.raises(ConfigError):
             parse_snr_grid("1:2:3:4")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "nan:3:1", "-inf:3:1",
+                                      "-3:inf:1", "-3:3:nan"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_snr_grid(text)
 
 
 class TestExitCodes:
@@ -80,6 +95,40 @@ class TestExitCodes:
         )
         assert code == 2
         assert "epochs" in capsys.readouterr().err
+
+
+class TestSynthRejectsNonFinite:
+    @pytest.mark.parametrize("flag, value", [
+        ("--sample-rate", "nan"), ("--trial-seconds", "inf"), ("--snr", "nan"),
+        ("--sigma", "nan"), ("--ratio", "inf"),
+    ])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out" / "data.fdcd"
+        code = main(
+            ["synth", "--subjects", "1", "--trials", "1", "--channels", "2",
+             "--trial-seconds", "1", flag, value, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 200 s trials make each channel's sinusoid product (160, 88) @ (88, 160),
+    # large enough that OpenBLAS splits it across two threads
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+        env["FDCNET_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.fdcd"
+        subprocess.run(
+            [sys.executable, "-m", "fdcnet.cli", "synth", "--subjects", "1", "--trials", "1",
+             "--channels", "2", "--trial-seconds", "200", "--seed", "5", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

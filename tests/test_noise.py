@@ -149,6 +149,15 @@ class TestContracts:
             NoiseSpec(0.0, emg_eog_ratio=0.0).validate()
         with pytest.raises(ConfigError):
             NoiseSpec(0.0, gaussian_sigma=-0.1).validate()
+        with pytest.raises(ConfigError):
+            NoiseSpec(0.0, sample_rate_hz=0.0).validate()
+
+    @pytest.mark.parametrize("field", ["target_snr_db", "emg_eog_ratio", "gaussian_sigma",
+                                       "sample_rate_hz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            NoiseSpec(**{"target_snr_db": 0.0, field: value}).validate()
 
     def test_determinism(self):
         clean = _clean(7)

@@ -10,6 +10,7 @@ from fdcnet.synth import (
     BANDS,
     DEFAULT_BAND_POWERS,
     SynthSpec,
+    _sinusoid_sums,
     segment_windows,
     synth_artifact,
     synth_clean_eeg,
@@ -21,6 +22,112 @@ def band_power(x: np.ndarray, lo: float, hi: float, fs: float = 128.0) -> float:
     f, p = welch(x, fs=fs, nperseg=min(256, x.shape[-1]), axis=-1)
     mask = (f >= lo) & (f < hi)
     return float(np.trapezoid(p[..., mask], f[mask], axis=-1).mean())
+
+
+def _oracle_band_mixture(rng, n, fs, lo, hi, power):
+    """One band of one channel, one np.sin per sample and sinusoid."""
+    if power == 0.0:
+        return np.zeros(n)
+    n_sin = max(3, int(round(hi - lo)))
+    freqs = rng.uniform(lo, hi, n_sin)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_sin)
+    amp = np.sqrt(2.0 * power / n_sin)
+    t = np.arange(n) / fs
+    return amp * np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None]).sum(axis=0)
+
+
+def _oracle_pink_noise(rng, n, fs, power):
+    if power == 0.0 or n < 2:
+        return np.zeros(n)
+    white = rng.standard_normal(n)
+    f = np.fft.rfftfreq(n, 1.0 / fs)
+    shape = np.zeros_like(f)
+    shape[1:] = 1.0 / np.sqrt(f[1:])
+    x = np.fft.irfft(np.fft.rfft(white) * shape, n)
+    r = np.sqrt(np.mean(np.square(x)))
+    return x * (np.sqrt(power) / r) if r > 0 else x
+
+
+def oracle_clean_eeg(spec):
+    """Per-channel reference for synth_clean_eeg with the same draw order."""
+    n, fs = spec.n_samples, spec.sample_rate_hz
+    children = np.random.SeedSequence(spec.seed).spawn(spec.n_subjects * spec.trials_per_subject)
+    out = []
+    for idx, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        valence = int(rng.random() < 0.5)
+        arousal = int(rng.random() < 0.5)
+        powers = dict(spec.band_powers)
+        e = spec.label_effect
+        if "alpha" in powers:
+            powers["alpha"] *= (1.0 + e) if valence else (1.0 - e)
+        if "beta" in powers:
+            powers["beta"] *= (1.0 + e) if arousal else (1.0 - e)
+        trial = np.empty((spec.n_channels, n))
+        for c in range(spec.n_channels):
+            sig = _oracle_pink_noise(rng, n, fs, spec.pink_power)
+            for name, (lo, hi) in BANDS.items():
+                sig = sig + _oracle_band_mixture(rng, n, fs, lo, hi, powers.get(name, 0.0))
+            trial[c] = sig
+        out.append((trial, valence, arousal, idx // spec.trials_per_subject))
+    return out
+
+
+_ORACLE_SPECS = {
+    "c32-10.5s": SynthSpec(n_subjects=1, trials_per_subject=2, n_channels=32, seed=41),
+    "c8-10.5s": SynthSpec(n_subjects=2, trials_per_subject=2, n_channels=8, seed=1),
+    "n128": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=3,
+                      trial_length_s=1.0, seed=2),
+    "n256-square": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=3,
+                             trial_length_s=2.0, seed=3),
+    "n166": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=3,
+                      trial_length_s=1.3, seed=4),
+    "n129-odd": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=3,
+                          sample_rate_hz=129.0, trial_length_s=1.0, seed=5),
+    "zero-theta": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
+                            band_powers={**DEFAULT_BAND_POWERS, "theta": 0.0}, seed=6),
+    "no-gamma-key": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
+                              band_powers={k: v for k, v in DEFAULT_BAND_POWERS.items()
+                                           if k != "gamma"}, seed=7),
+    "no-pink": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
+                         pink_power=0.0, seed=8),
+    "pink-only": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
+                           band_powers={k: 0.0 for k in BANDS}, seed=9),
+    "effect-0": SynthSpec(n_subjects=1, trials_per_subject=4, n_channels=4,
+                          label_effect=0.0, seed=10),
+    "effect-1": SynthSpec(n_subjects=2, trials_per_subject=4, n_channels=4,
+                          label_effect=1.0, seed=11),
+}
+
+
+class TestBatchedSynthesis:
+    @pytest.mark.parametrize("spec", _ORACLE_SPECS.values(), ids=_ORACLE_SPECS.keys())
+    def test_matches_per_channel_oracle(self, spec):
+        got = synth_clean_eeg(spec)
+        want = oracle_clean_eeg(spec)
+        assert len(got) == len(want)
+        for (tg, vg, ag, sg), (tw, vw, aw, sw) in zip(got, want):
+            assert (vg, ag, sg) == (vw, aw, sw)
+            assert tg.shape == tw.shape == (spec.n_channels, spec.n_samples)
+            np.testing.assert_allclose(tg, tw, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 128, 129, 1344])
+    def test_sinusoid_sums_match_np_sin(self, n):
+        rng = np.random.default_rng(n)
+        fs = 128.0
+        freqs = rng.uniform(0.5, 60.0, (3, 7))
+        phases = rng.uniform(0.0, 2.0 * np.pi, (3, 7))
+        amps = rng.uniform(0.1, 2.0, (3, 7))
+        k = np.arange(n)
+        want = (amps[..., None]
+                * np.sin(2.0 * np.pi * freqs[..., None] * k / fs + phases[..., None])).sum(axis=1)
+        got = _sinusoid_sums(freqs, phases, amps, n, fs)
+        assert got.shape == (3, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+    def test_sinusoid_sums_without_sinusoids_is_zero(self):
+        got = _sinusoid_sums(np.empty((2, 0)), np.empty((2, 0)), np.empty((2, 0)), 130, 128.0)
+        np.testing.assert_array_equal(got, np.zeros((2, 130)))
 
 
 class TestCleanEeg:
@@ -93,6 +200,17 @@ class TestCleanEeg:
             SynthSpec(n_subjects=0).validate()
         with pytest.raises(ConfigError):
             SynthSpec(trial_length_s=0.25).validate()  # shorter than one window
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "trial_length_s", "pink_power"])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SynthSpec(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_band_power_rejected(self, value):
+        with pytest.raises(ConfigError, match="alpha"):
+            SynthSpec(band_powers={**DEFAULT_BAND_POWERS, "alpha": value}).validate()
 
 
 class TestArtifacts:
