@@ -21,22 +21,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
+from .fileio import atomic_writer
 
 MAGIC = b"FDCN"
 VERSION = 1
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    blobs = [struct.pack("<4sII", MAGIC, VERSION, len(tensors))]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        enc = name.encode("utf-8")
-        blobs.append(struct.pack("<H", len(enc)))
-        blobs.append(enc)
-        blobs.append(struct.pack("<B", arr.ndim))
-        blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blobs.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(blobs))
+    """Write the tensors to ``path`` atomically, one record at a time."""
+    with atomic_writer(path) as fh:
+        fh.write(struct.pack("<4sII", MAGIC, VERSION, len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            enc = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(enc)))
+            fh.write(enc)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

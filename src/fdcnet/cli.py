@@ -28,6 +28,7 @@ from .configfile import read_config, write_config
 from .dataset import build_dataset, load_dataset, save_dataset, split_indices, EegSegment
 from .errors import ConfigError, FdcnetError, FileFormatError
 from .model import FdcNet, ModelConfig
+from .noise import MAX_ABS_SNR_DB
 from .report import write_report
 from .synth import SynthSpec
 from .trainer import (
@@ -81,6 +82,9 @@ def parse_snr_grid(text: str) -> list[float]:
         ) from None
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"snr grid values must be finite, got {text!r}")
+    # every level lies between the first two values; the step is not a level
+    if any(abs(v) > MAX_ABS_SNR_DB for v in values[:2]):
+        raise ConfigError(f"snr grid levels must be within ±{MAX_ABS_SNR_DB:g} dB, got {text!r}")
     if len(values) == 1:
         return values
     start, end, step = values

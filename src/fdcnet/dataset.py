@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FileFormatError
+from .fileio import atomic_writer
 from .noise import NoiseSpec, inject_noise
 from .synth import SynthSpec, segment_windows, synth_clean_eeg
 
@@ -47,20 +48,21 @@ class EegSegment:
 
 
 def save_dataset(path, segments: list[EegSegment]) -> None:
+    """Write segments to ``path`` atomically, one field at a time."""
     if segments:
         c, t = segments[0].clean.shape
     else:
         c = t = 0
-    blobs = [struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, len(segments))]
-    for i, seg in enumerate(segments):
-        if seg.clean.shape != (c, t) or seg.noisy.shape != (c, t):
-            raise DimensionError(
-                f"segment {i} shape {seg.clean.shape}/{seg.noisy.shape} != dataset shape ({c}, {t})"
-            )
-        blobs.append(_SEG_HEAD.pack(seg.subject_id, seg.valence, seg.arousal, seg.achieved_snr_db))
-        blobs.append(np.ascontiguousarray(seg.clean, dtype="<f8").tobytes())
-        blobs.append(np.ascontiguousarray(seg.noisy, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(blobs))
+    with atomic_writer(path) as fh:
+        fh.write(struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, len(segments)))
+        for i, seg in enumerate(segments):
+            if seg.clean.shape != (c, t) or seg.noisy.shape != (c, t):
+                raise DimensionError(
+                    f"segment {i} shape {seg.clean.shape}/{seg.noisy.shape} != dataset shape ({c}, {t})"
+                )
+            fh.write(_SEG_HEAD.pack(seg.subject_id, seg.valence, seg.arousal, seg.achieved_snr_db))
+            fh.write(np.ascontiguousarray(seg.clean, dtype="<f8"))
+            fh.write(np.ascontiguousarray(seg.noisy, dtype="<f8"))
 
 
 def load_dataset(path) -> list[EegSegment]:

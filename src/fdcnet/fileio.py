@@ -1,0 +1,32 @@
+"""Atomic file output shared by the binary writers."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import uuid
+from pathlib import Path
+
+
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Binary file handle whose contents replace ``path`` only if the block
+    finishes without an exception.
+
+    Bytes go to a temporary file in the target's directory, which is
+    renamed onto the target with ``os.replace``, so ``path`` holds either
+    its old contents or the whole new file. On any exception the temporary
+    file is deleted.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    # same permissions as a plain open(): 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

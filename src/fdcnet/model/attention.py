@@ -2,20 +2,18 @@
 
 Heads accept (..., T, d_h) with any leading batch/head dims. The frequency
 head conjugates the same attention by an orthonormal DCT along the token
-axis, so forcing the attention matrix to identity reduces it to a pure DCT
-round trip.
+axis.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..errors import DimensionError
-from ..kernels import dct_forward, dct_inverse, softmax
-from ..tensor import Tensor, as_tensor, matmul, swapaxes
+import numpy as np
 
-# test hook: when True the attention matrix is replaced by the identity
-FORCE_IDENTITY = False
+from ..errors import DimensionError
+from ..kernels import dct_forward, dct_inverse
+from ..tensor import Tensor, as_tensor, make_op, swapaxes
 
 
 def _check(q, k, v):
@@ -26,14 +24,35 @@ def _check(q, k, v):
 
 
 def attention_head_time(q, k, v) -> Tensor:
-    """softmax(Q K^T / sqrt(d_h)) V."""
+    """softmax(Q K^T / sqrt(d_h)) V as one tape node.
+
+    The node keeps only Q, K, V and the softmax output P. Forward and
+    backward do the arithmetic of the matmul, scale, softmax, matmul chain
+    in the same order, so values and gradients are that chain's bytes. The
+    node is recorded under the op name ``softmax``.
+    """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     _check(q, k, v)
-    if FORCE_IDENTITY:
-        return v
     scale = 1.0 / math.sqrt(q.shape[-1])
-    weights = softmax(matmul(q, swapaxes(k, -1, -2)) * scale)
-    return matmul(weights, v)
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = np.matmul(gs, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        # V first: the order the unfused chain delivered its gradients in,
+        # which fixes the sum when Q, K and V are the same tensor
+        return [(v, gv), (q, gq), (k, gk)]
+
+    return make_op(np.matmul(p, v.data), (q, k, v), bw, "softmax")
 
 
 def _dct_tokens(x) -> Tensor:

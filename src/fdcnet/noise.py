@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ConfigError, DegenerateDataError, DimensionError
 from .synth import synth_artifact
 
+# far beyond any useful target, and far inside the range where 10**(snr/20)
+# and the scaled artifact power stay finite and non-zero (±400 dB still works)
+MAX_ABS_SNR_DB = 300.0
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -30,6 +34,10 @@ class NoiseSpec:
         for name in ("target_snr_db", "emg_eog_ratio", "gaussian_sigma", "sample_rate_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if abs(self.target_snr_db) > MAX_ABS_SNR_DB:
+            raise ConfigError(
+                f"target_snr_db must be within ±{MAX_ABS_SNR_DB:g} dB, got {self.target_snr_db}"
+            )
         if self.sample_rate_hz <= 0:
             raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.gaussian_sigma < 0:

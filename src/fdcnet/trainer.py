@@ -17,7 +17,7 @@ from .dataset import EegSegment, derive_seed, split_indices
 from .errors import ConfigError, ContractError, DegenerateDataError, NonFiniteError
 from .metrics import metric_cc, metric_mse, metric_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
-from .noise import NoiseSpec, inject_noise
+from .noise import MAX_ABS_SNR_DB, NoiseSpec, inject_noise
 from .optim import AdamW
 from .tensor import GradTape, backward, no_grad
 
@@ -59,6 +59,11 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        for name in ("snr_start", "snr_end"):
+            if not abs(getattr(self, name)) <= MAX_ABS_SNR_DB:
+                raise ConfigError(
+                    f"{name} must be within ±{MAX_ABS_SNR_DB:g} dB, got {getattr(self, name)}"
+                )
         if self.snr_start < self.snr_end:
             raise ConfigError(
                 f"snr_start {self.snr_start} must be >= snr_end {self.snr_end}"

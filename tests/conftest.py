@@ -6,9 +6,15 @@ with one PASS/FAIL line per criterion is printed at the end of the run.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fdcnet
 from fdcnet.tensor import GradTape, Tensor, backward
 
 
@@ -55,6 +61,23 @@ def check_grad(f, x: np.ndarray, tol: float = 1e-5, h: float = 1e-5) -> float:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+# the children import the same fdcnet as the tests
+_SRC = str(Path(fdcnet.__file__).resolve().parents[1])
+
+
+def write_past_size_limit(code: str, limit: int) -> int:
+    """Exit code of ``code`` run in a child whose files may not grow past
+    ``limit`` bytes, so a write fails part way as on a full disk."""
+    pytest.importorskip("resource")
+    prelude = (
+        "import resource, signal\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", prelude + code], env=env).returncode
 
 
 # -- acceptance summary -------------------------------------------------------

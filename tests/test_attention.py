@@ -1,12 +1,23 @@
 """Time- and frequency-domain attention heads."""
 
-import numpy as np
+import math
 
-from conftest import rng
-from fdcnet.kernels import dct_forward, dct_inverse
-from fdcnet.model import attention as attn_mod
-from fdcnet.model.attention import attention_head_freq, attention_head_time
-from fdcnet.tensor import Tensor
+import numpy as np
+import pytest
+
+from conftest import check_grad, rng
+from fdcnet.kernels import dct_forward, dct_inverse, softmax
+from fdcnet.model import FdcNet
+from fdcnet.model.classifier import class_weights
+from fdcnet.model.attention import (
+    _dct_tokens,
+    _idct_tokens,
+    attention_head_freq,
+    attention_head_time,
+)
+from fdcnet.model.feedback import joint_loss
+from fdcnet.tensor import GradTape, Tensor, backward, matmul, mul, swapaxes, tsum
+from fdcnet.trainer import desk_preset, model_config_from
 
 
 def attention_oracle(q, k, v):
@@ -57,13 +68,9 @@ class TestFreqHead:
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_identity_hook_is_pure_round_trip(self):
-        r = rng(5)
-        q, k, v = (r.normal(size=(2, 6, 4)) for _ in range(3))
-        attn_mod.FORCE_IDENTITY = True
-        try:
-            out = attention_head_freq(Tensor(q), Tensor(k), Tensor(v)).numpy()
-        finally:
-            attn_mod.FORCE_IDENTITY = False
+        # with the attention matrix at identity the head is the DCT round trip
+        v = rng(5).normal(size=(2, 6, 4))
+        out = _idct_tokens(_dct_tokens(Tensor(v))).numpy()
         assert np.abs(out - v).max() < 1e-10
 
     def test_t4_composed_oracle(self):
@@ -95,3 +102,85 @@ class TestFreqHead:
         expect = np.swapaxes(dct_inverse(Tensor(np.swapaxes(inner, -1, -2))).numpy(), -1, -2)
         got = attention_head_freq(Tensor(q), Tensor(k), Tensor(v)).numpy()
         assert np.abs(got - expect).max() < 1e-10
+
+
+def unfused_head_time(q, k, v):
+    """The five-op tape chain the fused head replaces: swapaxes, matmul,
+    scale, softmax, matmul."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    return matmul(softmax(matmul(q, swapaxes(k, -1, -2)) * scale), v)
+
+
+def unfused_head_freq(q, k, v):
+    return _idct_tokens(unfused_head_time(_dct_tokens(q), _dct_tokens(k), _dct_tokens(v)))
+
+
+def _run(head, q, k, v, w, shared=False):
+    """Output and the Q, K, V gradients of sum(head(Q, K, V) * w)."""
+    if shared:
+        qt = kt = vt = Tensor(q.copy(), requires_grad=True)
+    else:
+        qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
+    with GradTape() as tape:
+        out = head(qt, kt, vt)
+        nodes = len(tape.nodes)
+        backward(tsum(mul(out, w)))
+    return out.numpy(), [t.grad for t in (qt, kt, vt)], nodes
+
+
+class TestFusedHead:
+    SHAPES = [(2, 3, 4), (2, 4, 5, 3), (32, 2, 128, 8)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fused, unfused", [
+        (attention_head_time, unfused_head_time),
+        (attention_head_freq, unfused_head_freq),
+    ])
+    def test_bytes_equal_unfused_chain(self, shape, fused, unfused):
+        r = rng(11)
+        q, k, v, w = (r.normal(size=shape) for _ in range(4))
+        out, grads, _ = _run(fused, q, k, v, w)
+        expect, expect_grads, _ = _run(unfused, q, k, v, w)
+        assert np.array_equal(out, expect)
+        for got, want in zip(grads, expect_grads):
+            assert np.array_equal(got, want)
+
+    def test_shared_qkv_accumulates_like_unfused_chain(self):
+        r = rng(12)
+        x, w = r.normal(size=(2, 4, 5, 3)), r.normal(size=(2, 4, 5, 3))
+        out, (grad, _, _), _ = _run(attention_head_time, x, x, x, w, shared=True)
+        expect, (expect_grad, _, _), _ = _run(unfused_head_time, x, x, x, w, shared=True)
+        assert np.array_equal(out, expect)
+        assert np.array_equal(grad, expect_grad)
+
+    def test_one_tape_node(self):
+        r = rng(13)
+        q, k, v, w = (r.normal(size=(2, 3, 4)) for _ in range(4))
+        _, _, nodes = _run(attention_head_time, q, k, v, w)
+        _, _, unfused_nodes = _run(unfused_head_time, q, k, v, w)
+        assert (nodes, unfused_nodes) == (1, 5)
+
+    @pytest.mark.parametrize("head", [attention_head_time, attention_head_freq])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_finite_difference_gradient(self, head, which):
+        r = rng(14 + which)
+        qkv = [r.normal(size=(2, 3, 4)) for _ in range(3)]
+        w = r.normal(size=(2, 3, 4))
+
+        def f(t):
+            args = [Tensor(a) for a in qkv]
+            args[which] = t
+            return tsum(mul(head(*args), w))
+
+        check_grad(f, qkv[which], tol=1e-5)
+
+
+def test_desk_training_step_records_135_tape_nodes():
+    r = rng(15)
+    model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+    xb, cb = r.normal(size=(32, 8, 128)), r.normal(size=(32, 8, 128))
+    yb = np.tile([[0.0, 1.0], [1.0, 0.0]], (16, 1))
+    with GradTape() as tape:
+        out = model.forward(xb, mode="train", rng=rng(16))
+        joint_loss(cb, out.x_hat, out.p, yb, class_weights(yb), 0.6)
+        assert len(tape.nodes) == 135

@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import rng
-from fdcnet.checkpoint import load_checkpoint, save_checkpoint
+from conftest import rng, write_past_size_limit
+from fdcnet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from fdcnet.errors import FileFormatError
 
 
@@ -18,6 +18,20 @@ def _sample_state():
         "classifier.head.b2": r.normal(size=(2,)),
         "scalar": np.array(3.25),
     }
+
+
+def joined_save_checkpoint(path, tensors):
+    """The earlier writer, which built the whole file in memory first."""
+    blobs = [struct.pack("<4sII", MAGIC, VERSION, len(tensors))]
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+        enc = name.encode("utf-8")
+        blobs.append(struct.pack("<H", len(enc)))
+        blobs.append(enc)
+        blobs.append(struct.pack("<B", arr.ndim))
+        blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        blobs.append(arr.tobytes())
+    path.write_bytes(b"".join(blobs))
 
 
 class TestRoundTrip:
@@ -50,6 +64,37 @@ class TestRoundTrip:
         path = tmp_path / "empty.fdcn"
         save_checkpoint(path, {})
         assert load_checkpoint(path) == {}
+
+    @pytest.mark.parametrize("extra", [{}, {"fortran": np.asfortranarray(np.ones((3, 4))),
+                                            "f32": np.arange(5, dtype=np.float32),
+                                            "ünïcode": np.zeros((2, 0, 3))}])
+    def test_bytes_equal_joined_writer(self, tmp_path, extra):
+        state = {**_sample_state(), **extra}
+        save_checkpoint(tmp_path / "a.fdcn", state)
+        joined_save_checkpoint(tmp_path / "b.fdcn", state)
+        assert (tmp_path / "a.fdcn").read_bytes() == (tmp_path / "b.fdcn").read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        state = {**_sample_state(), "zzz": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(tmp_path / "m.fdcn", state)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "m.fdcn"
+        save_checkpoint(path, _sample_state())
+        before = path.read_bytes()
+        code = (
+            "import sys\nimport numpy as np\n"
+            "from fdcnet.checkpoint import save_checkpoint\n"
+            "try:\n"
+            f"    save_checkpoint({str(path)!r}, {{'a': np.ones(4096), 'b': np.ones(65536)}})\n"
+            "except OSError:\n"
+            "    sys.exit(3)\n"
+        )
+        assert write_past_size_limit(code, 65536) == 3
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCorruption:

@@ -51,6 +51,14 @@ class TestSnrGrid:
         with pytest.raises(ConfigError, match="finite"):
             parse_snr_grid(text)
 
+    @pytest.mark.parametrize("text", ["7000", "-7000", "0:301:1", "-301:0:1"])
+    def test_levels_beyond_300_db_rejected(self, text):
+        with pytest.raises(ConfigError, match="300"):
+            parse_snr_grid(text)
+
+    def test_large_step_is_not_a_level(self):
+        assert parse_snr_grid("-3:3:7000") == [-3.0]
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
@@ -108,6 +116,27 @@ class TestSynthRejectsNonFinite:
             ["synth", "--subjects", "1", "--trials", "1", "--channels", "2",
              "--trial-seconds", "1", flag, value, "--out", str(out)]
         )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLargeSnrRejected:
+    @pytest.mark.parametrize("value", ["7000", "-7000"])
+    def test_synth_exits_2_and_writes_nothing(self, tmp_path, capsys, value):
+        out = tmp_path / "out" / "data.fdcd"
+        code = main(
+            ["synth", "--subjects", "1", "--trials", "1", "--channels", "2",
+             "--trial-seconds", "1", f"--snr={value}", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        _, data, run = pipeline
+        code = main(["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--snr-grid", "7000", "--out", str(tmp_path / "out" / "e.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []

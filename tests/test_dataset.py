@@ -5,8 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import rng, write_past_size_limit
 from fdcnet.dataset import (
+    _SEG_HEAD,
+    MAGIC,
+    VERSION,
     EegSegment,
     build_dataset,
     derive_seed,
@@ -33,6 +36,17 @@ def _segments(n=3, c=2, t=128, seed=0):
             )
         )
     return out
+
+
+def joined_save_dataset(path, segments):
+    """The earlier writer, which built the whole file in memory first."""
+    c, t = segments[0].clean.shape if segments else (0, 0)
+    blobs = [struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, len(segments))]
+    for seg in segments:
+        blobs.append(_SEG_HEAD.pack(seg.subject_id, seg.valence, seg.arousal, seg.achieved_snr_db))
+        blobs.append(np.ascontiguousarray(seg.clean, dtype="<f8").tobytes())
+        blobs.append(np.ascontiguousarray(seg.noisy, dtype="<f8").tobytes())
+    path.write_bytes(b"".join(blobs))
 
 
 class TestFileFormat:
@@ -91,6 +105,45 @@ class TestFileFormat:
         )
         with pytest.raises(DimensionError):
             save_dataset(tmp_path / "bad.fdcd", segs + [bad])
+
+    @pytest.mark.parametrize("n, c, t", [(0, 2, 128), (1, 2, 128), (5, 3, 7), (40, 32, 128)])
+    def test_bytes_equal_joined_writer(self, tmp_path, n, c, t):
+        segs = _segments(n, c, t, seed=n)
+        if segs:
+            # a transposed view and a float32 field take the conversion paths
+            segs[0].clean = np.asfortranarray(segs[0].clean)
+            segs[-1].noisy = segs[-1].noisy.astype(np.float32)
+        save_dataset(tmp_path / "a.fdcd", segs)
+        joined_save_dataset(tmp_path / "b.fdcd", segs)
+        assert (tmp_path / "a.fdcd").read_bytes() == (tmp_path / "b.fdcd").read_bytes()
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_failed_write_leaves_no_file(self, tmp_path, k):
+        segs = _segments(5)
+        segs[k] = EegSegment(
+            clean=np.zeros((2, 64)) if k else np.zeros((2, 128)), noisy=np.zeros((2, 64)),
+            valence=0, arousal=0, subject_id=0, achieved_snr_db=0.0,
+        )
+        with pytest.raises(DimensionError, match=f"segment {k}"):
+            save_dataset(tmp_path / "bad.fdcd", segs)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(2))
+        before = path.read_bytes()
+        code = (
+            "import sys\nimport numpy as np\n"
+            "from fdcnet.dataset import EegSegment, save_dataset\n"
+            "seg = EegSegment(np.ones((8, 128)), np.ones((8, 128)), 0, 0, 0, 0.0)\n"
+            "try:\n"
+            f"    save_dataset({str(path)!r}, [seg] * 100)\n"
+            "except OSError:\n"
+            "    sys.exit(3)\n"
+        )
+        assert write_past_size_limit(code, 65536) == 3
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestDeriveSeed:

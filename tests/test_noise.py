@@ -159,6 +159,17 @@ class TestContracts:
         with pytest.raises(ConfigError, match=field):
             NoiseSpec(**{"target_snr_db": 0.0, field: value}).validate()
 
+    @pytest.mark.parametrize("target", [300.0001, -300.0001, 7000.0, -7000.0])
+    def test_snr_beyond_300_db_rejected(self, target):
+        with pytest.raises(ConfigError, match="target_snr_db"):
+            NoiseSpec(target).validate()
+
+    @pytest.mark.parametrize("target", [300.0, -300.0])
+    def test_snr_at_300_db_is_finite(self, target):
+        noisy, achieved = inject_noise(_clean(6), NoiseSpec(target, seed=3))
+        assert np.isfinite(noisy).all()
+        assert abs(achieved - target) < 1e-6
+
     def test_determinism(self):
         clean = _clean(7)
         spec = NoiseSpec(2.0, seed=31)

@@ -93,6 +93,9 @@ class TestTrainConfig:
             dict(split=0.0),
             dict(split=1.0),
             dict(alpha=1.5),
+            dict(snr_start=7000.0),
+            dict(snr_end=-7000.0),
+            dict(snr_start=float("nan")),
         ],
     )
     def test_validate_rejects(self, kw):
