@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import FileFormatError
+from .fileio import write_text
 
 
 def parse_value(s: str):
@@ -70,4 +71,4 @@ def write_config(path, sections: dict[str, dict[str, object]]) -> None:
         for key, value in body.items():
             lines.append(f"{key} = {format_value(value)}")
         lines.append("")
-    Path(path).write_text("\n".join(lines))
+    write_text(path, "\n".join(lines))

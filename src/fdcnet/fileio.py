@@ -1,4 +1,4 @@
-"""Atomic file output shared by the binary writers."""
+"""Atomic file output shared by the binary and text writers."""
 
 from __future__ import annotations
 
@@ -9,24 +9,32 @@ from pathlib import Path
 
 
 @contextlib.contextmanager
-def atomic_writer(path):
-    """Binary file handle whose contents replace ``path`` only if the block
+def atomic_writer(path, mode: str = "wb", newline: str | None = None):
+    """File handle whose contents replace ``path`` only if the block
     finishes without an exception.
 
-    Bytes go to a temporary file in the target's directory, which is
-    renamed onto the target with ``os.replace``, so ``path`` holds either
-    its old contents or the whole new file. On any exception the temporary
-    file is deleted.
+    ``mode`` is ``"wb"`` for a binary handle or ``"w"`` for a text handle
+    that writes what ``open(path, "w", newline=newline)`` would. Bytes go
+    to a temporary file in the target's directory, which is renamed onto
+    the target with ``os.replace``, so ``path`` holds either its old
+    contents or the whole new file. On any exception the temporary file is
+    deleted.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     # same permissions as a plain open(): 0o666 less the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` would, atomically."""
+    with atomic_writer(path, "w") as fh:
+        fh.write(text)

@@ -74,24 +74,6 @@ def softmax(x) -> Tensor:
     return make_op(y, (x,), bw, "softmax")
 
 
-_ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "gelu": gelu,
-    "softmax-lastdim": softmax,
-}
-
-
-def activation(x, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}"
-        ) from None
-    return fn(x)
-
-
 # -- affine layers -----------------------------------------------------------
 
 def linear(x, w, b=None) -> Tensor:

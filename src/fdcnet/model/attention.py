@@ -23,36 +23,70 @@ def _check(q, k, v):
         raise DimensionError(f"attention needs (..., T, d_h), got {q.shape}")
 
 
-def attention_head_time(q, k, v) -> Tensor:
-    """softmax(Q K^T / sqrt(d_h)) V as one tape node.
+# bytes of (..., T, T) attention weights handled at a time: about one
+# core's L2 cache
+BLOCK_BYTES = 1 << 20
 
-    The node keeps only Q, K, V and the softmax output P. Forward and
-    backward do the arithmetic of the matmul, scale, softmax, matmul chain
-    in the same order, so values and gradients are that chain's bytes. The
-    node is recorded under the op name ``softmax``.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    _check(q, k, v)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+
+def _blocks(shape) -> list:
+    """Slices of the leading axis whose (..., T, T) weights take about
+    BLOCK_BYTES each; one block when there is no leading axis."""
+    if len(shape) == 2:
+        return [slice(None)]
+    # an empty head group (one head, split into time and frequency) has
+    # no weights at all
+    per_row = max(1, math.prod(shape[1:-1]) * shape[-2] * 8)
+    step = max(1, BLOCK_BYTES // per_row)
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
+
+
+def _weights(q, k, scale) -> np.ndarray:
+    """softmax(Q K^T * scale) along the last axis, built in place."""
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention_head_time(q, k, v) -> Tensor:
+    """softmax(Q K^T / sqrt(d_h)) V as one tape node.
+
+    The node keeps only Q, K and V. The forward walks the leading axis in
+    blocks of about BLOCK_BYTES of weights P and drops each block's P once
+    it has written P V; the backward recomputes each block's P the same way.
+    Both do the arithmetic of the matmul, scale, softmax, matmul chain in
+    the same order, so values and gradients are that chain's bytes. The node
+    is recorded under the op name ``softmax``.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    _check(q, k, v)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    blocks = _blocks(q.shape)
+    out = np.empty(q.shape)
+    for b in blocks:
+        np.matmul(_weights(q.data[b], k.data[b], scale), v.data[b], out=out[b])
 
     def bw(g):
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        gq = np.matmul(gs, k.data)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        gv, gq = np.empty(q.shape), np.empty(q.shape)
+        # K's gradient is built as (..., d_h, T) and returned transposed,
+        # the layout the unfused chain handed on
+        gkt = np.empty(q.shape[:-2] + (q.shape[-1], q.shape[-2]))
+        for b in blocks:
+            p = _weights(q.data[b], k.data[b], scale)
+            gs = np.matmul(g[b], np.swapaxes(v.data[b], -1, -2))
+            np.matmul(np.swapaxes(p, -1, -2), g[b], out=gv[b])
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            np.matmul(gs, k.data[b], out=gq[b])
+            np.matmul(np.swapaxes(q.data[b], -1, -2), gs, out=gkt[b])
         # V first: the order the unfused chain delivered its gradients in,
         # which fixes the sum when Q, K and V are the same tensor
-        return [(v, gv), (q, gq), (k, gk)]
+        return [(v, gv), (q, gq), (k, np.swapaxes(gkt, -1, -2))]
 
-    return make_op(np.matmul(p, v.data), (q, k, v), bw, "softmax")
+    return make_op(out, (q, k, v), bw, "softmax")
 
 
 def _dct_tokens(x) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from .fileio import write_text
 from .trainer import EvalReport
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -124,9 +125,9 @@ def write_report(out_dir, named_reports: list[tuple[str, EvalReport]]) -> list[s
         ]
         svg = render_line_chart(series, f"{label} vs input SNR", "target input SNR (dB)", label)
         path = out / f"{key}.svg"
-        path.write_text(svg)
+        write_text(path, svg)
         written.append(str(path))
     path = out / "summary.txt"
-    path.write_text(summary_table(named_reports))
+    write_text(path, summary_table(named_reports))
     written.append(str(path))
     return written

@@ -3,8 +3,10 @@
 A ``GradTape`` records every differentiable operation whose inputs require
 gradients. ``backward(loss)`` replays the tape in reverse recording order
 (construction order is already topological) and accumulates gradients into
-the ``.grad`` buffer of every reachable leaf. Tapes are cheap and recreated
-per forward pass; there is no higher-order differentiation.
+the ``.grad`` buffer of every reachable leaf. It pops each node off the tape
+as it replays it, so the activations a node's closure saved are released as
+soon as their gradient has flowed. Tapes are cheap and recreated per forward
+pass; there is no higher-order differentiation.
 
 All values are float64 and must be finite; constructing a tensor with NaN
 or Inf raises ``NonFiniteError``.
@@ -198,38 +200,44 @@ def make_op(
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
-    The loss must be a scalar recorded on the active tape. The tape is
-    cleared afterwards; a fresh forward pass is needed before the next call.
+    The loss must be a scalar recorded on the active tape. Each node is
+    popped off the tape as it is replayed, so its output and the arrays its
+    closure saved are freed once their gradient has flowed. The tape is
+    empty afterwards, also when a closure raises; a fresh forward pass is
+    needed before the next call.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
         raise ContractError("backward() requires an active GradTape")
     if loss.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
+    nodes = tape.nodes
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if loss._leaf:
-        if loss.requires_grad:
-            if loss.grad is None:
-                loss.grad = np.zeros_like(loss.data)
-            loss.grad += pending[id(loss)]
-        tape.nodes.clear()
-        return
-    for out, fn in reversed(tape.nodes):
-        g = pending.pop(id(out), None)
-        if g is None:
-            continue
-        for parent, pg in fn(g):
-            if pg is None:
+    try:
+        if loss._leaf:
+            if loss.requires_grad:
+                if loss.grad is None:
+                    loss.grad = np.zeros_like(loss.data)
+                loss.grad += pending[id(loss)]
+            return
+        while nodes:
+            out, fn = nodes.pop()
+            g = pending.pop(id(out), None)
+            if g is None:
                 continue
-            if parent._leaf:
-                if parent.requires_grad:
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
-                    parent.grad += pg
-            else:
-                acc = pending.get(id(parent))
-                pending[id(parent)] = pg if acc is None else acc + pg
-    tape.nodes.clear()
+            for parent, pg in fn(g):
+                if pg is None:
+                    continue
+                if parent._leaf:
+                    if parent.requires_grad:
+                        if parent.grad is None:
+                            parent.grad = np.zeros_like(parent.data)
+                        parent.grad += pg
+                else:
+                    acc = pending.get(id(parent))
+                    pending[id(parent)] = pg if acc is None else acc + pg
+    finally:
+        nodes.clear()
 
 
 # -- elementwise arithmetic --------------------------------------------------

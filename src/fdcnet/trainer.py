@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import EegSegment, derive_seed, split_indices
 from .errors import ConfigError, ContractError, DegenerateDataError, NonFiniteError
+from .fileio import atomic_writer
 from .metrics import metric_cc, metric_mse, metric_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
 from .noise import MAX_ABS_SNR_DB, NoiseSpec, inject_noise
@@ -136,7 +137,7 @@ LOG_COLUMNS = ["epoch", "snr_db", "loss_total", "loss_mse", "loss_cls", "val_acc
 
 
 def write_log_csv(path, rows: list[LogRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for r in rows:
@@ -326,7 +327,7 @@ EVAL_COLUMNS = ["input_snr_db", "output_snr_db", "cc_percent", "mse", "acc_4clas
 
 
 def write_eval_csv(path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_snr_db"] + EVAL_COLUMNS)
         for snr, r in zip(report.grid, report.rows):

@@ -1,6 +1,7 @@
 """Time- and frequency-domain attention heads."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import check_grad, rng
 from fdcnet.kernels import dct_forward, dct_inverse, softmax
 from fdcnet.model import FdcNet
 from fdcnet.model.classifier import class_weights
+from fdcnet.model import attention
 from fdcnet.model.attention import (
     _dct_tokens,
     _idct_tokens,
@@ -171,6 +173,68 @@ class TestFusedHead:
             args = [Tensor(a) for a in qkv]
             args[which] = t
             return tsum(mul(head(*args), w))
+
+        check_grad(f, qkv[which], tol=1e-5)
+
+
+class TestBlockedHead:
+    """The fused head walks the leading axis in blocks of weights and keeps
+    no weights on the tape."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 30])
+    @pytest.mark.parametrize("shape", TestFusedHead.SHAPES)
+    @pytest.mark.parametrize("fused, unfused", [
+        (attention_head_time, unfused_head_time),
+        (attention_head_freq, unfused_head_freq),
+    ])
+    def test_block_size_keeps_bytes(self, monkeypatch, block_bytes, shape, fused, unfused):
+        r = rng(17)
+        q, k, v, w = (r.normal(size=shape) for _ in range(4))
+        expect, expect_grads, _ = _run(unfused, q, k, v, w)
+        monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes)
+        out, grads, _ = _run(fused, q, k, v, w)
+        assert np.array_equal(out, expect)
+        for got, want in zip(grads, expect_grads):
+            assert np.array_equal(got, want)
+
+    def test_tracked_forward_keeps_no_weights(self):
+        shape = (32, 2, 128, 8)
+        r = rng(18)
+        q, k, v = (Tensor(r.normal(size=shape), requires_grad=True) for _ in range(3))
+        weights_bytes = 32 * 2 * 128 * 128 * 8
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = attention_head_time(q, k, v)
+                retained = tracemalloc.get_traced_memory()[0] - before
+                assert len(tape.nodes) == 1
+        finally:
+            tracemalloc.stop()
+        assert out.shape == shape
+        assert retained < weights_bytes
+
+    @pytest.mark.parametrize("shape", [(2, 0, 5, 3), (0, 2, 5, 3)])
+    def test_empty_inputs_match_unfused_chain(self, shape):
+        r = rng(20)
+        q, k, v, w = (r.normal(size=shape) for _ in range(4))
+        out, grads, _ = _run(attention_head_time, q, k, v, w)
+        expect, expect_grads, _ = _run(unfused_head_time, q, k, v, w)
+        assert out.shape == expect.shape == shape
+        for got, want in zip(grads, expect_grads):
+            assert got.shape == want.shape == shape
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_finite_difference_gradient_one_row_blocks(self, monkeypatch, which):
+        monkeypatch.setattr(attention, "BLOCK_BYTES", 1)
+        r = rng(19 + which)
+        qkv = [r.normal(size=(3, 2, 4, 3)) for _ in range(3)]
+        w = r.normal(size=(3, 2, 4, 3))
+
+        def f(t):
+            args = [Tensor(a) for a in qkv]
+            args[which] = t
+            return tsum(mul(attention_head_time(*args), w))
 
         check_grad(f, qkv[which], tol=1e-5)
 

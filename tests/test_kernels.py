@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import check_grad, rng
 from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
 from fdcnet.kernels import (
-    activation,
     batch_norm,
     conv1d,
     conv1d_transposed,
@@ -87,17 +86,12 @@ class TestActivations:
             relu(Tensor(np.array([-1.0, 0.0, 2.0]))).numpy(), [0.0, 0.0, 2.0]
         )
 
-    def test_dispatch_and_unknown_kind(self):
-        x = Tensor(np.array([0.1, -0.2]))
-        np.testing.assert_array_equal(activation(x, "relu").numpy(), relu(x).numpy())
-        with pytest.raises(ConfigError) as exc:
-            activation(x, "swish")
-        assert "swish" in str(exc.value)
-
-    @pytest.mark.parametrize("kind", ["sigmoid", "relu", "gelu", "softmax-lastdim"])
-    def test_activation_gradients(self, kind):
+    @pytest.mark.parametrize(
+        "fn", [sigmoid, relu, gelu, softmax], ids=["sigmoid", "relu", "gelu", "softmax-lastdim"]
+    )
+    def test_activation_gradients(self, fn):
         x = rng(1).normal(size=(3, 5))
-        check_grad(lambda t: tsum(activation(t, kind) ** 2.0), x, tol=1e-5)
+        check_grad(lambda t: tsum(fn(t) ** 2.0), x, tol=1e-5)
 
 
 class TestConv1d:
@@ -311,6 +305,11 @@ class TestDropout:
         np.testing.assert_allclose(kept, 1.0 / 0.7)
         # keep rate concentrates near 0.7
         assert abs(kept.size / out.size - 0.7) < 0.01
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5])
+    def test_rate_of_one_or_more_rejected(self, rate):
+        with pytest.raises(ConfigError, match="dropout rate"):
+            dropout(Tensor(np.ones(3)), rate, rng(33), training=True)
 
 
 @settings(max_examples=25, deadline=None)

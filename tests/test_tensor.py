@@ -1,22 +1,30 @@
 """Autodiff core: tape semantics, broadcasting, and gradient oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import check_grad, rng
 from fdcnet.errors import ContractError, DimensionError, NonFiniteError
+from fdcnet.model import FdcNet
+from fdcnet.model.classifier import class_weights
+from fdcnet.model.feedback import joint_loss
 from fdcnet.tensor import (
     GradTape,
     Tensor,
+    active_tape,
     backward,
     clamp,
     concat,
+    make_op,
     matmul,
     no_grad,
     tmean,
     tsum,
 )
+from fdcnet.trainer import desk_preset, model_config_from
 
 
 class TestConstruction:
@@ -175,6 +183,94 @@ class TestReductions:
 
     def test_tmean_grad(self):
         check_grad(lambda t: tmean(t * t), rng(11).normal(size=(4, 5)), tol=1e-7)
+
+
+def keep_everything_backward(loss):
+    """The replay before nodes were released: every tape node, and so every
+    activation its closure saved, stays alive until the whole pass ends."""
+    tape = active_tape()
+    pending = {id(loss): np.ones_like(loss.data)}
+    for out, fn in reversed(tape.nodes):
+        g = pending.pop(id(out), None)
+        if g is None:
+            continue
+        for parent, pg in fn(g):
+            if pg is None:
+                continue
+            if parent._leaf:
+                if parent.requires_grad:
+                    if parent.grad is None:
+                        parent.grad = np.zeros_like(parent.data)
+                    parent.grad += pg
+            else:
+                acc = pending.get(id(parent))
+                pending[id(parent)] = pg if acc is None else acc + pg
+    tape.nodes.clear()
+
+
+def desk_step_grads(replay):
+    """Every parameter gradient of one desk training step at batch 32."""
+    r = rng(21)
+    model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+    xb, cb = r.normal(size=(32, 8, 128)), r.normal(size=(32, 8, 128))
+    yb = np.tile([[0.0, 1.0], [1.0, 0.0]], (16, 1))
+    with GradTape() as tape:
+        out = model.forward(xb, mode="train", rng=rng(22))
+        replay(joint_loss(cb, out.x_hat, out.p, yb, class_weights(yb), 0.6))
+        left = len(tape.nodes)
+    return {name: p.grad for name, p in model.named_parameters().items()}, left
+
+
+class TestTapeRelease:
+    def test_desk_step_gradients_equal_keep_everything_replay(self):
+        grads, left = desk_step_grads(backward)
+        want, _ = desk_step_grads(keep_everything_backward)
+        assert left == 0
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+
+    def test_early_output_released_during_backward(self):
+        x = Tensor(rng(23).normal(size=(4, 5)), requires_grad=True)
+        seen = []
+
+        def probe(g):
+            # replayed last, after every later node has been popped
+            seen.append(ref() is None)
+            return [(x, g)]
+
+        with GradTape() as tape:
+            early = make_op(x.data * 2.0, (x,), probe, "probe") * 3.0
+            ref = weakref.ref(early.data)
+            loss = tsum(early * early)
+            del early
+            backward(loss)
+            assert tape.nodes == []
+        assert seen == [True]
+        # the probe passes its gradient through unchanged: d(sum((3p)^2))/dp = 18p = 36x
+        np.testing.assert_allclose(x.grad, 36.0 * x.data, rtol=1e-15)
+
+    def test_raising_closure_empties_tape_and_next_step_matches(self):
+        data = rng(24).normal(size=(3, 4))
+        tape = GradTape()
+
+        def boom(g):
+            raise NonFiniteError("non-finite gradient")
+
+        def step(fail):
+            x = Tensor(data, requires_grad=True)
+            with tape:
+                y = x * x + x
+                if fail:
+                    y = make_op(y.data.copy(), (y,), boom, "boom")
+                backward(tsum(y * 2.0))
+            return x.grad
+
+        want = step(False)
+        with pytest.raises(NonFiniteError):
+            step(True)
+        assert tape.nodes == []
+        assert np.array_equal(step(False), want)
 
 
 @settings(max_examples=30, deadline=None)
