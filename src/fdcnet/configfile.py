@@ -8,6 +8,7 @@ the file can be fed back via --config to reproduce the run.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import FileFormatError
@@ -45,7 +46,11 @@ def format_value(v) -> str:
 def read_config(path) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
     current: dict[str, object] | None = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -60,7 +65,10 @@ def read_config(path) -> dict[str, dict[str, object]]:
         if current is None:
             raise FileFormatError(f"{path}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        current[key.strip()] = parse_value(value)
+        value = parse_value(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FileFormatError(f"{path}:{lineno}: {key.strip()} must be finite, got {value}")
+        current[key.strip()] = value
     return sections
 
 

@@ -113,19 +113,20 @@ def build_dataset(
     """Full pipeline: synthesize trials, inject noise per trial, then window.
 
     Noise is injected before segmentation so adjacent windows share artifact
-    context, and the per-trial noise seed is spawned from spec.seed.
+    context. Trial i draws its noise from the stream keyed
+    (derive_seed(spec.seed, "noise"), i); see fdcnet.noise.
     """
     trials = synth_clean_eeg(spec)
+    nspec = NoiseSpec(
+        target_snr_db=target_snr_db,
+        emg_eog_ratio=emg_eog_ratio,
+        gaussian_sigma=gaussian_sigma,
+        seed=derive_seed(spec.seed, "noise"),
+        sample_rate_hz=spec.sample_rate_hz,
+    )
     segments: list[EegSegment] = []
     for i, (trial, valence, arousal, subject) in enumerate(trials):
-        nspec = NoiseSpec(
-            target_snr_db=target_snr_db,
-            emg_eog_ratio=emg_eog_ratio,
-            gaussian_sigma=gaussian_sigma,
-            seed=derive_seed(spec.seed, "noise", i),
-            sample_rate_hz=spec.sample_rate_hz,
-        )
-        noisy, achieved = inject_noise(trial, nspec)
+        noisy, achieved = inject_noise(trial, nspec, i)
         for w_clean, w_noisy in zip(
             segment_windows(trial, window, overlap), segment_windows(noisy, window, overlap)
         ):

@@ -1,5 +1,5 @@
 from .pe import BandLimitedPE, sinusoid_table
-from .gate import ChannelGate, channel_stats, channel_gate_weights, modulate
+from .gate import ChannelGate, channel_stats, modulate
 from .attention import attention_head_time, attention_head_freq
 from .encoder import EncoderLayer, EegspEncoder
 from .denoiser import ConvStem, Decoder, denoise_forward, denoise_loss
@@ -25,7 +25,6 @@ __all__ = [
     "sinusoid_table",
     "ChannelGate",
     "channel_stats",
-    "channel_gate_weights",
     "modulate",
     "attention_head_time",
     "attention_head_freq",

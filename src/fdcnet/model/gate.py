@@ -47,10 +47,6 @@ class ChannelGate:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
-def channel_gate_weights(z, gate: ChannelGate) -> Tensor:
-    return gate.weights(z)
-
-
 def modulate(x, alpha) -> Tensor:
     """Scale each channel of (B, C, T) (or (B, C, 1, T)) by its (B, C) gate."""
     x = as_tensor(x)

@@ -54,7 +54,3 @@ class BandLimitedPE:
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"alpha_logits": self.alpha_logits}
-
-
-def band_limited_pe(pos_count: int, pe: BandLimitedPE) -> Tensor:
-    return pe.forward(pos_count)

@@ -181,16 +181,20 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
 _EMG_BANDS = ((20.0, 45.0), (0.0, 1.0))
 
 
-def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0) -> np.ndarray:
+def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0,
+                   rows: int = 1) -> np.ndarray:
     """Unit-RMS artifact surrogate.
 
     emg: 20-45 Hz filtered white noise under a slow random burst envelope.
     eog: sub-4 Hz smoothed random-step drift plus blink bumps.
 
     `seed` is one seed or Generator, giving a (length,) realization, or a
-    list of them, giving a (len(seed), length) array with one row per entry.
-    Each row draws from its own generator in the order a single call does,
-    so row k equals synth_artifact(kind, length, seed[k]) bit for bit.
+    list of them, giving a (len(seed) * rows, length) array. Each generator
+    draws its `rows` consecutive rows as one block per draw: for emg the
+    white noise (rows, 2, length); for eog the step levels (rows, n_steps),
+    then the blink uniforms (rows, n_blinks, 3). The shaping then runs once
+    over all rows, and each row's arithmetic is its own, so a row's bytes
+    depend only on its generator's draws.
     """
     if length < 1:
         raise DimensionError(f"artifact length must be >= 1, got {length}")
@@ -206,7 +210,8 @@ def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0) -> 
                 raise DegenerateDataError(
                     f"emg: no frequency bins in [{lo}, {hi}] Hz for length {length} at {fs} Hz"
                 )
-        white = np.array([[rng.standard_normal(length) for _ in _EMG_BANDS] for rng in rngs])
+        white = np.concatenate([rng.standard_normal((rows, len(_EMG_BANDS), length))
+                                for rng in rngs])
         band, slow = np.fft.irfft(np.fft.rfft(white) * masks, length).swapaxes(0, 1)
         env = 0.2 + (slow - slow.min(axis=-1, keepdims=True))
         x = band * env
@@ -214,19 +219,19 @@ def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0) -> 
         # random-step drift: piecewise-constant levels held ~0.7 s each
         hold = max(1, int(round(0.7 * fs)))
         n_steps = length // hold + 2
-        # blink bumps: positive Gaussian transients
+        # blink bumps: positive Gaussian transients with uniform center,
+        # width and amplitude, drawn as lo + (hi - lo) * U[0, 1)
         n_blinks = max(1, int(round(length / fs * 0.25)))
-        levels = np.empty((len(rngs), n_steps))
-        bumps = np.empty((n_blinks, 3, len(rngs), 1))  # center, width, amp
-        for r, rng in enumerate(rngs):
-            levels[r] = rng.normal(0.0, 1.0, n_steps)
-            for b in range(n_blinks):
-                bumps[b, :, r, 0] = (rng.uniform(0.0, length / fs), rng.uniform(0.08, 0.15),
-                                     rng.uniform(1.0, 3.0))
-        steps = np.repeat(levels, hold, axis=-1)[:, :length]
+        lo = np.array([0.0, 0.08, 1.0])
+        hi = np.array([length / fs, 0.15, 3.0])
+        levels, bumps = [], []
+        for rng in rngs:
+            levels.append(rng.standard_normal((rows, n_steps)))
+            bumps.append(lo + (hi - lo) * rng.random((rows, n_blinks, 3)))
+        steps = np.repeat(np.concatenate(levels), hold, axis=-1)[:, :length]
         t = np.arange(length) / fs
-        blinks = np.zeros((len(rngs), length))
-        for center, width, amp in bumps:
+        blinks = np.zeros((len(rngs) * rows, length))
+        for center, width, amp in np.concatenate(bumps).transpose(1, 2, 0)[..., None]:
             blinks += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
         raw = steps + blinks
         # hard low-pass keeps the spectrum strictly below 4 Hz

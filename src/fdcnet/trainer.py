@@ -9,12 +9,19 @@ the config seed, so training logs and checkpoints are bit-reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import EegSegment, derive_seed, split_indices
-from .errors import ConfigError, ContractError, DegenerateDataError, NonFiniteError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DegenerateDataError,
+    FileFormatError,
+    NonFiniteError,
+)
 from .fileio import atomic_writer
 from .metrics import metric_cc, metric_mse, metric_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
@@ -153,19 +160,17 @@ def _labels(segments: list[EegSegment]) -> np.ndarray:
 
 def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> np.ndarray:
     """Fresh noisy realizations of segments[indices] at the given SNR, as an
-    (N, C, T) stack in `indices` order. Segment i draws its noise from
-    derive_seed(cfg.seed, label, *key, i)."""
-    out = np.empty((len(indices),) + segments[0].clean.shape)
-    for j, i in enumerate(indices):
-        spec = NoiseSpec(
-            target_snr_db=snr_db,
-            emg_eog_ratio=cfg.emg_eog_ratio,
-            gaussian_sigma=cfg.gaussian_sigma,
-            seed=derive_seed(cfg.seed, label, *key, int(i)),
-            sample_rate_hz=cfg.sample_rate_hz,
-        )
-        out[j], _ = inject_noise(segments[int(i)].clean, spec)
-    return out
+    (N, C, T) stack in `indices` order. Segment i draws its noise from the
+    stream keyed (derive_seed(cfg.seed, label, *key), i)."""
+    spec = NoiseSpec(
+        target_snr_db=snr_db,
+        emg_eog_ratio=cfg.emg_eog_ratio,
+        gaussian_sigma=cfg.gaussian_sigma,
+        seed=derive_seed(cfg.seed, label, *key),
+        sample_rate_hz=cfg.sample_rate_hz,
+    )
+    ids = np.asarray(indices, dtype=np.int64)
+    return inject_noise([segments[i].clean for i in ids], spec, ids)[0]
 
 
 def _forward_batches(model: FdcNet, xs: np.ndarray, batch_size: int):
@@ -343,38 +348,33 @@ def write_eval_csv(path, report: EvalReport) -> None:
 
 
 def read_eval_csv(path) -> EvalReport:
-    from .errors import FileFormatError
-
     rows: list[EvalRow] = []
     grid: list[float] = []
     average = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, rec in enumerate(reader, start=1):
-            if lineno == 1:
-                if rec != ["target_snr_db"] + EVAL_COLUMNS:
-                    raise FileFormatError(f"{path}:{lineno}: unexpected header {rec}")
-                continue
-            if len(rec) != 6:
-                raise FileFormatError(f"{path}:{lineno}: expected 6 fields, got {len(rec)}")
-            try:
-                row = EvalRow(
-                    input_snr_db=float(rec[1]),
-                    output_snr_db=float(rec[2]),
-                    cc_percent=float(rec[3]),
-                    mse=float(rec[4]),
-                    acc_4class=float(rec[5]),
-                )
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-            if rec[0] == "average":
-                average = row
-            else:
-                try:
-                    grid.append(float(rec[0]))
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-                rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FileFormatError(f"{path}: not a CSV text file: {exc}") from None
+    for lineno, rec in enumerate(records, start=1):
+        if lineno == 1:
+            if rec != ["target_snr_db"] + EVAL_COLUMNS:
+                raise FileFormatError(f"{path}:{lineno}: unexpected header {rec}")
+            continue
+        if len(rec) != 6:
+            raise FileFormatError(f"{path}:{lineno}: expected 6 fields, got {len(rec)}")
+        is_average = rec[0] == "average"
+        try:
+            values = [float(v) for v in (rec[1:] if is_average else rec)]
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise FileFormatError(f"{path}:{lineno}: non-finite value in {rec}")
+        if is_average:
+            average = EvalRow(*values)
+        else:
+            grid.append(values[0])
+            rows.append(EvalRow(*values[1:]))
     if average is None or not rows:
         raise FileFormatError(f"{path}: missing data or average row")
     return EvalReport(grid=grid, rows=rows, average=average)

@@ -142,6 +142,35 @@ class TestLargeSnrRejected:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCorruptTextInputs:
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[train]\nlr = nan\n"])
+    def test_train_config_exits_2_and_writes_nothing(self, tmp_path, capsys, content):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "d.fdcd"),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.cfg" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("corrupt", ["bytes", "nan"])
+    def test_report_exits_2_and_writes_nothing(self, tmp_path, capsys, corrupt):
+        from fdcnet.trainer import EvalReport, EvalRow, write_eval_csv
+
+        csv_path = tmp_path / "e.csv"
+        if corrupt == "bytes":
+            csv_path.write_bytes(b"\xff\xfe")
+        else:
+            row = EvalRow(0.0, 1.0, 80.0, 0.5, float("nan"))
+            write_eval_csv(csv_path, EvalReport(grid=[0.0], rows=[row], average=row))
+        code = main(["report", "--out-dir", str(tmp_path / "report"), str(csv_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "e.csv" in err
+        assert list(tmp_path.iterdir()) == [csv_path]
+
+
 def test_synth_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 200 s trials make each channel's sinusoid product (160, 88) @ (88, 160),
     # large enough that OpenBLAS splits it across two threads

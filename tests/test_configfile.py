@@ -113,3 +113,16 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_config(tmp_path / "nope.txt")
+
+    def test_undecodable_bytes_name_path(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"\xff\xfe[s]\na = 1\n")
+        with pytest.raises(FileFormatError, match="c.txt: not UTF-8"):
+            read_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_number_names_path_line_and_key(self, tmp_path, value):
+        path = tmp_path / "c.txt"
+        path.write_text(f"[s]\nok = 1.5\nlr = {value}\n")
+        with pytest.raises(FileFormatError, match=r"c.txt:3: lr must be finite"):
+            read_config(path)

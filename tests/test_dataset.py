@@ -18,7 +18,8 @@ from fdcnet.dataset import (
     split_indices,
 )
 from fdcnet.errors import ConfigError, DimensionError, FileFormatError
-from fdcnet.synth import SynthSpec
+from fdcnet.noise import NoiseSpec, inject_noise
+from fdcnet.synth import SynthSpec, synth_clean_eeg
 
 
 def _segments(n=3, c=2, t=128, seed=0):
@@ -184,6 +185,17 @@ class TestBuildDataset:
         b = build_dataset(spec, 0.0)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.noisy, sb.noisy)
+
+    def test_trial_i_draws_from_stream_keyed_by_file_and_index(self):
+        spec = SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=2,
+                         trial_length_s=2.0, seed=8)
+        segs = build_dataset(spec, -1.0, gaussian_sigma=0.02)
+        nspec = NoiseSpec(-1.0, gaussian_sigma=0.02, seed=derive_seed(8, "noise"))
+        for i, (trial, *_) in enumerate(synth_clean_eeg(spec)):
+            noisy, achieved = inject_noise(trial, nspec, i)
+            first = segs[3 * i]
+            assert first.noisy.tobytes() == noisy[:, :128].tobytes()
+            assert first.achieved_snr_db == achieved
 
     def test_noise_varies_per_trial(self):
         spec = SynthSpec(n_subjects=1, trials_per_subject=2, n_channels=2,

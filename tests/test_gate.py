@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rng
 from fdcnet.errors import ConfigError, DimensionError
-from fdcnet.model.gate import ChannelGate, channel_gate_weights, channel_stats, modulate
+from fdcnet.model.gate import ChannelGate, channel_stats, modulate
 from fdcnet.tensor import Tensor
 
 
@@ -42,7 +42,7 @@ class TestGateWeights:
         for t in (gate.w1, gate.b1, gate.w2, gate.b2):
             t.data[:] = 0.0
         z = Tensor(rng(3).normal(size=(3, 4)))
-        np.testing.assert_allclose(channel_gate_weights(z, gate).numpy(), 0.5, atol=1e-15)
+        np.testing.assert_allclose(gate.weights(z).numpy(), 0.5, atol=1e-15)
 
     def test_saturation_towards_one(self):
         gate = ChannelGate(4, reduction=4, rng=rng(4))
@@ -50,12 +50,12 @@ class TestGateWeights:
             t.data[:] = 0.0
         gate.b2.data[:] = 20.0
         z = Tensor(rng(5).normal(size=(2, 4)))
-        assert channel_gate_weights(z, gate).numpy().min() > 0.999999
+        assert gate.weights(z).numpy().min() > 0.999999
 
     def test_two_layer_loop_oracle(self):
         gate = ChannelGate(8, reduction=4, rng=rng(6))
         z = rng(7).normal(size=(3, 8))
-        got = channel_gate_weights(Tensor(z), gate).numpy()
+        got = gate.weights(Tensor(z)).numpy()
         w1, b1 = gate.w1.numpy(), gate.b1.numpy()
         w2, b2 = gate.w2.numpy(), gate.b2.numpy()
         for b in range(3):
@@ -66,7 +66,7 @@ class TestGateWeights:
     def test_open_interval(self):
         gate = ChannelGate(8, reduction=2, rng=rng(8))
         z = Tensor(rng(9).normal(size=(16, 8)) * 10.0)
-        a = channel_gate_weights(z, gate).numpy()
+        a = gate.weights(z).numpy()
         assert a.min() > 0.0 and a.max() < 1.0
 
     def test_reduction_must_divide(self):
@@ -76,7 +76,7 @@ class TestGateWeights:
     def test_shape_mismatch(self):
         gate = ChannelGate(4, reduction=4, rng=rng(11))
         with pytest.raises(DimensionError):
-            channel_gate_weights(Tensor(np.zeros((2, 5))), gate)
+            gate.weights(Tensor(np.zeros((2, 5))))
 
 
 class TestModulate:

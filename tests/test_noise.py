@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rng
-from fdcnet.errors import ConfigError, DegenerateDataError
-from fdcnet.noise import NoiseSpec, inject_noise
-from fdcnet.synth import synth_artifact
+from fdcnet import noise
+from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
+from fdcnet.noise import NoiseSpec, inject_noise, segment_stream
 
 
 def _clean(seed=0, c=4, t=256):
@@ -21,41 +21,146 @@ def recomputed_snr(clean, noisy):
     return 10.0 * np.log10((clean ** 2).sum() / (resid ** 2).sum())
 
 
-def per_channel_oracle(clean, spec):
-    """inject_noise as a loop over channels, one single-seed synth_artifact
-    call per channel and kind; the batched code must match it bit for bit."""
+def reference_segment(clean, spec, segment_id):
+    """inject_noise for one (C, T) segment, unbatched: a fresh Philox stream
+    keyed (spec.seed, segment_id) draws the EMG white noise, the EOG step
+    levels, the blink uniforms and the Gaussian floor in that order, then
+    each channel is shaped with 1-D arithmetic. The chunked code must match
+    it bit for bit."""
     c, t = clean.shape
-    emg_ss, eog_ss, gauss_ss = np.random.SeedSequence(spec.seed).spawn(3)
-    emg_children, eog_children = emg_ss.spawn(c), eog_ss.spawn(c)
+    fs = spec.sample_rate_hz
+    hold = max(1, int(round(0.7 * fs)))
+    n_steps = t // hold + 2
+    n_blinks = max(1, int(round(t / fs * 0.25)))
+    g = np.random.Generator(np.random.Philox(key=np.array([spec.seed, segment_id], np.uint64)))
+    white = g.standard_normal((c, 2, t))
+    levels = g.standard_normal((c, n_steps))
+    u = g.random((c, n_blinks, 3))
+    floor = g.standard_normal((c, t))
+    f = np.fft.rfftfreq(t, 1.0 / fs)
+    time_s = np.arange(t) / fs
     ratio = spec.emg_eog_ratio
     amp_ratio = 10.0 ** (spec.target_snr_db / 20.0)
     scaled = np.empty_like(clean)
     for ch in range(c):
-        emg = synth_artifact("emg", t, np.random.default_rng(emg_children[ch]), spec.sample_rate_hz)
-        eog = synth_artifact("eog", t, np.random.default_rng(eog_children[ch]), spec.sample_rate_hz)
+        band = np.fft.irfft(np.fft.rfft(white[ch, 0]) * ((f >= 20.0) & (f <= 45.0)), t)
+        slow = np.fft.irfft(np.fft.rfft(white[ch, 1]) * ((f >= 0.0) & (f <= 1.0)), t)
+        emg = band * (0.2 + (slow - slow.min()))
+        emg = emg / math.sqrt(float(np.mean(np.square(emg))))
+        raw = np.repeat(levels[ch], hold)[:t]
+        blinks = np.zeros(t)
+        for b in range(n_blinks):
+            center = 0.0 + (t / fs - 0.0) * u[ch, b, 0]
+            width = 0.08 + (0.15 - 0.08) * u[ch, b, 1]
+            amp = 1.0 + (3.0 - 1.0) * u[ch, b, 2]
+            blinks += amp * np.exp(-0.5 * ((time_s - center) / width) ** 2)
+        eog = np.fft.irfft(np.fft.rfft(raw + blinks) * (f < 3.5), t)
+        eog = eog / math.sqrt(float(np.mean(np.square(eog))))
         n = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
         rms_n = math.sqrt(float(np.mean(np.square(n))))
         rms_c = math.sqrt(float(np.mean(np.square(clean[ch]))))
         scaled[ch] = rms_c / (rms_n * amp_ratio) * n
     noisy = clean + scaled
     if spec.gaussian_sigma > 0:
-        noisy = noisy + np.random.default_rng(gauss_ss).normal(0.0, spec.gaussian_sigma, clean.shape)
+        noisy = noisy + spec.gaussian_sigma * floor
     achieved = 10.0 * math.log10(float(np.sum(np.square(clean))) / float(np.sum(np.square(scaled))))
     return noisy, achieved
 
 
-class TestPerChannelOracle:
+IDS = [5, 0, 2**40 + 3]
+
+
+class TestSegmentReference:
     @pytest.mark.parametrize("shape", [(8, 128), (32, 1344), (1, 128)])
     @pytest.mark.parametrize("target", [-3.0, 3.0])
     @pytest.mark.parametrize("ratio", [1e-9, 1.0, 1e9])
     @pytest.mark.parametrize("sigma", [0.0, 0.01])
-    def test_batched_matches_per_channel_bytes(self, shape, target, ratio, sigma):
-        clean = rng(shape[0]).normal(size=shape)
+    def test_block_matches_reference_bytes(self, shape, target, ratio, sigma):
+        clean = rng(shape[0]).normal(size=(len(IDS),) + shape)
         spec = NoiseSpec(target, emg_eog_ratio=ratio, gaussian_sigma=sigma, seed=shape[1] + 17)
+        noisy, achieved = inject_noise(clean, spec, IDS)
+        assert noisy.shape == clean.shape and achieved.shape == (len(IDS),)
+        for k, i in enumerate(IDS):
+            want, want_achieved = reference_segment(clean[k], spec, i)
+            assert noisy[k].tobytes() == want.tobytes()
+            assert achieved[k] == want_achieved
+
+    def test_single_segment_defaults_to_id_zero(self):
+        clean = _clean(9)
+        spec = NoiseSpec(1.0, seed=2**64 - 1)
         noisy, achieved = inject_noise(clean, spec)
-        want, want_achieved = per_channel_oracle(clean, spec)
+        want, want_achieved = reference_segment(clean, spec, 0)
         assert noisy.tobytes() == want.tobytes()
-        assert achieved == want_achieved
+        assert isinstance(achieved, float) and achieved == want_achieved
+
+
+class TestStreamInvariance:
+    N, C, T = 20, 3, 128
+
+    def _block(self):
+        return rng(40).normal(size=(self.N, self.C, self.T)), np.arange(100, 100 + self.N)
+
+    @pytest.mark.parametrize("chunk", [1, 7, N])
+    def test_chunk_size_does_not_change_bytes(self, monkeypatch, chunk):
+        clean, ids = self._block()
+        spec = NoiseSpec(-2.0, seed=77)
+        want, want_achieved = inject_noise(clean, spec, ids)
+        monkeypatch.setattr(noise, "CHUNK_BYTES", chunk * 16 * self.C * self.T)
+        got, achieved = inject_noise(clean, spec, ids)
+        assert got.tobytes() == want.tobytes()
+        assert achieved.tobytes() == want_achieved.tobytes()
+
+    def test_reversed_order_gives_reversed_bytes(self):
+        clean, ids = self._block()
+        spec = NoiseSpec(0.5, seed=78)
+        want, want_achieved = inject_noise(clean, spec, ids)
+        got, achieved = inject_noise(clean[::-1], spec, ids[::-1])
+        assert got[::-1].tobytes() == want.tobytes()
+        assert achieved[::-1].tobytes() == want_achieved.tobytes()
+
+    def test_subset_and_single_calls_give_same_bytes(self):
+        clean, ids = self._block()
+        spec = NoiseSpec(3.0, seed=79)
+        want, want_achieved = inject_noise(clean, spec, ids)
+        pick = [13, 2, 19, 7]
+        got, achieved = inject_noise(clean[pick], spec, ids[pick])
+        for k, j in enumerate(pick):
+            assert got[k].tobytes() == want[j].tobytes()
+            assert achieved[k] == want_achieved[j]
+            one, one_achieved = inject_noise(clean[j], spec, int(ids[j]))
+            assert one.tobytes() == want[j].tobytes()
+            assert one_achieved == want_achieved[j]
+
+    def test_segment_noise_ignores_other_segments_signal(self):
+        clean, ids = self._block()
+        spec = NoiseSpec(1.0, seed=80)
+        want, _ = inject_noise(clean, spec, ids)
+        other = clean.copy()
+        other[1:] *= 5.0
+        got, _ = inject_noise(other, spec, ids)
+        assert got[0].tobytes() == want[0].tobytes()
+
+    def test_id_and_seed_select_the_stream(self):
+        clean = np.stack([_clean(10)] * 2)
+        same_id, _ = inject_noise(clean, NoiseSpec(0.0, seed=81), [4, 4])
+        assert same_id[0].tobytes() == same_id[1].tobytes()
+        other_id, _ = inject_noise(clean, NoiseSpec(0.0, seed=81), [4, 5])
+        assert not np.array_equal(other_id[0], other_id[1])
+        # every bit of the 64-bit seed word keys the stream
+        a, _ = inject_noise(clean[0], NoiseSpec(0.0, seed=2**63))
+        b, _ = inject_noise(clean[0], NoiseSpec(0.0, seed=2**63 + 1))
+        assert not np.array_equal(a, b)
+
+    def test_stream_is_philox_keyed_seed_and_id(self):
+        got = segment_stream(2**63 + 5, 2**40).random(4)
+        want = np.random.Generator(
+            np.random.Philox(key=np.array([2**63 + 5, 2**40], np.uint64))
+        ).random(4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_block(self):
+        noisy, achieved = inject_noise(np.zeros((0, 2, 128)), NoiseSpec(0.0), [])
+        assert noisy.shape == (0, 2, 128) and achieved.shape == (0,)
 
 
 class TestTargeting:
@@ -128,11 +233,16 @@ class TestMixing:
         assert hf_fraction(only_eog) < 0.1  # EOG lives below 4 Hz
 
     def test_per_channel_independence(self):
-        clean = np.ones((3, 512))
-        noise = inject_noise(clean, NoiseSpec(0.0, gaussian_sigma=0.0, seed=11))[0] - clean
-        c01 = np.corrcoef(noise[0], noise[1])[0, 1]
-        c02 = np.corrcoef(noise[0], noise[2])[0, 1]
-        assert abs(c01) < 0.3 and abs(c02) < 0.3
+        # channels of one segment correlate no more than channels of
+        # different segments, whose streams are independent by their keys
+        clean = np.ones((200, 3, 512))
+        noise_ = inject_noise(clean, NoiseSpec(0.0, gaussian_sigma=0.0, seed=11))[0] - clean
+        z = noise_ - noise_.mean(axis=-1, keepdims=True)
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        within = np.abs(np.concatenate([(z[:, 0] * z[:, 1]).sum(-1), (z[:, 0] * z[:, 2]).sum(-1)]))
+        across = np.abs(np.concatenate([(z[:-1, 0] * z[1:, 0]).sum(-1), (z[:-1, 1] * z[1:, 2]).sum(-1)]))
+        assert within.mean() < 0.2
+        assert abs(within.mean() - across.mean()) < 0.03
 
 
 class TestContracts:
@@ -169,6 +279,28 @@ class TestContracts:
         noisy, achieved = inject_noise(_clean(6), NoiseSpec(target, seed=3))
         assert np.isfinite(noisy).all()
         assert abs(achieved - target) < 1e-6
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "3"])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            NoiseSpec(0.0, seed=seed).validate()
+
+    def test_ids_must_match_segments(self):
+        with pytest.raises(DimensionError, match="ids"):
+            inject_noise(np.ones((3, 2, 128)), NoiseSpec(0.0), [0, 1])
+        with pytest.raises(DimensionError):
+            inject_noise(np.ones(128), NoiseSpec(0.0))
+
+    @pytest.mark.parametrize("ids", [[0, -1], [0.0, 1.0]])
+    def test_ids_must_be_non_negative_integers(self, ids):
+        with pytest.raises(ConfigError, match="ids"):
+            inject_noise(np.ones((2, 2, 128)), NoiseSpec(0.0), ids)
+
+    def test_zero_segment_in_block_named(self):
+        clean = np.ones((3, 2, 128))
+        clean[1] = 0.0
+        with pytest.raises(DegenerateDataError, match="segment 1"):
+            inject_noise(clean, NoiseSpec(0.0))
 
     def test_determinism(self):
         clean = _clean(7)

@@ -6,7 +6,7 @@ import pytest
 from conftest import numeric_grad, rng
 from fdcnet.errors import DimensionError
 from fdcnet.kernels import softmax
-from fdcnet.model.pe import K_HI, K_LO, BandLimitedPE, band_limited_pe, sinusoid_table
+from fdcnet.model.pe import K_HI, K_LO, BandLimitedPE, sinusoid_table
 from fdcnet.tensor import GradTape, Tensor, backward, tmean
 
 
@@ -23,12 +23,12 @@ class TestTable:
         pe = BandLimitedPE(d_model=16, t_max=64)
         assert pe.alpha_logits.shape == (42,)
         assert K_HI - K_LO + 1 == 42
-        out = band_limited_pe(10, pe)
+        out = pe.forward(10)
         assert out.shape == (10, 16)
 
     def test_pos_zero_row(self):
         pe = BandLimitedPE(d_model=8, t_max=32)
-        out = band_limited_pe(4, pe).numpy()
+        out = pe.forward(4).numpy()
         env = envelope_oracle(pe.alpha_logits.numpy())
         np.testing.assert_allclose(out[0, 0::2], 0.0, atol=1e-15)  # sin(0)
         np.testing.assert_allclose(out[0, 1::2], env, atol=1e-12)  # cos(0)*envelope
@@ -41,7 +41,7 @@ class TestTable:
     def test_bound_by_envelope(self):
         pe = BandLimitedPE(d_model=32, t_max=128)
         pe.alpha_logits.data[:] = rng(0).normal(size=42)
-        out = np.abs(band_limited_pe(128, pe).numpy())
+        out = np.abs(pe.forward(128).numpy())
         env = envelope_oracle(pe.alpha_logits.numpy())
         assert out.max() <= env + 1e-12
         assert env <= 0.5 + 1e-12  # sum alpha_k / sqrt(k) <= 1/sqrt(4)
@@ -49,14 +49,14 @@ class TestTable:
     def test_bound_is_tight_at_pos_zero(self):
         pe = BandLimitedPE(d_model=8)
         pe.alpha_logits.data[:] = rng(1).normal(size=42)
-        out = np.abs(band_limited_pe(4, pe).numpy())
+        out = np.abs(pe.forward(4).numpy())
         env = envelope_oracle(pe.alpha_logits.numpy())
         assert abs(out.max() - env) < 1e-12
 
     def test_pos_count_over_t_max(self):
         pe = BandLimitedPE(d_model=8, t_max=16)
         with pytest.raises(DimensionError):
-            band_limited_pe(17, pe)
+            pe.forward(17)
 
     def test_envelope_bound_method_matches_oracle(self):
         pe = BandLimitedPE(d_model=8)
@@ -86,7 +86,7 @@ class TestGradients:
         pe = BandLimitedPE(d_model=8, t_max=32)
         pe.alpha_logits.data[:] = rng(3).normal(size=42) * 0.1
         with GradTape():
-            out = band_limited_pe(16, pe)
+            out = pe.forward(16)
             backward(tmean(out * out))
         assert pe.alpha_logits.grad is not None
         assert np.abs(pe.alpha_logits.grad).max() > 0.0
@@ -97,11 +97,11 @@ class TestGradients:
 
         def f(logits):
             pe.alpha_logits.data[:] = logits
-            return float(tmean(band_limited_pe(16, pe) ** 2.0).numpy())
+            return float(tmean(pe.forward(16) ** 2.0).numpy())
 
         pe.alpha_logits.data[:] = base
         with GradTape():
-            backward(tmean(band_limited_pe(16, pe) ** 2.0))
+            backward(tmean(pe.forward(16) ** 2.0))
         analytic = pe.alpha_logits.grad.copy()
         numeric = numeric_grad(f, base.copy(), h=1e-6)
         denom = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)

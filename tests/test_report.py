@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from fdcnet.errors import FileFormatError
 from fdcnet.report import PALETTE, render_line_chart, summary_table, write_report
 from fdcnet.trainer import EvalReport, EvalRow, read_eval_csv, write_eval_csv
 
@@ -110,6 +111,28 @@ class TestEvalCsvReader:
             assert getattr(back.average, field) == pytest.approx(
                 getattr(report.average, field), rel=1e-9
             )
+
+    # undecodable bytes; a field beyond the csv module's 128 KiB limit
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"x" * 200_000 + b"\n"],
+                             ids=["undecodable", "oversized"])
+    def test_undecodable_or_oversized_file_names_path(self, tmp_path, content):
+        path = tmp_path / "e.csv"
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match="e.csv"):
+            read_eval_csv(path)
+
+    @pytest.mark.parametrize("row, col", [(1, 2), (2, 0), (4, 5)])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_path_and_line(self, tmp_path, row, col, value):
+        path = tmp_path / "e.csv"
+        write_eval_csv(path, _report())
+        lines = path.read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[col] = value
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"e.csv:{row + 1}: non-finite"):
+            read_eval_csv(path)
 
     def test_full_float_precision_survives(self, tmp_path):
         rows = [EvalRow(-3.0, 1.2345678901234567, 80.0, 1 / 3, 2 / 3)]

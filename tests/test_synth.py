@@ -248,6 +248,29 @@ class TestArtifacts:
         for row, single in zip(rows, singles):
             assert row.tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("kind", ["emg", "eog"])
+    def test_rows_are_one_block_per_generator(self, kind):
+        rows = synth_artifact(kind, 256, [np.random.default_rng(s) for s in (3, 4)], rows=3)
+        assert rows.shape == (6, 256)
+        for k, s in enumerate((3, 4)):
+            block = synth_artifact(kind, 256, [np.random.default_rng(s)], rows=3)
+            assert rows[3 * k:3 * k + 3].tobytes() == block.tobytes()
+        assert len({r.tobytes() for r in rows}) == 6
+
+    def test_eog_draws_levels_then_blink_uniforms(self):
+        # 1344 samples at 128 Hz: 90-sample holds, 16 levels and 3 blinks a row
+        g = np.random.default_rng(5)
+        levels, u = g.standard_normal((2, 16)), g.random((2, 3, 3))
+        x = synth_artifact("eog", 1344, [np.random.default_rng(5)], rows=2)
+        f = np.fft.rfftfreq(1344, 1.0 / 128.0)
+        t = np.arange(1344) / 128.0
+        for r in range(2):
+            raw = np.repeat(levels[r], 90)[:1344]
+            for center, width, amp in u[r] * [10.5, 0.07, 2.0] + [0.0, 0.08, 1.0]:
+                raw = raw + amp * np.exp(-0.5 * ((t - center) / width) ** 2)
+            want = np.fft.irfft(np.fft.rfft(raw) * (f < 3.5), 1344)
+            np.testing.assert_allclose(x[r], want / np.sqrt(np.mean(want**2)), rtol=0, atol=1e-12)
+
     def test_zero_rms_error_names_kind(self):
         class Silent(np.random.Generator):
             def standard_normal(self, size=None, *args, **kwargs):

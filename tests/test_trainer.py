@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcnet.dataset import build_dataset
+from fdcnet.dataset import build_dataset, derive_seed
 from fdcnet.errors import ConfigError, ContractError, DegenerateDataError
 from fdcnet.model import FdcNet, ModelConfig
+from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.synth import SynthSpec
 from fdcnet.trainer import (
     DEFAULT_SNR_GRID,
     EvalRow,
     LogRow,
     TrainConfig,
+    _reinject,
     curriculum_snr,
     desk_preset,
     evaluate,
@@ -204,6 +206,27 @@ class TestEvaluate:
             evaluate(model, [], [0.0])
         with pytest.raises(ConfigError):
             evaluate(model, tiny_segments()[:2], [])
+
+
+class TestReinject:
+    def test_segment_i_draws_from_stream_keyed_by_call_and_index(self):
+        segs = tiny_segments()
+        cfg = tiny_cfg(seed=4, gaussian_sigma=0.02)
+        got = _reinject(segs, [5, 0, 11], -1.0, cfg, "val-noise", 3)
+        spec = NoiseSpec(-1.0, gaussian_sigma=0.02, seed=derive_seed(4, "val-noise", 3))
+        for k, i in enumerate([5, 0, 11]):
+            want, _ = inject_noise(segs[i].clean, spec, i)
+            assert got[k].tobytes() == want.tobytes()
+
+    def test_subset_and_order_keep_each_segments_bytes(self):
+        segs = tiny_segments()
+        cfg = tiny_cfg()
+        full = _reinject(segs, range(len(segs)), 2.0, cfg, "eval-noise", 1)
+        pick = np.array([9, 2, 14, 3])
+        part = _reinject(segs, pick, 2.0, cfg, "eval-noise", 1)
+        assert part.tobytes() == full[pick].tobytes()
+        other = _reinject(segs, pick, 2.0, cfg, "eval-noise", 2)
+        assert not np.array_equal(other, part)
 
 
 class TestCsvRoundTrips:
