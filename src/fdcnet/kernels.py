@@ -106,12 +106,14 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
         return x
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    # the tape keeps the boolean keep-mask (1 byte an element, not 8); forward
+    # and backward rebuild the same float64 scale from it
+    keep = rng.random(x.shape) >= rate
 
     def bw(g):
-        return [(x, g * mask)]
+        return [(x, g * (keep / (1.0 - rate)))]
 
-    return make_op(x.data * mask, (x,), bw, "dropout")
+    return make_op(x.data * (keep / (1.0 - rate)), (x,), bw, "dropout")
 
 
 # -- 1-D convolution ---------------------------------------------------------

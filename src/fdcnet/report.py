@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .fileio import write_text
 from .trainer import EvalReport
@@ -16,6 +15,12 @@ _METRICS = [
     ("mse", "MSE"),
     ("acc_4class", "4-class accuracy"),
 ]
+
+
+def escape(text: str) -> str:
+    """XML character data: the same three replacements as xml.sax.saxutils.escape,
+    whose import pulls urllib.request, http.client and email into every CLI start."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

@@ -129,6 +129,9 @@ class Tensor:
         if isinstance(other, Tensor):
             if other.size != 1:
                 raise ContractError("tensor division only supported by scalars")
+            if other.requires_grad:
+                # item() below would silently drop the divisor's gradient
+                raise ContractError("division by a tensor that requires grad is not supported")
             other = other.item()
         return mul(self, 1.0 / float(other))
 

@@ -2,8 +2,11 @@
 
 Each epoch re-injects fresh artifact noise into the clean training segments
 at the scheduled SNR (the stored noisy signals are only used as-is by eval
-tooling working directly on dataset files). All randomness is derived from
-the config seed, so training logs and checkpoints are bit-reproducible.
+tooling working directly on dataset files). Training, validation and the SNR
+sweep inject one batch at a time, so no more than one batch of noisy segments
+is held; a segment's noise depends only on its stream key, not on its batch.
+All randomness is derived from the config seed, so training logs and
+checkpoints are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -173,14 +176,6 @@ def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> 
     return inject_noise([segments[i].clean for i in ids], spec, ids)[0]
 
 
-def _forward_batches(model: FdcNet, xs: np.ndarray, batch_size: int):
-    """Eval-mode forward over a (N, C, T) stack; yields (x_hat, p) arrays."""
-    with no_grad():
-        for lo in range(0, xs.shape[0], batch_size):
-            out = model.forward(xs[lo : lo + batch_size], mode="eval")
-            yield out.x_hat.numpy(), out.p.numpy()
-
-
 def train(
     dataset: list[EegSegment],
     cfg: TrainConfig,
@@ -204,7 +199,6 @@ def train(
     log: list[LogRow] = []
     for epoch in range(cfg.epochs):
         snr = curriculum_snr(epoch, cfg.epochs, cfg)
-        noisy = _reinject(dataset, train_idx, snr, cfg, "train-noise", epoch)
         order = np.random.default_rng(derive_seed(cfg.seed, "shuffle", epoch)).permutation(
             len(train_idx)
         )
@@ -213,7 +207,7 @@ def train(
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
             batch_ids = train_idx[batch]
-            xb = noisy[batch]
+            xb = _reinject(dataset, batch_ids, snr, cfg, "train-noise", epoch)
             cb = np.stack([dataset[int(i)].clean for i in batch_ids])
             yb = labels[batch_ids]
             rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, step))
@@ -252,18 +246,27 @@ def train(
     return model, log
 
 
+def _noisy_forward(model, segments, indices, snr_db, cfg, batch_size, label, *key):
+    """Eval-mode forward over segments[indices], injecting each batch's noise
+    just before its pass (see _reinject); yields (ids, noisy, x_hat, p)."""
+    with no_grad():
+        for lo in range(0, len(indices), batch_size):
+            ids = indices[lo : lo + batch_size]
+            noisy = _reinject(segments, ids, snr_db, cfg, label, *key)
+            out = model.forward(noisy, mode="eval")
+            yield ids, noisy, out.x_hat.numpy(), out.p.numpy()
+
+
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:
     if len(test_idx) == 0:
         return float("nan"), float("nan")
-    xs = _reinject(dataset, test_idx, snr, cfg, "val-noise", epoch)
     ccs = []
     ps = []
-    pos = 0
-    for x_hat, p in _forward_batches(model, xs, cfg.batch_size):
-        for k in range(x_hat.shape[0]):
-            ccs.append(metric_cc(dataset[int(test_idx[pos + k])].clean, x_hat[k]))
+    batches = _noisy_forward(model, dataset, test_idx, snr, cfg, cfg.batch_size, "val-noise", epoch)
+    for ids, _, x_hat, p in batches:
+        for i, xh in zip(ids, x_hat):
+            ccs.append(metric_cc(dataset[int(i)].clean, xh))
         ps.append(p)
-        pos += x_hat.shape[0]
     acc = accuracy_4class(np.concatenate(ps), labels[test_idx])
     return acc, float(np.mean(ccs))
 
@@ -297,18 +300,18 @@ def evaluate(
     )
     rows: list[EvalRow] = []
     for gi, snr in enumerate(snr_grid):
-        noisy = _reinject(segments, range(len(segments)), snr, noise_cfg, "eval-noise", gi)
         in_snrs, out_snrs, ccs, mses, ps = [], [], [], [], []
-        pos = 0
-        for x_hat, p in _forward_batches(model, noisy, batch_size):
-            for k in range(x_hat.shape[0]):
-                clean = segments[pos + k].clean
-                in_snrs.append(metric_snr(clean, noisy[pos + k]))
-                out_snrs.append(metric_snr(clean, x_hat[k]))
-                ccs.append(metric_cc(clean, x_hat[k]))
-                mses.append(metric_mse(clean, x_hat[k]))
+        batches = _noisy_forward(
+            model, segments, np.arange(len(segments)), snr, noise_cfg, batch_size, "eval-noise", gi
+        )
+        for ids, noisy, x_hat, p in batches:
+            for i, xn, xh in zip(ids, noisy, x_hat):
+                clean = segments[int(i)].clean
+                in_snrs.append(metric_snr(clean, xn))
+                out_snrs.append(metric_snr(clean, xh))
+                ccs.append(metric_cc(clean, xh))
+                mses.append(metric_mse(clean, xh))
             ps.append(p)
-            pos += x_hat.shape[0]
         rows.append(
             EvalRow(
                 input_snr_db=float(np.mean(in_snrs)),

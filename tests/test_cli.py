@@ -189,6 +189,16 @@ def test_synth_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cli_import_leaves_out_xml_and_urllib():
+    # xml.sax.saxutils pulls urllib.request, http.client and email into every start
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    probe = "import sys, fdcnet.cli; print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One tiny synth+train run shared by the pipeline assertions."""

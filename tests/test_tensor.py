@@ -105,6 +105,23 @@ class TestBackwardExamples:
             backward(tsum(x * x + x))  # d/dx = 2x + 1 = 5
         assert abs(x.grad[0] - 5.0) < 1e-12
 
+    def test_division_by_tracked_tensor_rejected(self):
+        # item() would turn b into a float and drop d/db = -sum(a) / b**2 = -1.5
+        a = Tensor(np.array([2.0, 4.0]), requires_grad=True)
+        b = Tensor(np.array(2.0), requires_grad=True)
+        with GradTape():
+            with pytest.raises(ContractError):
+                a / b
+        assert b.grad is None
+
+    def test_division_by_untracked_tensor_scales(self):
+        a = Tensor(np.array([2.0, 4.0]), requires_grad=True)
+        with GradTape():
+            y = a / Tensor(np.array(4.0))
+            backward(tsum(y))
+        np.testing.assert_array_equal(y.data, [0.5, 1.0])
+        np.testing.assert_array_equal(a.grad, [0.25, 0.25])
+
 
 class TestTapeSemantics:
     def test_off_tape_subgraph_gets_no_gradient(self):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcnet.dataset import build_dataset, derive_seed
+from fdcnet import trainer
+from fdcnet.dataset import build_dataset, derive_seed, split_indices
 from fdcnet.errors import ConfigError, ContractError, DegenerateDataError
 from fdcnet.model import FdcNet, ModelConfig
 from fdcnet.noise import NoiseSpec, inject_noise
@@ -227,6 +228,28 @@ class TestReinject:
         assert part.tobytes() == full[pick].tobytes()
         other = _reinject(segs, pick, 2.0, cfg, "eval-noise", 2)
         assert not np.array_equal(other, part)
+
+    def test_callers_inject_one_batch_at_a_time(self, monkeypatch):
+        segs = tiny_segments()
+        calls = []
+
+        def recording(segments, indices, snr_db, cfg, label, *key):
+            calls.append((label, key, [int(i) for i in indices]))
+            return _reinject(segments, indices, snr_db, cfg, label, *key)
+
+        monkeypatch.setattr(trainer, "_reinject", recording)
+        model, _ = train(segs, tiny_cfg(batch_size=3))
+        evaluate(model, segs, [0.0, 1.0], batch_size=4)
+        labels = {label for label, _, _ in calls}
+        assert labels == {"train-noise", "val-noise", "eval-noise"}
+        assert max(len(ids) for label, _, ids in calls if label != "eval-noise") <= 3
+        assert max(len(ids) for label, _, ids in calls if label == "eval-noise") <= 4
+        # each call key still injects every segment of its set exactly once
+        train_idx, test_idx = split_indices(len(segs), 0.8, 0)
+        sets = {"train-noise": train_idx, "val-noise": test_idx, "eval-noise": np.arange(len(segs))}
+        for label, key in {(label, key) for label, key, _ in calls}:
+            got = [i for lb, k, ids in calls if (lb, k) == (label, key) for i in ids]
+            assert sorted(got) == sorted(sets[label].tolist())
 
 
 class TestCsvRoundTrips:
