@@ -22,10 +22,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .configfile import read_config, write_config
-from .dataset import build_dataset, load_dataset, save_dataset, split_indices, EegSegment
+from .dataset import build_dataset, load_dataset, save_dataset, split_indices
 from .errors import ConfigError, FdcnetError, FileFormatError
 from .model import FdcNet, ModelConfig
 from .noise import MAX_ABS_SNR_DB
@@ -121,17 +119,15 @@ def _write_run_config(primary_output: str, section: str, values: dict) -> None:
     write_config(path, sections)
 
 
-def _effective(args, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _flag_values(args, parser) -> dict:
+    """Every flag of ``parser`` except --config and help, in parser order,
+    with the value it took; flags left unset are omitted."""
+    values = {a.dest: getattr(args, a.dest) for a in parser._actions
+              if a.option_strings and a.dest not in ("config", "help")}
+    return {k: v for k, v in values.items() if v is not None}
 
 
 # -- synth --------------------------------------------------------------------
-
-SYNTH_KEYS = [
-    "subjects", "trials", "channels", "trial_seconds", "sample_rate", "label_effect",
-    "snr", "sigma", "ratio", "window", "overlap", "seed", "out",
-]
-
 
 def _require(args, parser, *keys):
     missing = [f"--{k.replace('_', '-')}" for k in keys if getattr(args, k) in (None, [])]
@@ -179,23 +175,12 @@ def _run_synth(args, parser) -> int:
     )
     Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
     save_dataset(args.out, segments)
-    _write_run_config(args.out, "synth", _effective(args, SYNTH_KEYS))
+    _write_run_config(args.out, "synth", _flag_values(args, parser))
     print(f"wrote {len(segments)} segments to {args.out}")
     return 0
 
 
 # -- train --------------------------------------------------------------------
-
-TRAIN_FLOAT_KEYS = [
-    "lr", "weight_decay", "alpha", "snr_start", "snr_end", "dropout", "split",
-    "emg_eog_ratio", "gaussian_sigma", "sample_rate_hz",
-]
-TRAIN_INT_KEYS = [
-    "epochs", "batch_size", "d_model", "n_layers", "n_heads", "ff_dim", "t_fb",
-    "head_hidden", "gate_reduction", "kernel_size", "seed",
-]
-TRAIN_BOOL_KEYS = ["split_by_subject", "no_feedback", "no_cross", "no_eegsp", "desk"]
-
 
 def _build_train(sub):
     p = sub.add_parser("train", help="train a model on a dataset file")
@@ -203,13 +188,14 @@ def _build_train(sub):
     p.add_argument("--data", help="input .fdcd dataset")
     p.add_argument("--out-dir")
     p.add_argument("--desk", action="store_true", help="desk-scale preset (d_model=32, 1 layer, 4 heads)")
-    # numeric flags default to None so the desk preset can fill unset ones
-    for key in TRAIN_INT_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
-    for key in TRAIN_FLOAT_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None)
-    for key in ["split_by_subject", "no_feedback", "no_cross", "no_eegsp"]:
-        p.add_argument(f"--{key.replace('_', '-')}", action="store_true")
+    # one flag per TrainConfig field; numeric flags default to None so the
+    # desk preset can fill unset ones
+    for f in fields(TrainConfig):
+        flag = f"--{f.name.replace('_', '-')}"
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=type(f.default), default=None)
     return p
 
 
@@ -266,19 +252,12 @@ def _load_model(model_path: str, config_path: str | None) -> tuple[FdcNet, dict]
 def _select_segments(segments, use: str, split: float, split_seed: int, by_subject: bool):
     if use == "all":
         return segments
-    subjects = [s.subject_id for s in segments] if by_subject else None
+    subjects = segments.subject_id if by_subject else None
     train_idx, test_idx = split_indices(len(segments), split, split_seed, subjects=subjects)
-    idx = train_idx if use == "train" else test_idx
-    return [segments[int(i)] for i in idx]
+    return segments[train_idx if use == "train" else test_idx]
 
 
 # -- eval ----------------------------------------------------------------------
-
-EVAL_KEYS = [
-    "model", "data", "snr_grid", "seed", "sigma", "ratio", "sample_rate",
-    "use", "split", "split_seed", "out",
-]
-
 
 def _build_eval(sub):
     p = sub.add_parser("eval", help="evaluate a model across an SNR grid")
@@ -342,7 +321,7 @@ def _run_eval(args, parser) -> int:
     )
     Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
     write_eval_csv(args.out, report)
-    _write_run_config(args.out, "eval", _effective(args, EVAL_KEYS))
+    _write_run_config(args.out, "eval", _flag_values(args, parser))
     a = report.average
     print(
         f"evaluated {len(segments)} segments over {len(grid)} SNR levels: "
@@ -353,9 +332,6 @@ def _run_eval(args, parser) -> int:
 
 
 # -- denoise -------------------------------------------------------------------
-
-DENOISE_KEYS = ["model", "data", "batch_size", "out"]
-
 
 def _build_denoise(sub):
     p = sub.add_parser("denoise", help="denoise the stored noisy signals of a dataset file")
@@ -374,27 +350,15 @@ def _run_denoise(args, parser) -> int:
 
     model, _ = _load_model(args.model, args.model_config)
     segments = load_dataset(args.data)
-    out_segments = []
     with no_grad():
         for lo in range(0, len(segments), args.batch_size):
-            chunk = segments[lo : lo + args.batch_size]
-            xs = np.stack([s.noisy for s in chunk])
-            x_hat = model.forward(xs, mode="eval").x_hat.numpy()
-            for k, seg in enumerate(chunk):
-                out_segments.append(
-                    EegSegment(
-                        clean=x_hat[k],
-                        noisy=seg.noisy,
-                        valence=seg.valence,
-                        arousal=seg.arousal,
-                        subject_id=seg.subject_id,
-                        achieved_snr_db=seg.achieved_snr_db,
-                    )
-                )
+            rows = slice(lo, lo + args.batch_size)
+            x_hat = model.forward(segments.noisy[rows].copy(), mode="eval").x_hat
+            segments.clean[rows] = x_hat.numpy()
     Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(args.out, out_segments)
-    _write_run_config(args.out, "denoise", _effective(args, DENOISE_KEYS))
-    print(f"denoised {len(out_segments)} segments into {args.out}")
+    save_dataset(args.out, segments)
+    _write_run_config(args.out, "denoise", _flag_values(args, parser))
+    print(f"denoised {len(segments)} segments into {args.out}")
     return 0
 
 

@@ -1,5 +1,15 @@
 """Windowed EEG segments and the binary dataset container.
 
+A dataset is an ``np.recarray`` of shape (N,), one record per (C, T)
+segment, with the fields of ``record_dtype(C, T)``:
+
+    subject_id <u4, valence u1, arousal u1, achieved_snr_db <f8,
+    clean <f8 (C, T), noisy <f8 (C, T)
+
+Loaded and built datasets hold the aligned form, 16 + 16*C*T bytes per
+record with every float field 8-byte aligned; the file holds the packed
+form, 14 + 16*C*T bytes per record.
+
 File layout (little-endian):
 
     magic   4 bytes  b"FDCD"
@@ -7,15 +17,12 @@ File layout (little-endian):
     C       u32      channels (0 for an empty file)
     T       u32      samples per window (0 for an empty file)
     count   u64
-    then per segment:
-        subject_id u32, valence u8, arousal u8, achieved_snr_db f64,
-        clean C*T f64, noisy C*T f64
+    then count packed records
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +34,8 @@ from .synth import SynthSpec, segment_windows, synth_clean_eeg
 
 MAGIC = b"FDCD"
 VERSION = 1
-_SEG_HEAD = struct.Struct("<IBBd")
+# file bytes cast and written per chunk by save_dataset
+CHUNK_BYTES = 1 << 20
 
 
 def derive_seed(root: int, label: str, *indices: int) -> int:
@@ -37,35 +45,34 @@ def derive_seed(root: int, label: str, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass
-class EegSegment:
-    clean: np.ndarray  # (C, T)
-    noisy: np.ndarray  # (C, T)
-    valence: int  # {0, 1}
-    arousal: int  # {0, 1}
-    subject_id: int
-    achieved_snr_db: float
+def record_dtype(c: int, t: int, *, packed: bool = False) -> np.dtype:
+    """The record of one (C, T) segment: packed as in the file, else aligned."""
+    return np.dtype(
+        [("subject_id", "<u4"), ("valence", "u1"), ("arousal", "u1"), ("achieved_snr_db", "<f8"),
+         ("clean", "<f8", (c, t)), ("noisy", "<f8", (c, t))],
+        align=not packed,
+    )
 
 
-def save_dataset(path, segments: list[EegSegment]) -> None:
-    """Write segments to ``path`` atomically, one field at a time."""
-    if segments:
-        c, t = segments[0].clean.shape
-    else:
-        c = t = 0
+def new_dataset(n: int, c: int, t: int) -> np.recarray:
+    """n zeroed records of (C, T) segments."""
+    return np.zeros(n, record_dtype(c, t)).view(np.recarray)
+
+
+def save_dataset(path, segments: np.recarray) -> None:
+    """Write a dataset to ``path`` atomically, a bounded chunk at a time."""
+    c, t = segments.dtype["clean"].shape if len(segments) else (0, 0)
+    if len(segments) and segments.dtype["noisy"].shape != (c, t):
+        raise DimensionError(f"noisy shape {segments.dtype['noisy'].shape} != clean shape ({c}, {t})")
+    packed = record_dtype(c, t, packed=True)
+    step = max(1, CHUNK_BYTES // packed.itemsize)
     with atomic_writer(path) as fh:
         fh.write(struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, len(segments)))
-        for i, seg in enumerate(segments):
-            if seg.clean.shape != (c, t) or seg.noisy.shape != (c, t):
-                raise DimensionError(
-                    f"segment {i} shape {seg.clean.shape}/{seg.noisy.shape} != dataset shape ({c}, {t})"
-                )
-            fh.write(_SEG_HEAD.pack(seg.subject_id, seg.valence, seg.arousal, seg.achieved_snr_db))
-            fh.write(np.ascontiguousarray(seg.clean, dtype="<f8"))
-            fh.write(np.ascontiguousarray(seg.noisy, dtype="<f8"))
+        for lo in range(0, len(segments), step):
+            fh.write(segments[lo : lo + step].astype(packed))
 
 
-def load_dataset(path) -> list[EegSegment]:
+def load_dataset(path) -> np.recarray:
     raw = Path(path).read_bytes()
     if len(raw) < 24:
         raise FileFormatError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -74,31 +81,15 @@ def load_dataset(path) -> list[EegSegment]:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    seg_bytes = _SEG_HEAD.size + 2 * 8 * c * t
-    if len(raw) != 24 + count * seg_bytes:
+    try:
+        packed, aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
+    except ValueError:  # a dimension or the record size exceeds a C int
+        raise FileFormatError(f"{path}: segment shape ({c}, {t}) is too large") from None
+    if len(raw) != 24 + count * packed.itemsize:
         raise FileFormatError(
-            f"{path}: expected {24 + count * seg_bytes} bytes for {count} segments, got {len(raw)}"
+            f"{path}: expected {24 + count * packed.itemsize} bytes for {count} segments, got {len(raw)}"
         )
-    out: list[EegSegment] = []
-    off = 24
-    for _ in range(count):
-        subject_id, valence, arousal, snr = _SEG_HEAD.unpack_from(raw, off)
-        off += _SEG_HEAD.size
-        clean = np.frombuffer(raw, dtype="<f8", count=c * t, offset=off).reshape(c, t)
-        off += 8 * c * t
-        noisy = np.frombuffer(raw, dtype="<f8", count=c * t, offset=off).reshape(c, t)
-        off += 8 * c * t
-        out.append(
-            EegSegment(
-                clean=clean.astype(np.float64),
-                noisy=noisy.astype(np.float64),
-                valence=valence,
-                arousal=arousal,
-                subject_id=subject_id,
-                achieved_snr_db=snr,
-            )
-        )
-    return out
+    return np.frombuffer(raw, packed, count, 24).astype(aligned).view(np.recarray)
 
 
 def build_dataset(
@@ -109,7 +100,7 @@ def build_dataset(
     emg_eog_ratio: float = 1.0,
     window: int = 128,
     overlap: float = 0.5,
-) -> list[EegSegment]:
+) -> np.recarray:
     """Full pipeline: synthesize trials, inject noise per trial, then window.
 
     Noise is injected before segmentation so adjacent windows share artifact
@@ -124,31 +115,28 @@ def build_dataset(
         seed=derive_seed(spec.seed, "noise"),
         sample_rate_hz=spec.sample_rate_hz,
     )
-    segments: list[EegSegment] = []
+    # every trial has spec.n_samples samples, so the same number of windows
     for i, (trial, valence, arousal, subject) in enumerate(trials):
         noisy, achieved = inject_noise(trial, nspec, i)
-        for w_clean, w_noisy in zip(
-            segment_windows(trial, window, overlap), segment_windows(noisy, window, overlap)
-        ):
-            segments.append(
-                EegSegment(
-                    clean=w_clean,
-                    noisy=w_noisy,
-                    valence=valence,
-                    arousal=arousal,
-                    subject_id=subject,
-                    achieved_snr_db=achieved,
-                )
-            )
+        clean = segment_windows(trial, window, overlap)
+        if i == 0:
+            per_trial = len(clean)
+            segments = new_dataset(len(trials) * per_trial, len(trial), window)
+        rows = segments[i * per_trial : (i + 1) * per_trial]
+        rows.clean = clean
+        rows.noisy = segment_windows(noisy, window, overlap)
+        rows.valence, rows.arousal, rows.subject_id = valence, arousal, subject
+        rows.achieved_snr_db = achieved
     return segments
 
 
 def split_indices(
-    n: int, split: float, seed: int, *, subjects: list[int] | None = None
+    n: int, split: float, seed: int, *, subjects=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test index split; pure function of
-    (n, split, seed). With `subjects` given, whole subjects are assigned to
-    one side so no subject identity leaks across the split."""
+    (n, split, seed). With `subjects` (one id per segment, a list or an
+    array) given, whole subjects are assigned to one side so no subject
+    identity leaks across the split."""
     if not 0.0 < split < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {split}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117)))
@@ -162,7 +150,6 @@ def split_indices(
     perm = rng.permutation(len(uniq))
     k = int(round(len(uniq) * split))
     k = min(max(k, 1), len(uniq) - 1) if len(uniq) >= 2 else k
-    train_subj = set(uniq[perm[:k]].tolist())
-    mask = np.array([s in train_subj for s in subjects_arr])
+    mask = np.isin(subjects_arr, uniq[perm[:k]])
     idx = np.arange(n)
     return idx[mask], idx[~mask]

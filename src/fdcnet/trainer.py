@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import EegSegment, derive_seed, split_indices
+from .dataset import derive_seed, split_indices
 from .errors import (
     ConfigError,
     ContractError,
@@ -157,10 +157,6 @@ def write_log_csv(path, rows: list[LogRow]) -> None:
             )
 
 
-def _labels(segments: list[EegSegment]) -> np.ndarray:
-    return np.array([[s.valence, s.arousal] for s in segments], dtype=np.float64)
-
-
 def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> np.ndarray:
     """Fresh noisy realizations of segments[indices] at the given SNR, as an
     (N, C, T) stack in `indices` order. Segment i draws its noise from the
@@ -173,25 +169,23 @@ def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> 
         sample_rate_hz=cfg.sample_rate_hz,
     )
     ids = np.asarray(indices, dtype=np.int64)
-    return inject_noise([segments[i].clean for i in ids], spec, ids)[0]
+    return inject_noise(segments.clean[ids], spec, ids)[0]
 
 
 def train(
-    dataset: list[EegSegment],
+    dataset: np.recarray,
     cfg: TrainConfig,
     checkpoint_path=None,
 ) -> tuple[FdcNet, list[LogRow]]:
     cfg.validate()
-    if not dataset:
+    if len(dataset) == 0:
         raise DegenerateDataError("empty dataset")
-    n = len(dataset)
-    c, t = dataset[0].clean.shape
-    subjects = [s.subject_id for s in dataset] if cfg.split_by_subject else None
-    train_idx, test_idx = split_indices(n, cfg.split, cfg.seed, subjects=subjects)
-    labels = _labels(dataset)
+    subjects = dataset.subject_id if cfg.split_by_subject else None
+    train_idx, test_idx = split_indices(len(dataset), cfg.split, cfg.seed, subjects=subjects)
+    labels = np.stack([dataset.valence, dataset.arousal], axis=1).astype(np.float64)
     weights = class_weights(labels[train_idx])
 
-    model = FdcNet(model_config_from(cfg, c), seed=cfg.seed)
+    model = FdcNet(model_config_from(cfg, dataset.clean.shape[1]), seed=cfg.seed)
     optimizer = AdamW(
         model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
     )
@@ -208,7 +202,7 @@ def train(
             batch = order[lo : lo + cfg.batch_size]
             batch_ids = train_idx[batch]
             xb = _reinject(dataset, batch_ids, snr, cfg, "train-noise", epoch)
-            cb = np.stack([dataset[int(i)].clean for i in batch_ids])
+            cb = dataset.clean[batch_ids]
             yb = labels[batch_ids]
             rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, step))
             try:
@@ -264,8 +258,7 @@ def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float,
     ps = []
     batches = _noisy_forward(model, dataset, test_idx, snr, cfg, cfg.batch_size, "val-noise", epoch)
     for ids, _, x_hat, p in batches:
-        for i, xh in zip(ids, x_hat):
-            ccs.append(metric_cc(dataset[int(i)].clean, xh))
+        ccs += [metric_cc(clean, xh) for clean, xh in zip(dataset.clean[ids], x_hat)]
         ps.append(p)
     acc = accuracy_4class(np.concatenate(ps), labels[test_idx])
     return acc, float(np.mean(ccs))
@@ -273,7 +266,7 @@ def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float,
 
 def evaluate(
     model: FdcNet,
-    segments: list[EegSegment],
+    segments: np.recarray,
     snr_grid: list[float] | None = None,
     *,
     eval_seed: int = 0,
@@ -289,9 +282,9 @@ def evaluate(
         snr_grid = list(DEFAULT_SNR_GRID)
     if not snr_grid:
         raise ConfigError("snr_grid must be nonempty")
-    if not segments:
+    if len(segments) == 0:
         raise DegenerateDataError("empty evaluation set")
-    labels = _labels(segments)
+    labels = np.stack([segments.valence, segments.arousal], axis=1).astype(np.float64)
     noise_cfg = TrainConfig(
         seed=eval_seed,
         emg_eog_ratio=emg_eog_ratio,
@@ -305,8 +298,7 @@ def evaluate(
             model, segments, np.arange(len(segments)), snr, noise_cfg, batch_size, "eval-noise", gi
         )
         for ids, noisy, x_hat, p in batches:
-            for i, xn, xh in zip(ids, noisy, x_hat):
-                clean = segments[int(i)].clean
+            for clean, xn, xh in zip(segments.clean[ids], noisy, x_hat):
                 in_snrs.append(metric_snr(clean, xn))
                 out_snrs.append(metric_snr(clean, xh))
                 ccs.append(metric_cc(clean, xh))

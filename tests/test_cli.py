@@ -10,6 +10,7 @@ import pytest
 
 from fdcnet.cli import main, parse_snr_grid
 from fdcnet.errors import ConfigError
+from fdcnet.trainer import desk_preset
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -265,6 +266,64 @@ class TestPipeline:
         np.testing.assert_array_equal(den[0].noisy, orig[0].noisy)
         assert den[0].valence == orig[0].valence
 
+    def test_denoise_batches_are_copies(self, pipeline, tmp_path, monkeypatch):
+        from fdcnet.dataset import load_dataset
+        from fdcnet.model import FdcNet
+
+        root, data, run = pipeline
+        seen = []
+        forward = FdcNet.forward
+
+        def recording(self, x, *args, **kwargs):
+            seen.append(x)
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(FdcNet, "forward", recording)
+        out = tmp_path / "den.fdcd"
+        assert main(["denoise", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--batch-size", "5", "--out", str(out)]) == 0
+        orig, den = load_dataset(data), load_dataset(out)
+        assert max(len(x) for x in seen) == 5
+        for x in seen:
+            assert x.flags.c_contiguous and x.flags.aligned and x.flags.owndata
+        np.testing.assert_array_equal(np.concatenate(seen), orig.noisy)
+        assert den.noisy.tobytes() == orig.noisy.tobytes()
+
+    def test_run_config_keys_in_flag_order(self, pipeline):
+        from fdcnet.configfile import read_config
+
+        root, _, _ = pipeline
+        sections = read_config(root / "run_config.txt")
+        assert list(sections["synth"]) == [
+            "subjects", "trials", "channels", "trial_seconds", "sample_rate", "label_effect",
+            "snr", "sigma", "ratio", "window", "overlap", "seed", "out"]
+        assert list(sections["eval"]) == [
+            "model", "data", "snr_grid", "seed", "sigma", "ratio", "sample_rate",
+            "use", "split", "split_seed", "out"]
+        assert list(sections["denoise"]) == ["model", "data", "batch_size", "out"]
+
+    @pytest.mark.parametrize("command, flags, out_name", [
+        ("eval", ["--snr-grid", "-1:1:1", "--use", "test"], "eval.csv"),
+        ("denoise", ["--batch-size", "3"], "den.fdcd"),
+    ])
+    def test_config_replay_keeps_model_config(self, pipeline, tmp_path, command, flags, out_name):
+        import shutil
+
+        root, data, run = pipeline
+        # a checkpoint with no .cfg beside it needs --model-config
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "cfgs").mkdir()
+        shutil.copy(run / "model.fdcn", tmp_path / "ckpt" / "model.fdcn")
+        shutil.copy(run / "model.cfg", tmp_path / "cfgs" / "m.cfg")
+        first = tmp_path / "first" / out_name
+        assert main([command, "--model", str(tmp_path / "ckpt" / "model.fdcn"),
+                     "--model-config", str(tmp_path / "cfgs" / "m.cfg"), "--data", str(data),
+                     *flags, "--out", str(first)]) == 0
+        replay = tmp_path / "replay" / out_name
+        assert main([command, "--config", str(first.parent / "run_config.txt"),
+                     "--out", str(replay)]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+
     def test_run_config_accumulates_sections(self, pipeline):
         root, _, _ = pipeline
         text = (root / "run_config.txt").read_text()
@@ -286,6 +345,23 @@ class TestPipeline:
         other = tmp_path / "other.fdcd"
         assert main(["synth", "--config", str(cfg), "--seed", "99", "--out", str(other)]) == 0
         assert other.read_bytes() != data.read_bytes()
+
+
+class TestTrainFlags:
+    def test_one_flag_per_train_config_field(self):
+        from dataclasses import fields
+
+        from fdcnet import cli
+        from fdcnet.trainer import TrainConfig
+
+        parser = cli._build_train(cli._Parser(prog="fdcnet").add_subparsers(parser_class=cli._Parser))
+        unset = parser.parse_args([])
+        for f in fields(TrainConfig):
+            assert getattr(unset, f.name) is (False if isinstance(f.default, bool) else None)
+        args = parser.parse_args(["--epochs", "3", "--lr", "0.5", "--split-by-subject", "--no-cross"])
+        assert cli._train_config(args) == TrainConfig(epochs=3, lr=0.5, split_by_subject=True,
+                                                      no_cross=True)
+        assert cli._train_config(parser.parse_args(["--desk"])) == desk_preset()
 
 
 class TestDeskPreset:

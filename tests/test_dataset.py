@@ -7,13 +7,13 @@ import pytest
 
 from conftest import rng, write_past_size_limit
 from fdcnet.dataset import (
-    _SEG_HEAD,
     MAGIC,
     VERSION,
-    EegSegment,
     build_dataset,
     derive_seed,
     load_dataset,
+    new_dataset,
+    record_dtype,
     save_dataset,
     split_indices,
 )
@@ -24,53 +24,86 @@ from fdcnet.synth import SynthSpec, synth_clean_eeg
 
 def _segments(n=3, c=2, t=128, seed=0):
     r = rng(seed)
-    out = []
-    for i in range(n):
-        out.append(
-            EegSegment(
-                clean=r.normal(size=(c, t)),
-                noisy=r.normal(size=(c, t)),
-                valence=int(r.integers(0, 2)),
-                arousal=int(r.integers(0, 2)),
-                subject_id=i % 2,
-                achieved_snr_db=float(r.normal()),
-            )
-        )
-    return out
+    ds = new_dataset(n, c, t)
+    ds.clean = r.normal(size=(n, c, t))
+    ds.noisy = r.normal(size=(n, c, t))
+    ds.valence = r.integers(0, 2, n)
+    ds.arousal = r.integers(0, 2, n)
+    ds.subject_id = np.arange(n) % 2
+    ds.achieved_snr_db = r.normal(size=n)
+    return ds
 
 
 def joined_save_dataset(path, segments):
     """The earlier writer, which built the whole file in memory first."""
-    c, t = segments[0].clean.shape if segments else (0, 0)
+    c, t = segments.clean.shape[1:] if len(segments) else (0, 0)
     blobs = [struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, len(segments))]
     for seg in segments:
-        blobs.append(_SEG_HEAD.pack(seg.subject_id, seg.valence, seg.arousal, seg.achieved_snr_db))
+        blobs.append(struct.pack("<IBBd", seg.subject_id, seg.valence, seg.arousal, seg.achieved_snr_db))
         blobs.append(np.ascontiguousarray(seg.clean, dtype="<f8").tobytes())
         blobs.append(np.ascontiguousarray(seg.noisy, dtype="<f8").tobytes())
     path.write_bytes(b"".join(blobs))
 
 
 class TestFileFormat:
-    def test_round_trip_bit_identical(self, tmp_path):
+    def test_round_trip_field_by_field(self, tmp_path):
         path = tmp_path / "d.fdcd"
         segs = _segments(5)
         save_dataset(path, segs)
         back = load_dataset(path)
-        assert len(back) == 5
-        for a, b in zip(segs, back):
-            np.testing.assert_array_equal(a.clean, b.clean)
-            np.testing.assert_array_equal(a.noisy, b.noisy)
-            assert (a.valence, a.arousal, a.subject_id) == (b.valence, b.arousal, b.subject_id)
-            assert a.achieved_snr_db == b.achieved_snr_db
+        assert isinstance(back, np.recarray) and back.shape == (5,)
+        assert back.dtype == segs.dtype == record_dtype(2, 128)
+        for name in segs.dtype.names:
+            np.testing.assert_array_equal(back[name], segs[name])
 
-    def test_empty_list_header_only(self, tmp_path):
+    def test_record_sizes(self):
+        for c, t in [(0, 0), (2, 128), (3, 7), (32, 128)]:
+            assert record_dtype(c, t, packed=True).itemsize == 14 + 16 * c * t
+            assert record_dtype(c, t).itemsize == 16 + 16 * c * t
+
+    def test_loaded_fields_aligned_and_records_contiguous(self, tmp_path):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(4, 3, 7))
+        back = load_dataset(path)
+        assert back.dtype.isalignedstruct and back.flags.aligned and back.flags.writeable
+        for name in ("achieved_snr_db", "clean", "noisy"):
+            assert back.dtype.fields[name][1] % 8 == 0
+            assert back[name].ctypes.data % 8 == 0
+        for rec in back:
+            assert rec.clean.flags.c_contiguous and rec.clean.flags.aligned
+            assert rec.noisy.flags.c_contiguous and rec.noisy.flags.aligned
+
+    def test_sequence_interface(self, tmp_path):
+        # the benchmark's checks read a dataset through this interface
+        path = tmp_path / "d.fdcd"
+        segs = _segments(6)
+        save_dataset(path, segs)
+        back = load_dataset(path)
+        assert len(back) == 6
+        part = back[1:4]
+        assert isinstance(part, np.recarray) and len(part) == 3
+        np.testing.assert_array_equal(part.clean, segs.clean[1:4])
+        picked = back[np.array([5, 0, 2])]
+        assert len(picked) == 3
+        # a fancy-indexed column is a C-contiguous copy, as batches need
+        assert back.clean[[5, 0, 2]].flags.c_contiguous
+        np.testing.assert_array_equal(picked.noisy, segs.noisy[[5, 0, 2]])
+        for i, rec in enumerate(back):
+            assert rec.clean.shape == rec.noisy.shape == (2, 128)
+            assert rec.clean.tobytes() == segs.clean[i].tobytes()
+            assert (rec.valence, rec.arousal, rec.subject_id, rec.achieved_snr_db) == (
+                segs.valence[i], segs.arousal[i], segs.subject_id[i], segs.achieved_snr_db[i])
+        stacked = np.stack([s.noisy for s in back[:2]])
+        np.testing.assert_array_equal(stacked, segs.noisy[:2])
+
+    def test_empty_header_only(self, tmp_path):
         path = tmp_path / "empty.fdcd"
-        save_dataset(path, [])
+        save_dataset(path, new_dataset(0, 2, 128))
         raw = path.read_bytes()
         # magic + version u32 + C u32 + T u32 + count u64
-        assert len(raw) == 24
-        assert raw[:4] == b"FDCD"
-        assert load_dataset(path) == []
+        assert raw == struct.pack("<4sIIIQ", MAGIC, VERSION, 0, 0, 0)
+        back = load_dataset(path)
+        assert isinstance(back, np.recarray) and len(back) == 0
 
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "d.fdcd"
@@ -98,35 +131,32 @@ class TestFileFormat:
         with pytest.raises(FileFormatError):
             load_dataset(path)
 
-    def test_mixed_shapes_rejected(self, tmp_path):
-        segs = _segments(2)
-        bad = EegSegment(
-            clean=np.zeros((3, 128)), noisy=np.zeros((3, 128)),
-            valence=0, arousal=0, subject_id=0, achieved_snr_db=0.0,
-        )
-        with pytest.raises(DimensionError):
-            save_dataset(tmp_path / "bad.fdcd", segs + [bad])
+    def test_oversized_header_shape_with_no_records(self, tmp_path):
+        path = tmp_path / "d.fdcd"
+        path.write_bytes(struct.pack("<4sIIIQ", MAGIC, VERSION, 2**32 - 1, 2**32 - 1, 0))
+        with pytest.raises(FileFormatError, match="too large"):
+            load_dataset(path)
 
     @pytest.mark.parametrize("n, c, t", [(0, 2, 128), (1, 2, 128), (5, 3, 7), (40, 32, 128)])
     def test_bytes_equal_joined_writer(self, tmp_path, n, c, t):
         segs = _segments(n, c, t, seed=n)
-        if segs:
-            # a transposed view and a float32 field take the conversion paths
-            segs[0].clean = np.asfortranarray(segs[0].clean)
-            segs[-1].noisy = segs[-1].noisy.astype(np.float32)
         save_dataset(tmp_path / "a.fdcd", segs)
         joined_save_dataset(tmp_path / "b.fdcd", segs)
         assert (tmp_path / "a.fdcd").read_bytes() == (tmp_path / "b.fdcd").read_bytes()
+        # strided and fancy-indexed selections, and the packed dtype, take
+        # the same path
+        for part in (segs[::-2], segs[np.arange(n)[::3]],
+                     segs.astype(record_dtype(c, t, packed=True)).view(np.recarray)):
+            save_dataset(tmp_path / "a.fdcd", part)
+            joined_save_dataset(tmp_path / "b.fdcd", part)
+            assert (tmp_path / "a.fdcd").read_bytes() == (tmp_path / "b.fdcd").read_bytes()
 
-    @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_failed_write_leaves_no_file(self, tmp_path, k):
-        segs = _segments(5)
-        segs[k] = EegSegment(
-            clean=np.zeros((2, 64)) if k else np.zeros((2, 128)), noisy=np.zeros((2, 64)),
-            valence=0, arousal=0, subject_id=0, achieved_snr_db=0.0,
-        )
-        with pytest.raises(DimensionError, match=f"segment {k}"):
-            save_dataset(tmp_path / "bad.fdcd", segs)
+    def test_mismatched_noisy_shape_leaves_no_file(self, tmp_path):
+        dtype = np.dtype([(name, record_dtype(2, 4).fields[name][0]) for name in
+                          ("subject_id", "valence", "arousal", "achieved_snr_db", "clean")]
+                         + [("noisy", "<f8", (2, 3))])
+        with pytest.raises(DimensionError, match="noisy shape"):
+            save_dataset(tmp_path / "bad.fdcd", np.zeros(3, dtype).view(np.recarray))
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_write_keeps_existing_file(self, tmp_path):
@@ -134,11 +164,12 @@ class TestFileFormat:
         save_dataset(path, _segments(2))
         before = path.read_bytes()
         code = (
-            "import sys\nimport numpy as np\n"
-            "from fdcnet.dataset import EegSegment, save_dataset\n"
-            "seg = EegSegment(np.ones((8, 128)), np.ones((8, 128)), 0, 0, 0, 0.0)\n"
+            "import sys\n"
+            "from fdcnet.dataset import new_dataset, save_dataset\n"
+            "segs = new_dataset(100, 8, 128)\n"
+            "segs.clean = segs.noisy = 1.0\n"
             "try:\n"
-            f"    save_dataset({str(path)!r}, [seg] * 100)\n"
+            f"    save_dataset({str(path)!r}, segs)\n"
             "except OSError:\n"
             "    sys.exit(3)\n"
         )
@@ -230,6 +261,9 @@ class TestSplit:
         test_subj = {subjects[i] for i in test}
         assert train_subj.isdisjoint(test_subj)
         assert len(train) + len(test) == 100
+        # every segment of a training subject is in the training side
+        assert list(train) == [i for i in range(100) if subjects[i] in train_subj]
+        np.testing.assert_array_equal(split_indices(100, 0.8, seed=4, subjects=np.array(subjects))[0], train)
 
     def test_invalid_fraction(self):
         with pytest.raises(ConfigError):

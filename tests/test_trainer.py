@@ -252,6 +252,33 @@ class TestReinject:
             assert sorted(got) == sorted(sets[label].tolist())
 
 
+class TestBatches:
+    def test_forward_and_noise_get_contiguous_aligned_copies(self, monkeypatch):
+        from fdcnet import trainer
+        from fdcnet.model import FdcNet
+
+        segs = tiny_segments()
+        seen = []
+        forward, inject = FdcNet.forward, trainer.inject_noise
+
+        def recording_forward(self, x, *args, **kwargs):
+            seen.append(x)
+            return forward(self, x, *args, **kwargs)
+
+        def recording_inject(clean, *args, **kwargs):
+            seen.append(clean)
+            return inject(clean, *args, **kwargs)
+
+        monkeypatch.setattr(FdcNet, "forward", recording_forward)
+        monkeypatch.setattr(trainer, "inject_noise", recording_inject)
+        model, _ = train(segs, tiny_cfg(batch_size=3))
+        evaluate(model, segs, [0.0], batch_size=4)
+        assert len(seen) > 10
+        for x in seen:
+            assert x.flags.c_contiguous and x.flags.aligned and x.flags.owndata
+            assert not np.shares_memory(x, segs)
+
+
 class TestCsvRoundTrips:
     def test_log_csv(self, tmp_path):
         rows = [
