@@ -245,9 +245,9 @@ def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0,
     return x[0] if single else x
 
 
-def segment_windows(trial: np.ndarray, window: int = 128, overlap: float = 0.5) -> list[np.ndarray]:
-    """Sliding windows along the last axis; stride = window*(1-overlap),
-    trailing remainder dropped."""
+def segment_windows(trial: np.ndarray, window: int = 128, overlap: float = 0.5) -> np.ndarray:
+    """Sliding windows along the last axis as a read-only (count, ..., window)
+    view of the trial; stride = window*(1-overlap), trailing remainder dropped."""
     trial = np.asarray(trial, dtype=np.float64)
     t = trial.shape[-1]
     if t < window:
@@ -257,5 +257,5 @@ def segment_windows(trial: np.ndarray, window: int = 128, overlap: float = 0.5) 
     stride = int(round(window * (1.0 - overlap)))
     if stride < 1:
         raise ConfigError(f"window {window} with overlap {overlap} gives stride < 1")
-    count = (t - window) // stride + 1
-    return [trial[..., i * stride : i * stride + window].copy() for i in range(count)]
+    wins = np.lib.stride_tricks.sliding_window_view(trial, window, axis=-1)[..., ::stride, :]
+    return np.moveaxis(wins, -2, 0)

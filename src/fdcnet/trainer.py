@@ -157,6 +157,10 @@ def write_log_csv(path, rows: list[LogRow]) -> None:
             )
 
 
+def _labels(segments) -> np.ndarray:
+    return np.stack([segments.valence, segments.arousal], axis=1).astype(np.float64)
+
+
 def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> np.ndarray:
     """Fresh noisy realizations of segments[indices] at the given SNR, as an
     (N, C, T) stack in `indices` order. Segment i draws its noise from the
@@ -182,7 +186,7 @@ def train(
         raise DegenerateDataError("empty dataset")
     subjects = dataset.subject_id if cfg.split_by_subject else None
     train_idx, test_idx = split_indices(len(dataset), cfg.split, cfg.seed, subjects=subjects)
-    labels = np.stack([dataset.valence, dataset.arousal], axis=1).astype(np.float64)
+    labels = _labels(dataset)
     weights = class_weights(labels[train_idx])
 
     model = FdcNet(model_config_from(cfg, dataset.clean.shape[1]), seed=cfg.seed)
@@ -284,7 +288,7 @@ def evaluate(
         raise ConfigError("snr_grid must be nonempty")
     if len(segments) == 0:
         raise DegenerateDataError("empty evaluation set")
-    labels = np.stack([segments.valence, segments.arousal], axis=1).astype(np.float64)
+    labels = _labels(segments)
     noise_cfg = TrainConfig(
         seed=eval_seed,
         emg_eog_ratio=emg_eog_ratio,

@@ -143,10 +143,13 @@ class TestFileFormat:
         save_dataset(tmp_path / "a.fdcd", segs)
         joined_save_dataset(tmp_path / "b.fdcd", segs)
         assert (tmp_path / "a.fdcd").read_bytes() == (tmp_path / "b.fdcd").read_bytes()
-        # strided and fancy-indexed selections, and the packed dtype, take
-        # the same path
+        # strided and fancy-indexed selections, the packed dtype and a
+        # float32 noisy field take the same path
+        f4_noisy = [(name, "<f4" if name == "noisy" else segs.dtype[name].base, segs.dtype[name].shape)
+                    for name in segs.dtype.names]
         for part in (segs[::-2], segs[np.arange(n)[::3]],
-                     segs.astype(record_dtype(c, t, packed=True)).view(np.recarray)):
+                     segs.astype(record_dtype(c, t, packed=True)).view(np.recarray),
+                     segs.astype(f4_noisy).view(np.recarray)):
             save_dataset(tmp_path / "a.fdcd", part)
             joined_save_dataset(tmp_path / "b.fdcd", part)
             assert (tmp_path / "a.fdcd").read_bytes() == (tmp_path / "b.fdcd").read_bytes()
