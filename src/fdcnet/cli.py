@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .configfile import read_config, write_config
+from .configfile import format_value, read_config, write_config
 from .dataset import build_dataset, load_dataset, save_dataset, split_indices
 from .errors import ConfigError, FdcnetError, FileFormatError
 from .model import FdcNet, ModelConfig
@@ -30,11 +30,9 @@ from .noise import MAX_ABS_SNR_DB
 from .report import write_report
 from .synth import SynthSpec
 from .trainer import (
-    DEFAULT_SNR_GRID,
     TrainConfig,
     desk_preset,
     evaluate,
-    model_config_from,
     read_eval_csv,
     train,
     write_eval_csv,
@@ -95,6 +93,23 @@ def parse_snr_grid(text: str) -> list[float]:
     return grid
 
 
+def _config_value(action: argparse.Action, where: str, value, parser):
+    """A config value checked and converted as its flag's command-line text
+    would be; a store_true flag takes only true/false."""
+    text = format_value(value)
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise UsageError(f"config key {where}: expected true or false, got {text!r}", parser)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise UsageError(f"config key {where}: invalid {action.type.__name__} value {text!r}", parser) from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {where}: {text!r} is not one of {list(action.choices)}", parser)
+    return value
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str], section: str) -> None:
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
@@ -102,11 +117,12 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str], sec
     if ns.config:
         sections = read_config(ns.config)
         body = sections.get(section, {})
-        known = {a.dest for a in parser._actions}
-        unknown = set(body) - known
+        actions = {a.dest: a for a in parser._actions}
+        unknown = set(body) - set(actions)
         if unknown:
             raise UsageError(f"unknown config keys in [{section}]: {sorted(unknown)}", parser)
-        parser.set_defaults(**body)
+        parser.set_defaults(**{key: _config_value(actions[key], f"[{section}] {key}", value, parser)
+                               for key, value in body.items()})
 
 
 def _write_run_config(primary_output: str, section: str, values: dict) -> None:

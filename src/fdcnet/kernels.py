@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateDataError, DimensionError
 from .tensor import Tensor, as_tensor, make_op
@@ -117,16 +117,34 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
 
 
 # -- 1-D convolution ---------------------------------------------------------
+# Stride 1. conv1d's forward and conv1d_transposed's input gradient both run
+# _correlate; the other two run _scatter. Both are plain NumPy, so no backward
+# records an op of its own.
 
-def _conv_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """View of shape (B, C, T_out, K) over the (already padded) input."""
-    b, c, t = x.shape
-    t_out = (t - k) // stride + 1
-    sb, sc, st = x.strides
-    return as_strided(x, shape=(b, c, t_out, k), strides=(sb, sc, st * stride, st))
+def _correlate(x: np.ndarray, w: np.ndarray, padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """x (B, A, T) cross-correlated with w (D, A, K) -> (B, D, T + 2p - K + 1),
+    and the (B, A, T_out, K) window view of the padded x."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+    win = sliding_window_view(xp, w.shape[2], axis=2)
+    # contract (A, K) pairs through BLAS: (B, T_out, D) -> (B, D, T_out)
+    y = np.tensordot(win, w, axes=([1, 3], [1, 2])).transpose(0, 2, 1)
+    return np.ascontiguousarray(y), win
 
 
-def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
+def _scatter(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
+    """x (B, A, T) scattered through w (A, D, K) -> (B, D, T + K - 1 - 2p);
+    the adjoint of _correlate in x."""
+    b, _, t = x.shape
+    k = w.shape[2]
+    full = np.zeros((b, w.shape[1], t + k - 1))
+    for kk in range(k):
+        # (B, T, A) @ (A, D) -> (B, T, D), added at offset kk
+        part = np.matmul(x.transpose(0, 2, 1), w[:, :, kk])
+        full[:, :, kk : kk + t] += part.transpose(0, 2, 1)
+    return full[:, :, padding : full.shape[2] - padding] if padding else full
+
+
+def conv1d(x, w, padding: int = 0) -> Tensor:
     """Cross-correlation: x (B, C_in, T), w (C_out, C_in, K) -> (B, C_out, T_out)."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
@@ -139,58 +157,38 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(
             f"kernel size {k} exceeds padded length {t_pad} (T={x.shape[2]}, padding={padding})"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    win = _conv_windows(xp, k, stride)
-    # contract (C_in, K) pairs through BLAS: (B, T_out, C_out) -> (B, C_out, T_out)
-    y = np.tensordot(win, w.data, axes=([1, 3], [1, 2])).transpose(0, 2, 1)
-    t_out = y.shape[2]
+    y, win = _correlate(x.data, w.data, padding)
 
     def bw(g):
         gw = np.tensordot(g, win, axes=([0, 2], [0, 2]))
-        gp = np.zeros_like(xp)
-        for kk in range(k):
-            # (B, T_out, C_out) @ (C_out, C_in) -> (B, T_out, C_in)
-            part = np.matmul(g.transpose(0, 2, 1), w.data[:, :, kk])
-            gp[:, :, kk : kk + t_out * stride : stride] += part.transpose(0, 2, 1)
-        gx = gp[:, :, padding : gp.shape[2] - padding] if padding else gp
-        return [(x, gx), (w, gw)]
+        # conv1d weights are (C_out, C_in, K): the scatter's (A, D, K) layout
+        return [(x, _scatter(g, w.data, padding)), (w, gw)]
 
-    return make_op(np.ascontiguousarray(y), (x, w), bw, "conv1d")
+    return make_op(y, (x, w), bw, "conv1d")
 
 
-def conv1d_transposed(x, w, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d_transposed(x, w, padding: int = 0) -> Tensor:
     """Adjoint of conv1d: x (B, C_in, T), w (C_in, C_out, K) -> (B, C_out, T_up).
 
-    T_up = (T - 1) * stride - 2 * padding + K.
+    T_up = T - 2 * padding + K - 1.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 3:
         raise DimensionError(f"conv1d_transposed expects 3-D x and w, got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise DimensionError(f"conv1d_transposed channel mismatch: x {x.shape} vs w {w.shape}")
-    b, _, t = x.shape
-    k = w.shape[2]
-    t_full = (t - 1) * stride + k
-    t_up = t_full - 2 * padding
+    t_up = x.shape[2] + w.shape[2] - 1 - 2 * padding
     if t_up < 1:
-        raise DimensionError(
-            f"conv1d_transposed output length {t_up} < 1 (T={t}, K={k}, stride={stride}, padding={padding})"
-        )
-    full = np.zeros((b, w.shape[1], t_full))
-    for kk in range(k):
-        # (B, T, C_in) @ (C_in, C_out) -> (B, T, C_out), scattered at offset kk
-        part = np.matmul(x.data.transpose(0, 2, 1), w.data[:, :, kk])
-        full[:, :, kk : kk + t * stride : stride] += part.transpose(0, 2, 1)
-    y = full[:, :, padding : t_full - padding] if padding else full
+        raise DimensionError(f"conv1d_transposed output length {t_up} < 1 "
+                             f"(T={x.shape[2]}, K={w.shape[2]}, padding={padding})")
 
     def bw(g):
-        gf = np.pad(g, ((0, 0), (0, 0), (padding, padding))) if padding else g
-        gwin = _conv_windows(gf, k, stride)
-        gx = np.tensordot(gwin, w.data, axes=([1, 3], [1, 2])).transpose(0, 2, 1)
+        # the weights are (C_in, C_out, K): the correlation's (D, A, K) layout
+        gx, gwin = _correlate(g, w.data, padding)
         gw = np.tensordot(x.data, gwin, axes=([0, 2], [0, 2]))
-        return [(x, np.ascontiguousarray(gx)), (w, gw)]
+        return [(x, gx), (w, gw)]
 
-    return make_op(y, (x, w), bw, "conv1d_transposed")
+    return make_op(_scatter(x.data, w.data, padding), (x, w), bw, "conv1d_transposed")
 
 
 # -- normalization -----------------------------------------------------------

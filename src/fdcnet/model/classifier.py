@@ -16,15 +16,15 @@ PROB_CLAMP = 1e-7
 
 
 class ClassifierHead:
-    def __init__(self, d_model: int, hidden: int, rng: np.random.Generator, n_out: int = 2):
+    def __init__(self, d_model: int, hidden: int, rng: np.random.Generator):
         s = 1.0 / math.sqrt(d_model)
         self.d_model = d_model
         self.attn_w = Tensor(rng.normal(0.0, s, (1, d_model)), requires_grad=True)
         self.attn_b = Tensor(np.zeros(1), requires_grad=True)
         self.w1 = Tensor(rng.normal(0.0, s, (hidden, d_model)), requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (n_out, hidden)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_out), requires_grad=True)
+        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (2, hidden)), requires_grad=True)
+        self.b2 = Tensor(np.zeros(2), requires_grad=True)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {
@@ -74,27 +74,26 @@ def class_weights(labels) -> ClassWeights:
     return ClassWeights(w=1.0 / np.sqrt(f), f=f)
 
 
-def weighted_bce(p, y, w) -> Tensor:
+def weighted_bce(p, y, w: ClassWeights) -> Tensor:
     """Mean over the batch of the weighted per-dimension binary cross
     entropy; probabilities clamped to [1e-7, 1 - 1e-7]."""
     p = as_tensor(p)
-    y_arr = np.asarray(y.numpy() if isinstance(y, Tensor) else y, dtype=np.float64)
-    w_arr = w.w if isinstance(w, ClassWeights) else np.asarray(w, dtype=np.float64)
+    y_arr = np.asarray(y, dtype=np.float64)
     if p.shape != y_arr.shape:
         raise DimensionError(f"shape mismatch: p {p.shape} vs y {y_arr.shape}")
     if (p.data < 0.0).any() or (p.data > 1.0).any():
         raise ContractError("probabilities outside [0, 1] before clamping")
     pc = clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     per = neg(mul(log(pc), y_arr) + mul(log(1.0 - pc), 1.0 - y_arr))
-    return tmean(tsum(mul(per, w_arr.reshape(1, -1)), axis=1))
+    return tmean(tsum(mul(per, w.w.reshape(1, -1)), axis=1))
 
 
-def accuracy_4class(p, y, threshold: float = 0.5) -> float:
-    """Exact-quadrant match rate of thresholded (valence, arousal) pairs."""
-    p_arr = np.asarray(p.numpy() if isinstance(p, Tensor) else p, dtype=np.float64)
-    y_arr = np.asarray(y.numpy() if isinstance(y, Tensor) else y, dtype=np.float64)
+def accuracy_4class(p, y) -> float:
+    """Exact-quadrant match rate of (valence, arousal) pairs thresholded at 0.5."""
+    p_arr = np.asarray(p, dtype=np.float64)
+    y_arr = np.asarray(y, dtype=np.float64)
     if p_arr.shape != y_arr.shape or p_arr.ndim != 2 or p_arr.shape[1] != 2:
         raise DimensionError(f"expected matching (B, 2) arrays, got {p_arr.shape} and {y_arr.shape}")
-    pred = p_arr > threshold
+    pred = p_arr > 0.5
     true = y_arr > 0.5
     return float(np.mean(np.all(pred == true, axis=1)))

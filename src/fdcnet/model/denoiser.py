@@ -22,7 +22,7 @@ class ConvStem:
         self.b = Tensor(np.zeros(d_model), requires_grad=True)
 
     def forward(self, x) -> Tensor:
-        y = conv1d(x, self.w, stride=1, padding=self.padding)
+        y = conv1d(x, self.w, padding=self.padding)
         return add(y, reshape(self.b, (1, self.b.shape[0], 1)))
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -48,7 +48,7 @@ class Decoder:
         self.b2 = Tensor(np.zeros(n_channels), requires_grad=True)
 
     def forward(self, h, training: bool = False, update_running: bool = True) -> Tensor:
-        y = conv1d_transposed(h, self.w1, stride=1, padding=self.padding)
+        y = conv1d_transposed(h, self.w1, padding=self.padding)
         y = add(y, reshape(self.b1, (1, self.b1.shape[0], 1)))
         y = batch_norm(
             y,
@@ -60,7 +60,7 @@ class Decoder:
             update_running=update_running,
         )
         y = gelu(y)
-        y = conv1d_transposed(y, self.w2, stride=1, padding=self.padding)
+        y = conv1d_transposed(y, self.w2, padding=self.padding)
         return add(y, reshape(self.b2, (1, self.b2.shape[0], 1)))
 
     def named_parameters(self) -> dict[str, Tensor]:

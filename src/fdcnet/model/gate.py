@@ -13,22 +13,17 @@ from ..tensor import Tensor, as_tensor, mul, reshape, tmean
 
 
 def channel_stats(x) -> Tensor:
-    """Temporal mean per channel: (B, C, T) or (B, C, 1, T) -> (B, C)."""
+    """Temporal mean per channel: (B, C, T) -> (B, C)."""
     x = as_tensor(x)
-    if x.ndim == 4:
-        if x.shape[2] != 1:
-            raise DimensionError(f"expected singleton third axis, got {x.shape}")
-        x = reshape(x, (x.shape[0], x.shape[1], x.shape[3]))
     if x.ndim != 3:
         raise DimensionError(f"channel_stats expects (B, C, T), got {x.shape}")
     return tmean(x, axis=2)
 
 
 class ChannelGate:
-    def __init__(self, n_channels: int, reduction: int = 4, rng: np.random.Generator | None = None):
+    def __init__(self, n_channels: int, reduction: int, rng: np.random.Generator):
         if reduction < 1 or n_channels % reduction != 0:
             raise ConfigError(f"reduction {reduction} must divide n_channels {n_channels}")
-        rng = rng or np.random.default_rng(0)
         hidden = n_channels // reduction
         self.n_channels = n_channels
         self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(n_channels), (hidden, n_channels)), requires_grad=True)
@@ -48,10 +43,9 @@ class ChannelGate:
 
 
 def modulate(x, alpha) -> Tensor:
-    """Scale each channel of (B, C, T) (or (B, C, 1, T)) by its (B, C) gate."""
+    """Scale each channel of (B, C, T) by its (B, C) gate."""
     x = as_tensor(x)
     alpha = as_tensor(alpha)
-    if alpha.ndim != 2 or x.shape[:2] != alpha.shape:
+    if x.ndim != 3 or alpha.ndim != 2 or x.shape[:2] != alpha.shape:
         raise DimensionError(f"modulate shapes disagree: x {x.shape}, alpha {alpha.shape}")
-    extra = (1,) * (x.ndim - 2)
-    return mul(x, reshape(alpha, alpha.shape + extra))
+    return mul(x, reshape(alpha, alpha.shape + (1,)))

@@ -74,10 +74,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        known = cls.__dataclass_fields__
+        unknown = set(d) - set(known)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            # a bool only for a bool field; an int also for a float field
+            kind = type(known[key].default)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
+                raise ConfigError(f"model config {key} must be {kind.__name__}, got {value!r}")
         return cls(**d)
 
     def with_ablations(self, no_feedback=False, no_cross=False, no_eegsp=False) -> "ModelConfig":
@@ -262,7 +267,7 @@ class FdcNet:
         save_checkpoint(path, self.state_arrays())
 
     @classmethod
-    def load(cls, path, cfg: ModelConfig, seed: int = 0) -> "FdcNet":
-        model = cls(cfg, seed=seed)
+    def load(cls, path, cfg: ModelConfig) -> "FdcNet":
+        model = cls(cfg)  # load_state overwrites every parameter and buffer
         model.load_state(load_checkpoint(path))
         return model

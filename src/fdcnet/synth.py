@@ -80,12 +80,6 @@ class SynthSpec:
         return int(round(self.sample_rate_hz * self.trial_length_s))
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _sinusoid_sums(freqs, phases, amps, n: int, fs: float) -> np.ndarray:
     """Row sums of amps * sin(2*pi*freqs*k/fs + phases) for k in [0, n).
 
@@ -181,25 +175,22 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
 _EMG_BANDS = ((20.0, 45.0), (0.0, 1.0))
 
 
-def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0,
-                   rows: int = 1) -> np.ndarray:
+def synth_artifact(kind: str, length: int, rngs: list[np.random.Generator],
+                   sample_rate: float = 128.0, rows: int = 1) -> np.ndarray:
     """Unit-RMS artifact surrogate.
 
     emg: 20-45 Hz filtered white noise under a slow random burst envelope.
     eog: sub-4 Hz smoothed random-step drift plus blink bumps.
 
-    `seed` is one seed or Generator, giving a (length,) realization, or a
-    list of them, giving a (len(seed) * rows, length) array. Each generator
-    draws its `rows` consecutive rows as one block per draw: for emg the
-    white noise (rows, 2, length); for eog the step levels (rows, n_steps),
-    then the blink uniforms (rows, n_blinks, 3). The shaping then runs once
-    over all rows, and each row's arithmetic is its own, so a row's bytes
-    depend only on its generator's draws.
+    Returns a (len(rngs) * rows, length) array. Each generator draws its
+    `rows` consecutive rows as one block per draw: for emg the white noise
+    (rows, 2, length); for eog the step levels (rows, n_steps), then the
+    blink uniforms (rows, n_blinks, 3). The shaping then runs once over all
+    rows, and each row's arithmetic is its own, so a row's bytes depend only
+    on its generator's draws.
     """
     if length < 1:
         raise DimensionError(f"artifact length must be >= 1, got {length}")
-    single = not isinstance(seed, list)
-    rngs = [_rng(s) for s in ([seed] if single else seed)]
     fs = sample_rate
     f = np.fft.rfftfreq(length, 1.0 / fs)
     if kind == "emg":
@@ -241,8 +232,7 @@ def synth_artifact(kind: str, length: int, seed, sample_rate: float = 128.0,
     r = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True))
     if not r.all():
         raise DegenerateDataError(f"{kind} surrogate degenerated to zero RMS at length {length}")
-    x = x / r
-    return x[0] if single else x
+    return x / r
 
 
 def segment_windows(trial: np.ndarray, window: int = 128, overlap: float = 0.5) -> np.ndarray:

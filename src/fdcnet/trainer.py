@@ -32,8 +32,6 @@ from .noise import MAX_ABS_SNR_DB, NoiseSpec, inject_noise
 from .optim import AdamW
 from .tensor import GradTape, backward, no_grad
 
-DEFAULT_SNR_GRID = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -271,7 +269,7 @@ def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float,
 def evaluate(
     model: FdcNet,
     segments: np.recarray,
-    snr_grid: list[float] | None = None,
+    snr_grid: list[float],
     *,
     eval_seed: int = 0,
     gaussian_sigma: float = 0.01,
@@ -282,8 +280,6 @@ def evaluate(
     """Sweep the SNR grid: re-inject noise into the clean segments at every
     grid level (fixed eval seed), denoise/classify in eval mode, and report
     per-level mean metrics plus the arithmetic average row."""
-    if snr_grid is None:
-        snr_grid = list(DEFAULT_SNR_GRID)
     if not snr_grid:
         raise ConfigError("snr_grid must be nonempty")
     if len(segments) == 0:

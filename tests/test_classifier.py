@@ -86,24 +86,24 @@ class TestWeightedBce:
 
     def test_perfect_prediction_near_zero(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = weighted_bce(Tensor(y.copy()), Tensor(y), self._w())
+        loss = weighted_bce(Tensor(y.copy()), y, self._w())
         assert float(loss.numpy()) < 1e-6
 
     def test_half_probs_give_2ln2(self):
         p = Tensor(np.full((4, 2), 0.5))
-        y = Tensor(rng(8).integers(0, 2, size=(4, 2)).astype(float))
+        y = rng(8).integers(0, 2, size=(4, 2)).astype(float)
         loss = float(weighted_bce(p, y, self._w()).numpy())
         assert abs(loss - 2.0 * np.log(2.0)) < 1e-12
 
     def test_uniform_weight_scales_unweighted(self):
         p = Tensor(rng(9).uniform(0.05, 0.95, size=(6, 2)))
-        y = Tensor(rng(10).integers(0, 2, size=(6, 2)).astype(float))
+        y = rng(10).integers(0, 2, size=(6, 2)).astype(float)
         base = float(weighted_bce(p, y, self._w()).numpy())
         scaled = float(weighted_bce(p, y, self._w((1.7, 1.7))).numpy())
         assert abs(scaled - 1.7 * base) < 1e-12
 
     def test_out_of_range_probability_rejected(self):
-        y = Tensor(np.zeros((1, 2)))
+        y = np.zeros((1, 2))
         with pytest.raises(ContractError):
             weighted_bce(Tensor(np.array([[1.2, 0.5]])), y, self._w())
         with pytest.raises(ContractError):
@@ -111,7 +111,7 @@ class TestWeightedBce:
 
     def test_boundary_probabilities_clamped_finite(self):
         p = Tensor(np.array([[0.0, 1.0]]))
-        y = Tensor(np.array([[1.0, 0.0]]))  # worst case at the boundary
+        y = np.array([[1.0, 0.0]])  # worst case at the boundary
         loss = float(weighted_bce(p, y, self._w()).numpy())
         assert np.isfinite(loss) and loss > 10.0
 
@@ -120,8 +120,8 @@ class TestWeightedBce:
         p = r.uniform(0.05, 0.95, size=(8, 2))
         y = r.integers(0, 2, size=(8, 2)).astype(float)
         perm = r.permutation(8)
-        a = float(weighted_bce(Tensor(p), Tensor(y), self._w()).numpy())
-        b = float(weighted_bce(Tensor(p[perm]), Tensor(y[perm]), self._w()).numpy())
+        a = float(weighted_bce(Tensor(p), y, self._w()).numpy())
+        b = float(weighted_bce(Tensor(p[perm]), y[perm], self._w()).numpy())
         assert abs(a - b) < 1e-12
 
     def test_gradient_through_sigmoid_matches_fd(self):
@@ -137,7 +137,7 @@ class TestWeightedBce:
 
         t = Tensor(logits0.copy(), requires_grad=True)
         with GradTape():
-            loss = weighted_bce(sigmoid(t), Tensor(y), w)
+            loss = weighted_bce(sigmoid(t), y, w)
             backward(loss)
         numeric = numeric_grad(lambda arr: f_np(arr), logits0.copy(), h=1e-6)
         denom = max(np.abs(t.grad).max(), np.abs(numeric).max())
@@ -169,9 +169,3 @@ class TestAccuracy:
         acc_v = (pred[:, 0] == y[:, 0]).mean()
         acc_a = (pred[:, 1] == y[:, 1]).mean()
         assert accuracy_4class(p, y) <= min(acc_v, acc_a) + 1e-12
-
-    def test_custom_threshold(self):
-        p = np.array([[0.4, 0.4]])
-        y = np.array([[1.0, 1.0]])
-        assert accuracy_4class(p, y, threshold=0.5) == 0.0
-        assert accuracy_4class(p, y, threshold=0.3) == 1.0

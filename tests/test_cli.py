@@ -106,6 +106,40 @@ class TestExitCodes:
         assert "epochs" in capsys.readouterr().err
 
 
+class TestConfigValueTypes:
+    """--config values take the same type and choice checks as their flags."""
+
+    @pytest.mark.parametrize("command, line, flags", [
+        ("train", "epochs = 2.5", ["--data", "d.fdcd", "--out-dir", "run"]),
+        ("train", "batch_size = true", ["--data", "d.fdcd", "--out-dir", "run"]),
+        ("train", "lr = fast", ["--data", "d.fdcd", "--out-dir", "run"]),
+        ("train", "desk = 1", ["--data", "d.fdcd", "--out-dir", "run"]),
+        ("synth", "channels = 2.5", ["--out", "run/d.fdcd"]),
+        ("eval", "use = bogus", ["--model", "m.fdcn", "--data", "d.fdcd", "--out", "run/e.csv"]),
+    ])
+    def test_bad_value_is_usage_error_naming_key(self, tmp_path, capsys, command, line, flags):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"[{command}]\n{line}\n")
+        flags = [f if f.startswith("--") else str(tmp_path / f) for f in flags]
+        assert main([command, "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"[{command}] {line.split()[0]}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_values_take_the_flag_type(self, tmp_path):
+        from fdcnet.configfile import read_config
+
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("[synth]\nsubjects = 1\ntrials = 1\nchannels = 2\n"
+                       "trial_seconds = 1\nsnr = 2\n")
+        out = tmp_path / "d.fdcd"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        written = read_config(tmp_path / "run_config.txt")["synth"]
+        assert written["snr"] == 2.0 and isinstance(written["snr"], float)
+        assert written["trial_seconds"] == 1.0 and isinstance(written["trial_seconds"], float)
+
+
 class TestSynthRejectsNonFinite:
     @pytest.mark.parametrize("flag, value", [
         ("--sample-rate", "nan"), ("--trial-seconds", "inf"), ("--snr", "nan"),
@@ -338,6 +372,19 @@ class TestPipeline:
         code = main(["synth", "--config", str(cfg), "--out", str(copy)])
         assert code == 0
         assert copy.read_bytes() == data.read_bytes()
+
+    def test_model_config_value_of_wrong_type_exits_2(self, pipeline, tmp_path, capsys):
+        root, data, run = pipeline
+        cfg = tmp_path / "m.cfg"
+        text = (run / "model.cfg").read_text()
+        assert "d_model = 8\n" in text
+        cfg.write_text(text.replace("d_model = 8\n", "d_model = 8.0\n"))
+        out = tmp_path / "eval.csv"
+        code = main(["eval", "--model", str(run / "model.fdcn"), "--model-config", str(cfg),
+                     "--data", str(data), "--snr-grid", "0", "--out", str(out)])
+        assert code == 2
+        assert "d_model" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_flag_override(self, pipeline, tmp_path):
         root, data, _ = pipeline

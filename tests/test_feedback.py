@@ -76,7 +76,7 @@ class TestJointLoss:
         clean = Tensor(r.normal(size=(4, 2, 8)))
         x_hat = Tensor(r.normal(size=(4, 2, 8)))
         p = Tensor(r.uniform(0.05, 0.95, size=(4, 2)))
-        y = Tensor(r.integers(0, 2, size=(4, 2)).astype(float))
+        y = r.integers(0, 2, size=(4, 2)).astype(float)
         w = ClassWeights(w=np.array([1.2, 0.9]), f=np.array([0.4, 0.6]))
         return clean, x_hat, p, y, w
 

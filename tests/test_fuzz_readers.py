@@ -1,6 +1,8 @@
-"""Fuzzed .fdcd and .fdcn readers: a corrupt or hostile file raises
-FileFormatError and nothing else, or reads back as a well-formed result."""
+"""Fuzzed .fdcd, .fdcn, config and eval-CSV readers: a corrupt or hostile
+file raises FileFormatError and nothing else, or reads back as a
+well-formed result."""
 
+import math
 import struct
 
 import numpy as np
@@ -11,8 +13,10 @@ from conftest import rng
 from fdcnet.checkpoint import MAGIC as CKPT_MAGIC
 from fdcnet.checkpoint import VERSION as CKPT_VERSION
 from fdcnet.checkpoint import load_checkpoint, save_checkpoint
+from fdcnet.configfile import read_config, write_config
 from fdcnet.dataset import MAGIC, VERSION, load_dataset, new_dataset, record_dtype, save_dataset
 from fdcnet.errors import FileFormatError
+from fdcnet.trainer import EvalReport, EvalRow, read_eval_csv, write_eval_csv
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -131,3 +135,110 @@ class TestCheckpointReader:
         state = _read_checkpoint(scratch, raw)
         if count == 0:
             assert state == {}
+
+
+# -- text readers ----------------------------------------------------------
+
+BOM = "\ufeff".encode()
+# bytes that mean something to a config line or a CSV record, and bytes
+# that are not UTF-8
+_MARKS = [b"\x00", BOM, b"\n", b"\r", b"\r\n", b"=", b"[", b"]", b"[]", b"#", b",", b'"',
+          b"average", b"nan", b"inf", b"-", b".", b"e", b"\xff", b"\xc3", b"\xe2\x80\xa8"]
+
+
+def _blobs():
+    """Inserted bytes: marks, short random runs, oversized fields and huge
+    digit strings."""
+    return st.one_of(
+        st.sampled_from(_MARKS),
+        st.binary(max_size=16),
+        st.builds(lambda ch, n: ch * n, st.sampled_from([b"9", b"x", b"0", b" "]),
+                  st.sampled_from([4301, 10**4, 131073, 3 * 10**5])),
+    )
+
+
+def _insert(raw, at, blob):
+    at %= len(raw) + 1
+    return raw[:at] + blob + raw[at:]
+
+
+@pytest.fixture(scope="module")
+def config_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("valid") / "run_config.txt"
+    write_config(path, {"train": {"epochs": 2, "lr": 0.001, "desk": True, "data": "d.fdcd"},
+                        "eval": {"snr_grid": "-3:3:1", "use": "test"}})
+    return path.read_bytes()
+
+
+def _read_config(scratch, raw):
+    scratch.write_bytes(raw)
+    try:
+        sections = read_config(scratch)
+    except FileFormatError:
+        return None
+    for name, body in sections.items():
+        assert isinstance(name, str) and name
+        for key, value in body.items():
+            assert isinstance(key, str) and isinstance(value, (bool, int, float, str))
+            assert not isinstance(value, float) or math.isfinite(value)
+    return sections
+
+
+class TestConfigReader:
+    @FUZZ
+    @given(cut=st.integers(0, 10**6))
+    def test_truncation(self, scratch, config_bytes, cut):
+        _read_config(scratch, config_bytes[: cut % (len(config_bytes) + 1)])
+
+    @FUZZ
+    @given(at=st.integers(0, 10**6), blob=_blobs())
+    @example(at=0, blob=BOM)
+    @example(at=8, blob=b"\x00")
+    @example(at=17, blob=b"9" * 5000)
+    def test_inserted_bytes(self, scratch, config_bytes, at, blob):
+        _read_config(scratch, _insert(config_bytes, at, blob))
+
+    @FUZZ
+    @given(value=st.one_of(st.text(max_size=40), st.sampled_from(
+        ["9" * 4301, "-" + "9" * 10**4, "1e" + "9" * 400, "0x10", "1_000", "1e309", "-nan", "'"])))
+    def test_any_value(self, scratch, value):
+        _read_config(scratch, f"[s]\nk = {value}\n".encode())
+
+
+@pytest.fixture(scope="module")
+def eval_csv_bytes(tmp_path_factory):
+    row = EvalRow(-2.5, 1.25, 80.0, 0.5, 0.25)
+    path = tmp_path_factory.mktemp("valid") / "eval.csv"
+    write_eval_csv(path, EvalReport(grid=[-3.0, 0.0], rows=[row, row], average=row))
+    return path.read_bytes()
+
+
+def _read_eval(scratch, raw):
+    scratch.write_bytes(raw)
+    try:
+        report = read_eval_csv(scratch)
+    except FileFormatError:
+        return None
+    assert isinstance(report, EvalReport) and report.rows
+    assert len(report.grid) == len(report.rows)
+    for row in report.rows + [report.average]:
+        assert isinstance(row, EvalRow)
+        assert all(isinstance(v, float) and math.isfinite(v) for v in vars(row).values())
+    assert all(isinstance(g, float) and math.isfinite(g) for g in report.grid)
+    return report
+
+
+class TestEvalCsvReader:
+    @FUZZ
+    @given(cut=st.integers(0, 10**6))
+    def test_truncation(self, scratch, eval_csv_bytes, cut):
+        _read_eval(scratch, eval_csv_bytes[: cut % (len(eval_csv_bytes) + 1)])
+
+    @FUZZ
+    @given(at=st.integers(0, 10**6), blob=_blobs())
+    @example(at=0, blob=BOM)
+    @example(at=80, blob=b"\x00")
+    @example(at=75, blob=b"9" * 5000)
+    @example(at=75, blob=b"x" * 131073)
+    def test_inserted_bytes(self, scratch, eval_csv_bytes, at, blob):
+        _read_eval(scratch, _insert(eval_csv_bytes, at, blob))

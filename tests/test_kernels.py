@@ -22,37 +22,37 @@ from fdcnet.kernels import (
     sigmoid,
     softmax,
 )
-from fdcnet.tensor import Tensor, tsum
+from fdcnet.tensor import GradTape, Tensor, tsum
 
 
-def conv1d_oracle(x, w, stride=1, padding=0):
+def conv1d_oracle(x, w, padding=0):
     """Naive nested-loop cross-correlation: x (B,Cin,T), w (Cout,Cin,K)."""
     b, cin, t = x.shape
     cout, _, k = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    t_out = (t + 2 * padding - k) // stride + 1
+    t_out = t + 2 * padding - k + 1
     out = np.zeros((b, cout, t_out))
     for bi in range(b):
         for co in range(cout):
             for ci in range(cin):
                 for to in range(t_out):
                     for kk in range(k):
-                        out[bi, co, to] += xp[bi, ci, to * stride + kk] * w[co, ci, kk]
+                        out[bi, co, to] += xp[bi, ci, to + kk] * w[co, ci, kk]
     return out
 
 
-def convt_oracle(x, w, stride=1, padding=0):
+def convt_oracle(x, w, padding=0):
     """Naive transposed conv: x (B,Cin,T), w (Cin,Cout,K); scatter-add form."""
     b, cin, t = x.shape
     _, cout, k = w.shape
-    t_full = (t - 1) * stride + k
+    t_full = t + k - 1
     out = np.zeros((b, cout, t_full))
     for bi in range(b):
         for ci in range(cin):
             for co in range(cout):
                 for ti in range(t):
                     for kk in range(k):
-                        out[bi, co, ti * stride + kk] += x[bi, ci, ti] * w[ci, co, kk]
+                        out[bi, co, ti + kk] += x[bi, ci, ti] * w[ci, co, kk]
     if padding:
         out = out[:, :, padding:-padding]
     return out
@@ -114,13 +114,13 @@ class TestConv1d:
         got = conv1d(Tensor(x), Tensor(w)).numpy()
         assert np.abs(got - conv1d_oracle(x, w)).max() < 1e-12
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 0), (2, 3), (3, 1)])
-    def test_stride_padding_vs_oracle(self, stride, padding):
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_padding_vs_oracle(self, padding):
         r = rng(3)
         x = r.normal(size=(2, 2, 11))
         w = r.normal(size=(3, 2, 4))
-        got = conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding).numpy()
-        assert np.abs(got - conv1d_oracle(x, w, stride, padding)).max() < 1e-12
+        got = conv1d(Tensor(x), Tensor(w), padding=padding).numpy()
+        assert np.abs(got - conv1d_oracle(x, w, padding)).max() < 1e-12
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
@@ -130,8 +130,8 @@ class TestConv1d:
         r = rng(4)
         x = r.normal(size=(2, 2, 9))
         w = r.normal(size=(3, 2, 3))
-        check_grad(lambda t: tsum(conv1d(t, Tensor(w), stride=2, padding=1) ** 2.0), x, tol=1e-5)
-        check_grad(lambda t: tsum(conv1d(Tensor(x), t, stride=2, padding=1) ** 2.0), w, tol=1e-5)
+        check_grad(lambda t: tsum(conv1d(t, Tensor(w), padding=1) ** 2.0), x, tol=1e-5)
+        check_grad(lambda t: tsum(conv1d(Tensor(x), t, padding=1) ** 2.0), w, tol=1e-5)
 
 
 class TestConvTransposed:
@@ -142,47 +142,73 @@ class TestConvTransposed:
             conv1d_transposed(Tensor(x), Tensor(w)).numpy(), [[[1.0, 1.0]]]
         )
 
-    def test_stride2_doubles_length(self):
-        x = rng(5).normal(size=(1, 1, 4))
-        w = rng(6).normal(size=(1, 1, 2))
-        out = conv1d_transposed(Tensor(x), Tensor(w), stride=2).numpy()
-        assert out.shape == (1, 1, 8)
-
     def test_adjoint_identity(self):
         # <conv(x, w), y> == <x, convT(y, w)>: the conv weight (Cout, Cin, K)
         # reads as the transposed layout (Cin, Cout, K) without reordering
         r = rng(7)
-        # T chosen so (T + 2*padding - K) % stride == 0: conv drops no samples
-        # and the two output spaces align exactly
-        for stride, padding, t in [(1, 0, 10), (1, 2, 10), (2, 1, 11), (3, 0, 11)]:
-            x = r.normal(size=(2, 3, t))
+        for padding in (0, 2):
+            x = r.normal(size=(2, 3, 10))
             w = r.normal(size=(4, 3, 5))
-            y_shape = conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding).shape
-            y = r.normal(size=y_shape)
-            lhs = float((conv1d(Tensor(x), Tensor(w), stride, padding).numpy() * y).sum())
-            rhs = float((conv1d_transposed(Tensor(y), Tensor(w), stride, padding).numpy() * x).sum())
-            assert abs(lhs - rhs) < 1e-10, f"stride={stride} pad={padding}"
+            y = r.normal(size=conv1d(Tensor(x), Tensor(w), padding=padding).shape)
+            lhs = float((conv1d(Tensor(x), Tensor(w), padding=padding).numpy() * y).sum())
+            rhs = float((conv1d_transposed(Tensor(y), Tensor(w), padding=padding).numpy() * x).sum())
+            assert abs(lhs - rhs) < 1e-10, f"pad={padding}"
 
     def test_nested_loop_oracle(self):
         r = rng(8)
-        for stride, padding in [(1, 0), (2, 1), (3, 2)]:
+        for padding in (0, 1, 2):
             x = r.normal(size=(2, 3, 6))
             w = r.normal(size=(3, 2, 4))
-            got = conv1d_transposed(Tensor(x), Tensor(w), stride, padding).numpy()
-            assert np.abs(got - convt_oracle(x, w, stride, padding)).max() < 1e-12
+            got = conv1d_transposed(Tensor(x), Tensor(w), padding=padding).numpy()
+            assert np.abs(got - convt_oracle(x, w, padding)).max() < 1e-12
 
     def test_gradients(self):
         r = rng(9)
         x = r.normal(size=(2, 3, 5))
         w = r.normal(size=(3, 2, 3))
         check_grad(
-            lambda t: tsum(conv1d_transposed(t, Tensor(w), stride=2, padding=1) ** 2.0),
+            lambda t: tsum(conv1d_transposed(t, Tensor(w), padding=1) ** 2.0),
             x, tol=1e-5,
         )
         check_grad(
-            lambda t: tsum(conv1d_transposed(Tensor(x), t, stride=2, padding=1) ** 2.0),
+            lambda t: tsum(conv1d_transposed(Tensor(x), t, padding=1) ** 2.0),
             w, tol=1e-5,
         )
+
+
+def _input_grad(op, x, w, g, padding):
+    """The input gradient that op's backward closure returns for upstream g."""
+    with GradTape() as tape:
+        op(Tensor(x, requires_grad=True), Tensor(w), padding=padding)
+        ((_, bw),) = tape.nodes
+        return bw(g)[0][1]
+
+
+class TestConvDirectionsWrittenOnce:
+    """conv1d's input gradient is conv1d_transposed's forward and the other
+    way round, to the byte."""
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    @pytest.mark.parametrize("same", [False, True])
+    def test_conv1d_input_grad_is_transposed_forward(self, k, same):
+        padding = k // 2 if same else 0
+        r = rng(40 + k)
+        x = r.normal(size=(2, 3, 16))
+        w = r.normal(size=(4, 3, k))
+        g = r.normal(size=conv1d(Tensor(x), Tensor(w), padding=padding).shape)
+        want = conv1d_transposed(Tensor(g), Tensor(w), padding=padding).numpy()
+        assert np.array_equal(_input_grad(conv1d, x, w, g, padding), want)
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    @pytest.mark.parametrize("same", [False, True])
+    def test_transposed_input_grad_is_conv1d_forward(self, k, same):
+        padding = k // 2 if same else 0
+        r = rng(50 + k)
+        x = r.normal(size=(2, 4, 16))
+        w = r.normal(size=(4, 3, k))
+        g = r.normal(size=conv1d_transposed(Tensor(x), Tensor(w), padding=padding).shape)
+        want = conv1d(Tensor(g), Tensor(w), padding=padding).numpy()
+        assert np.array_equal(_input_grad(conv1d_transposed, x, w, g, padding), want)
 
 
 class TestLinear:
@@ -319,12 +345,11 @@ class TestDropout:
     st.integers(1, 4),
     st.integers(1, 5),
     st.integers(0, 3),
-    st.integers(1, 3),
 )
-def test_conv_matches_oracle_property(seed, b, c, k, padding, stride):
+def test_conv_matches_oracle_property(seed, b, c, k, padding):
     r = np.random.default_rng(seed)
     t = k + int(r.integers(0, 6))
     x = r.normal(size=(b, c, t))
     w = r.normal(size=(2, c, k))
-    got = conv1d(Tensor(x), Tensor(w), stride=stride, padding=padding).numpy()
-    assert np.abs(got - conv1d_oracle(x, w, stride, padding)).max() < 1e-12
+    got = conv1d(Tensor(x), Tensor(w), padding=padding).numpy()
+    assert np.abs(got - conv1d_oracle(x, w, padding)).max() < 1e-12

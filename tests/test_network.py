@@ -97,7 +97,7 @@ class TestRegistry:
                 t.data[:] = r.normal(scale=0.2, size=t.shape)
             x = _x(seed=15)
             clean = Tensor(_x(seed=16))
-            y = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+            y = np.array([[1.0, 0.0], [0.0, 1.0]])
             w = ClassWeights(w=np.array([1.0, 1.0]), f=np.array([0.5, 0.5]))
             with GradTape():
                 out = model.forward(x, mode="train", rng=rng(17), update_running=False)
@@ -124,7 +124,7 @@ class TestPersistence:
         model.decoder.running_mean[:] = r.normal(size=16)
         path = tmp_path / "m.fdcn"
         model.save(path)
-        clone = FdcNet.load(path, _cfg(), seed=99)
+        clone = FdcNet.load(path, _cfg())
         x = _x(seed=20)
         with no_grad():
             a = model.forward(x, mode="eval")
@@ -152,6 +152,21 @@ class TestPersistence:
             _cfg(n_channels=3).validate()  # gate reduction must divide
         with pytest.raises(ConfigError):
             _cfg(t_fb=0).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_model", 32.0), ("n_layers", True), ("feedback", 1), ("cross", "true"),
+        ("dropout", True), ("dropout", "0.1"),
+    ])
+    def test_from_dict_rejects_wrong_value_types(self, key, value):
+        d = _cfg().to_dict()
+        d[key] = value
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_dict(d)
+
+    def test_from_dict_float_field_takes_int(self):
+        d = _cfg().to_dict()
+        d["dropout"] = 0
+        assert ModelConfig.from_dict(d).dropout == 0
 
 
 class TestAblationStructure:

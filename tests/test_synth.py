@@ -213,21 +213,26 @@ class TestCleanEeg:
             SynthSpec(band_powers={**DEFAULT_BAND_POWERS, "alpha": value}).validate()
 
 
+def _artifact(kind, length, seed):
+    """One (length,) realization from a single seeded generator."""
+    return synth_artifact(kind, length, [np.random.default_rng(seed)])[0]
+
+
 class TestArtifacts:
     @pytest.mark.parametrize("kind", ["emg", "eog"])
     def test_unit_rms(self, kind):
-        x = synth_artifact(kind, 4096, seed=3)
+        x = _artifact(kind, 4096, 3)
         assert abs(np.sqrt(np.mean(x ** 2)) - 1.0) < 1e-9
 
     def test_eog_is_low_frequency(self):
-        x = synth_artifact("eog", 8192, seed=4)
+        x = _artifact("eog", 8192, 4)
         f, p = welch(x, fs=128.0, nperseg=2048)
         below = np.trapezoid(p[f < 4.0], f[f < 4.0])
         total = np.trapezoid(p, f)
         assert below / total > 0.90
 
     def test_emg_is_broadband_high(self):
-        x = synth_artifact("emg", 8192, seed=5)
+        x = _artifact("emg", 8192, 5)
         f, p = welch(x, fs=128.0, nperseg=2048)
         inband = np.trapezoid(p[(f >= 20.0) & (f <= 45.0)], f[(f >= 20.0) & (f <= 45.0)])
         total = np.trapezoid(p, f)
@@ -235,16 +240,14 @@ class TestArtifacts:
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            synth_artifact("ecg", 128, seed=0)
+            _artifact("ecg", 128, 0)
 
     @pytest.mark.parametrize("kind", ["emg", "eog"])
     @pytest.mark.parametrize("length", [3, 128, 1344])
-    def test_seed_list_rows_equal_single_seed_calls(self, kind, length):
-        seeds = [7, np.random.SeedSequence(8), np.random.default_rng(9)]
-        rows = synth_artifact(kind, length, seeds)
+    def test_generator_list_rows_equal_single_generator_calls(self, kind, length):
+        rows = synth_artifact(kind, length, [np.random.default_rng(s) for s in (7, 8, 9)])
         assert rows.shape == (3, length)
-        singles = [synth_artifact(kind, length, s) for s in (7, np.random.SeedSequence(8),
-                                                           np.random.default_rng(9))]
+        singles = [_artifact(kind, length, s) for s in (7, 8, 9)]
         for row, single in zip(rows, singles):
             assert row.tobytes() == single.tobytes()
 
@@ -276,23 +279,20 @@ class TestArtifacts:
             def standard_normal(self, size=None, *args, **kwargs):
                 return np.zeros(size)
 
-        for seed in (Silent(np.random.PCG64(0)), [1, Silent(np.random.PCG64(0))]):
+        for rngs in ([Silent(np.random.PCG64(0))],
+                     [np.random.default_rng(1), Silent(np.random.PCG64(0))]):
             with pytest.raises(DegenerateDataError, match="emg"):
-                synth_artifact("emg", 128, seed)
+                synth_artifact("emg", 128, rngs)
 
     def test_empty_band_error_names_kind(self):
         # two samples at 128 Hz hold only the 0 and 64 Hz bins
-        for seed in (0, [0, 1]):
+        for n in (1, 2):
             with pytest.raises(DegenerateDataError, match="emg"):
-                synth_artifact("emg", 2, seed)
+                synth_artifact("emg", 2, [np.random.default_rng(s) for s in range(n)])
 
     def test_determinism(self):
-        np.testing.assert_array_equal(
-            synth_artifact("emg", 512, seed=12), synth_artifact("emg", 512, seed=12)
-        )
-        assert not np.array_equal(
-            synth_artifact("emg", 512, seed=12), synth_artifact("emg", 512, seed=13)
-        )
+        np.testing.assert_array_equal(_artifact("emg", 512, 12), _artifact("emg", 512, 12))
+        assert not np.array_equal(_artifact("emg", 512, 12), _artifact("emg", 512, 13))
 
 
 class TestSegmentation:

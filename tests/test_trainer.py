@@ -14,7 +14,6 @@ from fdcnet.model import FdcNet, ModelConfig
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.synth import SynthSpec
 from fdcnet.trainer import (
-    DEFAULT_SNR_GRID,
     EvalRow,
     LogRow,
     TrainConfig,
@@ -193,13 +192,6 @@ class TestEvaluate:
         assert a.rows == b.rows
         c = evaluate(model, segs, [0.0], eval_seed=6)
         assert a.rows[0].output_snr_db != c.rows[0].output_snr_db
-
-    def test_default_grid(self):
-        assert DEFAULT_SNR_GRID == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
-        segs = tiny_segments()[:4]
-        model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
-        report = evaluate(model, segs)
-        assert report.grid == DEFAULT_SNR_GRID
 
     def test_rejects_empty(self):
         model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
