@@ -96,7 +96,7 @@ def parse_snr_grid(text: str) -> list[float]:
 def _config_value(action: argparse.Action, where: str, value, parser):
     """A config value checked and converted as its flag's command-line text
     would be; a store_true flag takes only true/false."""
-    text = format_value(value)
+    text = value if isinstance(value, str) else format_value(value)
     if action.nargs == 0:
         if isinstance(value, bool):
             return value

@@ -2,17 +2,35 @@
 
 Format: `[section]` headers, `key = value` lines, `#` comments, blank lines
 ignored. Values are parsed as bool (true/false), int, float, or string, in
-that order. Every run echoes its effective configuration in this format so
-the file can be fed back via --config to reproduce the run.
+that order. A `#` inside quotes is part of the value. A single-quoted
+string is taken verbatim between its quotes, a double-quoted one once its
+backslash escapes (of a backslash, a double quote or a line break) are
+undone. The writer double-quotes each string that would not read back bare
+(`x#y.csv`, `007`, `true`, ` a`) and writes every other value bare.
+Every run echoes its effective configuration in this format so the file can
+be fed back via --config to reproduce the run.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from .errors import FileFormatError
 from .fileio import write_text
+
+
+# the characters str.splitlines breaks at, written as \uXXXX inside quotes
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', **{ch: f"\\u{ord(ch):04x}" for ch in _LINE_BREAKS}})
+_ESCAPED = re.compile(r'\\(u[0-9a-f]{4}|["\\])')
+# a line up to its first "#" outside a quoted string
+_BEFORE_COMMENT = re.compile(r"""(?:[^"'#]|"(?:[^"\\]|\\.)*"|'[^']*'|["'])*""")
+
+
+def _unescape(m: re.Match) -> str:
+    return chr(int(m[1][1:], 16)) if len(m[1]) == 5 else m[1]
 
 
 def parse_value(s: str):
@@ -30,7 +48,9 @@ def parse_value(s: str):
         return float(s)
     except ValueError:
         pass
-    if len(s) >= 2 and s[0] == s[-1] and s[0] in "\"'":
+    if len(s) >= 2 and s[0] == s[-1] == '"':
+        return _ESCAPED.sub(_unescape, s[1:-1])
+    if len(s) >= 2 and s[0] == s[-1] == "'":
         return s[1:-1]
     return s
 
@@ -40,6 +60,8 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, str) and not (parse_value(v) == v and "#" not in v and v.splitlines() == [v]):
+        return '"' + v.translate(_ESCAPES) + '"'
     return str(v)
 
 
@@ -51,7 +73,7 @@ def read_config(path) -> dict[str, dict[str, object]]:
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

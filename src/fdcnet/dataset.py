@@ -22,8 +22,8 @@ File layout (little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .synth import SynthSpec, segment_windows, synth_clean_eeg
 
 MAGIC = b"FDCD"
 VERSION = 1
-# file bytes cast and written per chunk by save_dataset
+# file bytes per chunk cast and written by save_dataset, read and cast by
+# load_dataset
 CHUNK_BYTES = 1 << 20
 
 
@@ -73,23 +74,41 @@ def save_dataset(path, segments: np.recarray) -> None:
 
 
 def load_dataset(path) -> np.recarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24:
-        raise FileFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, c, t, count = struct.unpack_from("<4sIIIQ", raw, 0)
-    if magic != MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    try:
-        packed, aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
-    except ValueError:  # a dimension or the record size exceeds a C int
-        raise FileFormatError(f"{path}: segment shape ({c}, {t}) is too large") from None
-    if len(raw) != 24 + count * packed.itemsize:
-        raise FileFormatError(
-            f"{path}: expected {24 + count * packed.itemsize} bytes for {count} segments, got {len(raw)}"
-        )
-    return np.frombuffer(raw, packed, count, 24).astype(aligned).view(np.recarray)
+    """Read a dataset file into one aligned array, a bounded chunk at a time.
+
+    The header is checked against the file's size before anything is
+    allocated, so the records need no more memory than the returned array
+    plus one chunk of packed records.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(24)
+        if len(head) < 24:
+            raise FileFormatError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, c, t, count = struct.unpack("<4sIIIQ", head)
+        if magic != MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise FileFormatError(f"{path}: unsupported version {version}")
+        try:
+            packed, aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
+        except ValueError:  # a dimension or the record size exceeds a C int
+            raise FileFormatError(f"{path}: segment shape ({c}, {t}) is too large") from None
+        size = os.fstat(fh.fileno()).st_size
+        if size != 24 + count * packed.itemsize:
+            raise FileFormatError(
+                f"{path}: expected {24 + count * packed.itemsize} bytes for {count} segments, got {size}"
+            )
+        segments = np.zeros(count, aligned)
+        step = max(1, CHUNK_BYTES // packed.itemsize)
+        buf = np.empty(min(step, count), packed)
+        for lo in range(0, count, step):
+            chunk = buf[: min(step, count - lo)]
+            got = fh.readinto(chunk)
+            if got != chunk.nbytes:
+                raise FileFormatError(f"{path}: file ends inside segment {lo + got // packed.itemsize} "
+                                      f"of the {count} its header declares")
+            segments[lo : lo + len(chunk)] = chunk
+    return segments.view(np.recarray)
 
 
 def build_dataset(

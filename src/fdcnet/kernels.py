@@ -31,7 +31,7 @@ def sigmoid(x) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-x.data))
 
     def bw(g):
-        return [(x, g * y * (1.0 - y))]
+        return [g * y * (1.0 - y)]
 
     return make_op(y, (x,), bw, "sigmoid")
 
@@ -41,7 +41,7 @@ def relu(x) -> Tensor:
     mask = x.data > 0
 
     def bw(g):
-        return [(x, g * mask)]
+        return [g * mask]
 
     return make_op(np.where(mask, x.data, 0.0), (x,), bw, "relu")
 
@@ -56,7 +56,7 @@ def gelu(x) -> Tensor:
 
     def bw(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * d**2)
-        return [(x, g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t**2) * du))]
+        return [g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t**2) * du)]
 
     return make_op(y, (x,), bw, "gelu")
 
@@ -69,7 +69,7 @@ def softmax(x) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return [(x, (g - (g * y).sum(axis=-1, keepdims=True)) * y)]
+        return [(g - (g * y).sum(axis=-1, keepdims=True)) * y]
 
     return make_op(y, (x,), bw, "softmax")
 
@@ -81,19 +81,21 @@ def linear(x, w, b=None) -> Tensor:
     x, w = as_tensor(x), as_tensor(w)
     if x.shape[-1] != w.shape[1]:
         raise DimensionError(f"linear: x {x.shape} incompatible with w {w.shape}")
-    y = x.data @ w.data.T
+    xd, wd = x.data, w.data
+    y = xd @ wd.T
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
         y = y + b.data
         parents.append(b)
+    has_bias = b is not None
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        x2 = x.data.reshape(-1, x.shape[-1])
-        grads = [(x, g @ w.data), (w, g2.T @ x2)]
-        if b is not None:
-            grads.append((b, g2.sum(axis=0)))
+        x2 = xd.reshape(-1, xd.shape[-1])
+        grads = [g @ wd, g2.T @ x2]
+        if has_bias:
+            grads.append(g2.sum(axis=0))
         return grads
 
     return make_op(y, parents, bw, "linear")
@@ -111,7 +113,7 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     keep = rng.random(x.shape) >= rate
 
     def bw(g):
-        return [(x, g * (keep / (1.0 - rate)))]
+        return [g * (keep / (1.0 - rate))]
 
     return make_op(x.data * (keep / (1.0 - rate)), (x,), bw, "dropout")
 
@@ -157,12 +159,13 @@ def conv1d(x, w, padding: int = 0) -> Tensor:
         raise DimensionError(
             f"kernel size {k} exceeds padded length {t_pad} (T={x.shape[2]}, padding={padding})"
         )
-    y, win = _correlate(x.data, w.data, padding)
+    wd = w.data
+    y, win = _correlate(x.data, wd, padding)
 
     def bw(g):
         gw = np.tensordot(g, win, axes=([0, 2], [0, 2]))
         # conv1d weights are (C_out, C_in, K): the scatter's (A, D, K) layout
-        return [(x, _scatter(g, w.data, padding)), (w, gw)]
+        return [_scatter(g, wd, padding), gw]
 
     return make_op(y, (x, w), bw, "conv1d")
 
@@ -182,13 +185,15 @@ def conv1d_transposed(x, w, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv1d_transposed output length {t_up} < 1 "
                              f"(T={x.shape[2]}, K={w.shape[2]}, padding={padding})")
 
+    xd, wd = x.data, w.data
+
     def bw(g):
         # the weights are (C_in, C_out, K): the correlation's (D, A, K) layout
-        gx, gwin = _correlate(g, w.data, padding)
-        gw = np.tensordot(x.data, gwin, axes=([0, 2], [0, 2]))
-        return [(x, gx), (w, gw)]
+        gx, gwin = _correlate(g, wd, padding)
+        gw = np.tensordot(xd, gwin, axes=([0, 2], [0, 2]))
+        return [gx, gw]
 
-    return make_op(_scatter(x.data, w.data, padding), (x, w), bw, "conv1d_transposed")
+    return make_op(_scatter(xd, wd, padding), (x, w), bw, "conv1d_transposed")
 
 
 # -- normalization -----------------------------------------------------------
@@ -235,22 +240,14 @@ def batch_norm(
             gsum = g.sum(axis=(0, 2), keepdims=True)
             gx_sum = (g * xhat).sum(axis=(0, 2), keepdims=True)
             gx = (gm * ivar.reshape(1, c, 1) / n) * (n * g - gsum - xhat * gx_sum)
-            return [
-                (x, gx),
-                (gamma, (g * xhat).sum(axis=(0, 2))),
-                (beta, g.sum(axis=(0, 2))),
-            ]
+            return [gx, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))]
 
     else:
         ivar = 1.0 / np.sqrt(running_var + eps)
         xhat = (x.data - running_mean.reshape(1, c, 1)) * ivar.reshape(1, c, 1)
 
         def bw(g):
-            return [
-                (x, g * gm * ivar.reshape(1, c, 1)),
-                (gamma, (g * xhat).sum(axis=(0, 2))),
-                (beta, g.sum(axis=(0, 2))),
-            ]
+            return [g * gm * ivar.reshape(1, c, 1), (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))]
 
     return make_op(xhat * gm + bt, (x, gamma, beta), bw, "batch_norm")
 
@@ -263,18 +260,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * ivar
+    gd = gamma.data
 
     def bw(g):
-        gh = g * gamma.data
+        gh = g * gd
         gx = ivar / d * (d * gh - gh.sum(axis=-1, keepdims=True) - xhat * (gh * xhat).sum(axis=-1, keepdims=True))
-        lead = tuple(range(x.ndim - 1))
-        return [
-            (x, gx),
-            (gamma, (g * xhat).sum(axis=lead)),
-            (beta, g.sum(axis=lead)),
-        ]
+        lead = tuple(range(xhat.ndim - 1))
+        return [gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
 
-    return make_op(xhat * gamma.data + beta.data, (x, gamma, beta), bw, "layer_norm")
+    return make_op(xhat * gd + beta.data, (x, gamma, beta), bw, "layer_norm")
 
 
 # -- orthonormal DCT ---------------------------------------------------------
@@ -301,7 +295,7 @@ def dct_forward(x) -> Tensor:
     c = dct_matrix(x.shape[-1])
 
     def bw(g):
-        return [(x, g @ c)]
+        return [g @ c]
 
     return make_op(x.data @ c.T, (x,), bw, "dct_forward")
 
@@ -312,6 +306,6 @@ def dct_inverse(x) -> Tensor:
     c = dct_matrix(x.shape[-1])
 
     def bw(g):
-        return [(x, g @ c.T)]
+        return [g @ c.T]
 
     return make_op(x.data @ c, (x,), bw, "dct_inverse")

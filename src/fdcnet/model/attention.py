@@ -62,31 +62,32 @@ def attention_head_time(q, k, v) -> Tensor:
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     _check(q, k, v)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    blocks = _blocks(q.shape)
-    out = np.empty(q.shape)
+    qd, kd, vd = q.data, k.data, v.data
+    scale = 1.0 / math.sqrt(qd.shape[-1])
+    blocks = _blocks(qd.shape)
+    out = np.empty(qd.shape)
     for b in blocks:
-        np.matmul(_weights(q.data[b], k.data[b], scale), v.data[b], out=out[b])
+        np.matmul(_weights(qd[b], kd[b], scale), vd[b], out=out[b])
 
     def bw(g):
-        gv, gq = np.empty(q.shape), np.empty(q.shape)
+        gv, gq = np.empty(qd.shape), np.empty(qd.shape)
         # K's gradient is built as (..., d_h, T) and returned transposed,
         # the layout the unfused chain handed on
-        gkt = np.empty(q.shape[:-2] + (q.shape[-1], q.shape[-2]))
+        gkt = np.empty(qd.shape[:-2] + (qd.shape[-1], qd.shape[-2]))
         for b in blocks:
-            p = _weights(q.data[b], k.data[b], scale)
-            gs = np.matmul(g[b], np.swapaxes(v.data[b], -1, -2))
+            p = _weights(qd[b], kd[b], scale)
+            gs = np.matmul(g[b], np.swapaxes(vd[b], -1, -2))
             np.matmul(np.swapaxes(p, -1, -2), g[b], out=gv[b])
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= scale
-            np.matmul(gs, k.data[b], out=gq[b])
-            np.matmul(np.swapaxes(q.data[b], -1, -2), gs, out=gkt[b])
-        # V first: the order the unfused chain delivered its gradients in,
-        # which fixes the sum when Q, K and V are the same tensor
-        return [(v, gv), (q, gq), (k, np.swapaxes(gkt, -1, -2))]
+            np.matmul(gs, kd[b], out=gq[b])
+            np.matmul(np.swapaxes(qd[b], -1, -2), gs, out=gkt[b])
+        return [gv, gq, np.swapaxes(gkt, -1, -2)]
 
-    return make_op(out, (q, k, v), bw, "softmax")
+    # V first: the order the unfused chain delivered its gradients in, which
+    # fixes the sum when Q, K and V are the same tensor
+    return make_op(out, (v, q, k), bw, "softmax")
 
 
 def _dct_tokens(x) -> Tensor:

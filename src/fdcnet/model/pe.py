@@ -46,11 +46,5 @@ class BandLimitedPE:
         envelope = tsum(mul(self.alpha(), self._inv_sqrt_k))
         return mul(envelope, self._table[:pos_count])
 
-    def envelope_bound(self) -> float:
-        """Current value of sum_k alpha_k / sqrt(k), the max-|PE| bound."""
-        a = np.exp(self.alpha_logits.data - self.alpha_logits.data.max())
-        a /= a.sum()
-        return float(a @ self._inv_sqrt_k)
-
     def named_parameters(self) -> dict[str, Tensor]:
         return {"alpha_logits": self.alpha_logits}

@@ -15,7 +15,9 @@ channel so the channel hits the target SNR exactly; the global SNR (signal
 power over scaled-artifact power) then also equals the target. The Gaussian
 floor is added afterward and is excluded from the achieved-SNR measurement.
 Artifacts are shaped one chunk of segments at a time, about CHUNK_BYTES of
-EMG white noise per chunk.
+EMG white noise per chunk. Each call builds one Generator per segment of a
+chunk and re-keys them for every chunk, which draws the same numbers as
+building segment_stream(spec.seed, id) afresh for every segment.
 """
 
 from __future__ import annotations
@@ -68,6 +70,19 @@ def segment_stream(seed: int, segment_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, segment_id], np.uint64)))
 
 
+def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Generator:
+    """Put ``gen`` in the state segment_stream(seed, segment_id) starts in."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, segment_id], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def inject_noise(clean, spec: NoiseSpec, ids=None):
     """Returns (noisy, achieved_snr_db).
 
@@ -99,6 +114,8 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
     noisy = np.empty((n, c, t))
     achieved = np.empty(n)
     step = max(1, CHUNK_BYTES // max(1, 16 * c * t))
+    # one Generator per segment of a chunk; _rekey sets each one's key
+    pool = [np.random.Generator(np.random.Philox(0)) for _ in range(min(step, n))]
     for lo in range(0, n, step):
         # C order keeps each row's reductions the same pairwise sums as a 1-D row
         x = np.ascontiguousarray(segments[lo : lo + step], dtype=np.float64)
@@ -109,7 +126,7 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
                 f"clean signal of segment {lo + int(np.argmin(clean_power))} has zero RMS; "
                 "SNR target undefined"
             )
-        rngs = [segment_stream(spec.seed, i) for i in ids[lo : lo + k]]
+        rngs = [_rekey(g, spec.seed, i) for g, i in zip(pool, ids[lo : lo + k])]
         emg = synth_artifact("emg", t, rngs, spec.sample_rate_hz, rows=c)
         eog = synth_artifact("eog", t, rngs, spec.sample_rate_hz, rows=c)
         mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)

@@ -3,10 +3,15 @@
 A ``GradTape`` records every differentiable operation whose inputs require
 gradients. ``backward(loss)`` replays the tape in reverse recording order
 (construction order is already topological) and accumulates gradients into
-the ``.grad`` buffer of every reachable leaf. It pops each node off the tape
-as it replays it, so the activations a node's closure saved are released as
-soon as their gradient has flowed. Tapes are cheap and recreated per forward
-pass; there is no higher-order differentiation.
+the ``.grad`` buffer of every reachable leaf. Tapes are cheap and recreated
+per forward pass; there is no higher-order differentiation.
+
+A tape node holds the handles of its op's parents and the op's backward
+closure, never the op's output. Each closure keeps only the arrays and
+shapes its gradient formula reads, so an activation that no closure reads
+is freed as soon as the forward pass drops it. ``backward`` pops each node
+off the tape as it replays it, releasing what its closure kept once its
+gradient has flowed.
 
 All values are float64 and must be finite; constructing a tensor with NaN
 or Inf raises ``NonFiniteError``.
@@ -14,21 +19,28 @@ or Inf raises ``NonFiniteError``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NonFiniteError
 
 _ACTIVE_TAPE: Optional["GradTape"] = None
+# index of the next tape node. Indices never repeat, across tapes and
+# passes, so a tensor left over from an earlier pass names no node of the
+# current one
+_NEXT_NODE = 0
 
 
 class GradTape:
     """Ordered record of differentiable ops; use as a context manager."""
 
     def __init__(self):
-        # each node: (output tensor, backward closure)
-        self.nodes: list[tuple["Tensor", Callable[[np.ndarray], list]]] = []
+        # each node: (parent handles, backward closure). A handle is a leaf
+        # that requires grad, the index of the parent's node, or None for a
+        # parent that takes no gradient
+        self.nodes: list[tuple[tuple, Callable[[np.ndarray], Sequence]]] = []
+        self.first = 0  # the index of nodes[0]
 
     def __enter__(self) -> "GradTape":
         global _ACTIVE_TAPE
@@ -65,7 +77,8 @@ def active_tape() -> Optional[GradTape]:
 class Tensor:
     """A dense row-major float64 array, optionally tracked on the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_leaf")
+    # _node: index of the tape node that produced this tensor, None for a leaf
+    __slots__ = ("data", "requires_grad", "grad", "op", "_node")
 
     def __init__(self, data, requires_grad: bool = False, op: Optional[str] = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -78,7 +91,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.op = op
-        self._leaf = True
+        self._node: Optional[int] = None
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -183,31 +196,47 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def make_op(
     data: np.ndarray,
     parents: Sequence[Tensor],
-    backward_fn: Callable[[np.ndarray], Iterable[tuple[Tensor, Optional[np.ndarray]]]],
+    backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
     op: str,
 ) -> Tensor:
     """Create an op result, recording it on the active tape when needed.
 
-    ``backward_fn`` maps the output gradient to (parent, gradient) pairs. It
-    is only called for tensors that ended up on a tape.
+    ``backward_fn`` maps the output gradient to one gradient per parent, in
+    ``parents`` order, with None for a parent it skips. It is only called
+    for tensors that ended up on a tape, and should keep only the arrays
+    its formula reads: the tape keeps the closure until ``backward`` has
+    replayed it.
     """
+    global _NEXT_NODE
     tape = _ACTIVE_TAPE
     track = tape is not None and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track, op=op)
     if track:
-        out._leaf = False
-        tape.nodes.append((out, backward_fn))
+        if not tape.nodes:
+            tape.first = _NEXT_NODE
+        handles = tuple(_handle(p, tape.first) for p in parents)
+        out._node = _NEXT_NODE
+        _NEXT_NODE += 1
+        tape.nodes.append((handles, backward_fn))
     return out
+
+
+def _handle(p: Tensor, first: int):
+    if p._node is None:
+        return p if p.requires_grad else None
+    if p._node < first:
+        raise ContractError(f"an input of shape {p.shape} was recorded on an earlier pass of the tape")
+    return p._node
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
-    The loss must be a scalar recorded on the active tape. Each node is
-    popped off the tape as it is replayed, so its output and the arrays its
-    closure saved are freed once their gradient has flowed. The tape is
-    empty afterwards, also when a closure raises; a fresh forward pass is
-    needed before the next call.
+    The loss must be a scalar recorded on the active tape. Pending gradients
+    are keyed by node index. Each node is popped off the tape as it is
+    replayed, so the arrays its closure saved are freed once their gradient
+    has flowed. The tape is empty afterwards, also when a closure raises; a
+    fresh forward pass is needed before the next call.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
@@ -215,88 +244,93 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
     nodes = tape.nodes
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    seed = np.ones_like(loss.data)
     try:
-        if loss._leaf:
+        if loss._node is None:
             if loss.requires_grad:
-                if loss.grad is None:
-                    loss.grad = np.zeros_like(loss.data)
-                loss.grad += pending[id(loss)]
+                _accumulate(loss, seed)
             return
+        pending: dict[int, np.ndarray] = {loss._node: seed}
         while nodes:
-            out, fn = nodes.pop()
-            g = pending.pop(id(out), None)
+            handles, fn = nodes.pop()
+            g = pending.pop(tape.first + len(nodes), None)
             if g is None:
                 continue
-            for parent, pg in fn(g):
-                if pg is None:
+            for handle, pg in zip(handles, fn(g), strict=True):
+                if pg is None or handle is None:
                     continue
-                if parent._leaf:
-                    if parent.requires_grad:
-                        if parent.grad is None:
-                            parent.grad = np.zeros_like(parent.data)
-                        parent.grad += pg
+                if isinstance(handle, int):
+                    acc = pending.get(handle)
+                    pending[handle] = pg if acc is None else acc + pg
                 else:
-                    acc = pending.get(id(parent))
-                    pending[id(parent)] = pg if acc is None else acc + pg
+                    _accumulate(handle, pg)
     finally:
         nodes.clear()
 
 
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
+
+
 # -- elementwise arithmetic --------------------------------------------------
+# Each closure names only the arrays and shapes its formula reads: a closure
+# that named a parent Tensor would keep the parent's data alive on the tape.
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
+        return [_unbroadcast(g, sa), _unbroadcast(g, sb)]
 
     return make_op(a.data + b.data, (a, b), bw, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
+        return [_unbroadcast(g, sa), _unbroadcast(-g, sb)]
 
     return make_op(a.data - b.data, (a, b), bw, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    ad, bd = a.data, b.data
 
     def bw(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        ]
+        return [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)]
 
-    return make_op(a.data * b.data, (a, b), bw, "mul")
+    return make_op(ad * bd, (a, b), bw, "mul")
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return make_op(-a.data, (a,), lambda g: [(a, -g)], "neg")
+    return make_op(-a.data, (a,), lambda g: [-g], "neg")
 
 
 def power(a, p) -> Tensor:
     a = as_tensor(a)
-    p = float(p)
+    ad, p = a.data, float(p)
 
     def bw(g):
-        return [(a, g * p * a.data ** (p - 1.0))]
+        return [g * p * ad ** (p - 1.0)]
 
-    return make_op(a.data**p, (a,), bw, "pow")
+    return make_op(ad**p, (a,), bw, "pow")
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
+    ad = a.data
 
     def bw(g):
-        return [(a, g / a.data)]
+        return [g / ad]
 
-    return make_op(np.log(a.data), (a,), bw, "log")
+    return make_op(np.log(ad), (a,), bw, "log")
 
 
 def exp(a) -> Tensor:
@@ -304,7 +338,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def bw(g):
-        return [(a, g * out_data)]
+        return [g * out_data]
 
     return make_op(out_data, (a,), bw, "exp")
 
@@ -315,7 +349,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
     mask = (a.data >= lo) & (a.data <= hi)
 
     def bw(g):
-        return [(a, g * mask)]
+        return [g * mask]
 
     return make_op(np.clip(a.data, lo, hi), (a,), bw, "clamp")
 
@@ -324,31 +358,33 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
+    shape = a.shape
 
     def bw(g):
         if axis is None:
-            return [(a, np.broadcast_to(g, a.shape).copy())]
+            return [np.broadcast_to(g, shape).copy()]
         gg = g if keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg, a.shape).copy())]
+        return [np.broadcast_to(gg, shape).copy()]
 
     return make_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw, "sum")
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
+    shape = a.shape
     if axis is None:
         n = a.size
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         n = 1
         for ax in axes:
-            n *= a.shape[ax]
+            n *= shape[ax]
 
     def bw(g):
         if axis is None:
-            return [(a, np.broadcast_to(g / n, a.shape).copy())]
+            return [np.broadcast_to(g / n, shape).copy()]
         gg = g if keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg / n, a.shape).copy())]
+        return [np.broadcast_to(gg / n, shape).copy()]
 
     return make_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw, "mean")
 
@@ -362,13 +398,14 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return [(a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape))]
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return [_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)]
 
-    return make_op(np.matmul(a.data, b.data), (a, b), bw, "matmul")
+    return make_op(np.matmul(ad, bd), (a, b), bw, "matmul")
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -376,9 +413,10 @@ def matmul(a, b) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+    in_shape = a.shape
 
     def bw(g):
-        return [(a, g.reshape(a.shape))]
+        return [g.reshape(in_shape)]
 
     return make_op(a.data.reshape(shape), (a,), bw, "reshape")
 
@@ -390,7 +428,7 @@ def transpose(a, axes=None) -> Tensor:
     inv = np.argsort(axes)
 
     def bw(g):
-        return [(a, g.transpose(inv))]
+        return [g.transpose(inv)]
 
     return make_op(a.data.transpose(axes), (a,), bw, "transpose")
 
@@ -399,7 +437,7 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
 
     def bw(g):
-        return [(a, np.swapaxes(g, ax1, ax2))]
+        return [np.swapaxes(g, ax1, ax2)]
 
     return make_op(np.swapaxes(a.data, ax1, ax2), (a,), bw, "swapaxes")
 
@@ -407,26 +445,30 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
 def getitem(a, key) -> Tensor:
     """Basic (slice/index) subscripting; gradient scattered back to a zero buffer."""
     a = as_tensor(a)
+    shape = a.shape
+    # the parent's axes from outermost to innermost in memory: the zero
+    # buffer takes the layout np.zeros_like(a.data) would, and the ops
+    # that receive the gradient see a's own strides without keeping a
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.data.strides[i]))
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
         full[key] = g
-        return [(a, full)]
+        return [full]
 
     return make_op(a.data[key], (a,), bw, "getitem")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def bw(g):
+        idx = [slice(None)] * g.ndim
         outs = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx[axis] = slice(int(lo), int(hi))
-            outs.append((p, g[tuple(idx)]))
+            outs.append(g[tuple(idx)])
         return outs
 
     return make_op(np.concatenate([p.data for p in parts], axis=axis), parts, bw, "concat")

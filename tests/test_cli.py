@@ -358,6 +358,17 @@ class TestPipeline:
                      "--out", str(replay)]) == 0
         assert replay.read_bytes() == first.read_bytes()
 
+    def test_config_replay_keeps_hash_in_out_path(self, pipeline, tmp_path):
+        root, data, run = pipeline
+        out = tmp_path / "x#y.csv"
+        assert main(["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--snr-grid", "0", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        out.unlink()
+        assert main(["eval", "--config", str(tmp_path / "run_config.txt")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run_config.txt", "x#y.csv"]
+        assert out.read_bytes() == first
+
     def test_run_config_accumulates_sections(self, pipeline):
         root, _, _ = pipeline
         text = (root / "run_config.txt").read_text()

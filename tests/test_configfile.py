@@ -1,7 +1,10 @@
 """Sectioned key=value config files used for run reproduction."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdcnet.configfile import format_value, parse_value, read_config, write_config
@@ -64,6 +67,40 @@ class TestReadWrite:
         path = tmp_path / "c.txt"
         write_config(path, sections)
         assert read_config(path) == sections
+
+    @given(st.dictionaries(
+        st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True),
+        st.one_of(st.text(), st.integers(), st.booleans(),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=6,
+    ))
+    @example({"out": "x#y.csv", "seed": "007", "desk": "true", "data": " lead.csv"})
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_property(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            write_config(path, {"s": body})
+            back = read_config(path)["s"]
+        assert back == body
+        assert [type(v) for v in back.values()] == [type(v) for v in body.values()]
+
+    @pytest.mark.parametrize(
+        "value", ["x#y.csv", "007", "true", " lead.csv", 'say "hi"', "a\\b", "two\nlines", ""]
+    )
+    def test_strings_read_back_unchanged(self, tmp_path, value):
+        path = tmp_path / "c.txt"
+        write_config(path, {"s": {"v": value}})
+        assert read_config(path) == {"s": {"v": value}}
+
+    def test_bare_strings_are_written_bare(self, tmp_path):
+        path = tmp_path / "c.txt"
+        write_config(path, {"s": {"data": "/tmp/x.fdcd", "use": "test", "grid": "-3:3:1"}})
+        assert path.read_text() == "[s]\ndata = /tmp/x.fdcd\nuse = test\ngrid = -3:3:1\n"
+
+    def test_hash_inside_either_quotes_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text('[s]\na = "x # y"  # comment\nb = x # y\nc = \'x # y\'\n')
+        assert read_config(path) == {"s": {"a": "x # y", "b": "x", "c": "x # y"}}
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.txt"

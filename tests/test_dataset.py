@@ -1,12 +1,16 @@
 """Dataset build, file format, seed derivation, and train/test splitting."""
 
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import rng, write_past_size_limit
 from fdcnet.dataset import (
+    CHUNK_BYTES,
     MAGIC,
     VERSION,
     build_dataset,
@@ -43,6 +47,50 @@ def joined_save_dataset(path, segments):
         blobs.append(np.ascontiguousarray(seg.clean, dtype="<f8").tobytes())
         blobs.append(np.ascontiguousarray(seg.noisy, dtype="<f8").tobytes())
     path.write_bytes(b"".join(blobs))
+
+
+def frombuffer_load_dataset(path):
+    """The earlier reader: the whole file in memory, then one cast copy."""
+    raw = path.read_bytes()
+    _, _, c, t, count = struct.unpack_from("<4sIIIQ", raw, 0)
+    packed, aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
+    return np.frombuffer(raw, packed, count, 24).astype(aligned).view(np.recarray)
+
+
+# records of (2, 4) segments per chunk of the chunked reader
+STEP = CHUNK_BYTES // record_dtype(2, 4, packed=True).itemsize
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("n", [0, 1, STEP - 1, STEP, STEP + 1])
+    def test_equals_frombuffer_reader(self, tmp_path, n):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(n, 2, 4, seed=n))
+        back, want = load_dataset(path), frombuffer_load_dataset(path)
+        assert isinstance(back, np.recarray) and back.dtype == want.dtype and back.shape == want.shape
+        for name in want.dtype.names:
+            assert back[name].tobytes() == want[name].tobytes(), name
+
+    def test_file_cut_after_header_check(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(STEP + 1, 2, 4))
+        full = path.stat().st_size
+        os.truncate(path, full - 5)
+        # the size the header promises, as if the file shrank after fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+        with pytest.raises(FileFormatError, match=f"ends inside segment {STEP} of the {STEP + 1}"):
+            load_dataset(path)
+
+    def test_peak_memory_is_one_copy(self, tmp_path):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(400, 8, 128))
+        tracemalloc.start()
+        try:
+            back = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= back.nbytes + 2 * 2**20, f"{peak} bytes for a {back.nbytes}-byte array"
 
 
 class TestFileFormat:

@@ -181,7 +181,7 @@ def _input_grad(op, x, w, g, padding):
     with GradTape() as tape:
         op(Tensor(x, requires_grad=True), Tensor(w), padding=padding)
         ((_, bw),) = tape.nodes
-        return bw(g)[0][1]
+        return bw(g)[0]
 
 
 class TestConvDirectionsWrittenOnce:

@@ -110,6 +110,22 @@ class TestStreamInvariance:
         assert got.tobytes() == want.tobytes()
         assert achieved.tobytes() == want_achieved.tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pooled_generators_draw_as_segment_stream(self, monkeypatch, seed):
+        # chunks of 5 segments, so random ids fall on both sides of a chunk
+        # boundary and the last chunk re-keys only part of the pool
+        r = rng(90 + seed)
+        n = int(r.integers(6, 16))
+        clean, ids = r.normal(size=(n, 2, 64)), r.integers(0, 2**62, n)
+        spec = NoiseSpec(float(r.uniform(-3.0, 3.0)), seed=int(r.integers(0, 2**62)))
+        monkeypatch.setattr(noise, "CHUNK_BYTES", 5 * 16 * 2 * 64)
+        got, achieved = inject_noise(clean, spec, ids)
+        # every segment drawing from a fresh segment_stream(spec.seed, id)
+        monkeypatch.setattr(noise, "_rekey", lambda gen, key, i: segment_stream(key, i))
+        want, want_achieved = inject_noise(clean, spec, ids)
+        assert got.tobytes() == want.tobytes()
+        assert achieved.tobytes() == want_achieved.tobytes()
+
     def test_reversed_order_gives_reversed_bytes(self):
         clean, ids = self._block()
         spec = NoiseSpec(0.5, seed=78)

@@ -58,11 +58,6 @@ class TestTable:
         with pytest.raises(DimensionError):
             pe.forward(17)
 
-    def test_envelope_bound_method_matches_oracle(self):
-        pe = BandLimitedPE(d_model=8)
-        pe.alpha_logits.data[:] = rng(2).normal(size=42)
-        assert abs(pe.envelope_bound() - envelope_oracle(pe.alpha_logits.numpy())) < 1e-12
-
 
 class TestSinusoidTable:
     def test_even_odd_pairing(self):

@@ -1,5 +1,6 @@
 """Autodiff core: tape semantics, broadcasting, and gradient oracles."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from fdcnet.tensor import (
     GradTape,
     Tensor,
     active_tape,
+    add,
     backward,
     clamp,
     concat,
@@ -203,25 +205,25 @@ class TestReductions:
 
 
 def keep_everything_backward(loss):
-    """The replay before nodes were released: every tape node, and so every
-    activation its closure saved, stays alive until the whole pass ends."""
+    """A replay that pops nothing: every tape node, and so every array its
+    closure saved, stays alive until the whole pass ends."""
     tape = active_tape()
-    pending = {id(loss): np.ones_like(loss.data)}
-    for out, fn in reversed(tape.nodes):
-        g = pending.pop(id(out), None)
+    pending = {loss._node: np.ones_like(loss.data)}
+    for index in reversed(range(len(tape.nodes))):
+        handles, fn = tape.nodes[index]
+        g = pending.pop(tape.first + index, None)
         if g is None:
             continue
-        for parent, pg in fn(g):
-            if pg is None:
+        for handle, pg in zip(handles, fn(g)):
+            if pg is None or handle is None:
                 continue
-            if parent._leaf:
-                if parent.requires_grad:
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
-                    parent.grad += pg
+            if isinstance(handle, int):
+                acc = pending.get(handle)
+                pending[handle] = pg if acc is None else acc + pg
             else:
-                acc = pending.get(id(parent))
-                pending[id(parent)] = pg if acc is None else acc + pg
+                if handle.grad is None:
+                    handle.grad = np.zeros_like(handle.data)
+                handle.grad += pg
     tape.nodes.clear()
 
 
@@ -254,7 +256,7 @@ class TestTapeRelease:
         def probe(g):
             # replayed last, after every later node has been popped
             seen.append(ref() is None)
-            return [(x, g)]
+            return [g]
 
         with GradTape() as tape:
             early = make_op(x.data * 2.0, (x,), probe, "probe") * 3.0
@@ -266,6 +268,62 @@ class TestTapeRelease:
         assert seen == [True]
         # the probe passes its gradient through unchanged: d(sum((3p)^2))/dp = 18p = 36x
         np.testing.assert_allclose(x.grad, 36.0 * x.data, rtol=1e-15)
+
+    def test_output_no_closure_reads_is_freed_before_backward(self):
+        x = Tensor(rng(25).normal(size=(4, 5)), requires_grad=True)
+        with GradTape() as tape:
+            h = add(x, 1.0)
+            h2 = add(h, 2.0)
+            refs = [weakref.ref(h.data), weakref.ref(h2.data)]
+            loss = tsum(h2)  # each closure keeps shapes, not its inputs
+            del h, h2
+            assert [ref() for ref in refs] == [None, None]
+            assert len(tape.nodes) == 3
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, np.ones((4, 5)))
+
+    def test_no_closure_on_a_desk_step_tape_holds_a_tensor(self):
+        r = rng(26)
+        model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+        yb = np.tile([[0.0, 1.0], [1.0, 0.0]], (2, 1))
+        with GradTape() as tape:
+            out = model.forward(r.normal(size=(4, 8, 128)), mode="train", rng=rng(27))
+            joint_loss(r.normal(size=(4, 8, 128)), out.x_hat, out.p, yb, class_weights(yb), 0.6)
+            held = []
+            for _, fn in tape.nodes:
+                for cell in fn.__closure__ or ():
+                    v = cell.cell_contents
+                    if any(isinstance(e, Tensor) for e in (v if isinstance(v, (list, tuple)) else [v])):
+                        held.append(fn.__qualname__)
+            assert len(tape.nodes) > 100
+            assert held == []
+
+    def test_desk_step_peak_memory_below_40_mb(self):
+        # the peak of forward, loss and backward together, about 36 MB; a
+        # tape that keeps every op's output and inputs peaks near 53 MB
+        tracemalloc.start()
+        try:
+            desk_step_grads(backward)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"{peak / 1e6:.1f} MB"
+
+    def test_output_of_an_earlier_pass_is_rejected(self):
+        # its node index must not name a node of the new pass
+        x = Tensor(np.ones(3), requires_grad=True)
+        tape = GradTape()
+        with tape:
+            y = x * 2.0
+            backward(tsum(y))
+        with tape:
+            z = x * 5.0
+            with pytest.raises(ContractError, match="earlier pass"):
+                z + y
+            with no_grad():
+                np.testing.assert_array_equal((y + 1.0).numpy(), [3.0, 3.0, 3.0])
+            backward(tsum(z))
+        np.testing.assert_array_equal(x.grad, [7.0, 7.0, 7.0])
 
     def test_raising_closure_empties_tape_and_next_step_matches(self):
         data = rng(24).normal(size=(3, 4))
