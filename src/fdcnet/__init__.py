@@ -1,42 +1,5 @@
 """Feedback-coupled EEG denoising and emotion classification on synthetic data.
 
-Heavy submodules are imported lazily so the CLI can apply FDCNET_THREADS to
-the BLAS thread environment before numpy loads.
+Importing the package imports no submodule, so the CLI can apply
+FDCNET_THREADS to the BLAS thread environment before numpy loads.
 """
-
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateDataError,
-    DimensionError,
-    FdcnetError,
-    FileFormatError,
-    NonFiniteError,
-)
-
-__version__ = "0.1.0"
-
-_TENSOR_EXPORTS = {"Tensor", "GradTape", "no_grad", "backward"}
-
-__all__ = [
-    "ConfigError",
-    "ContractError",
-    "DegenerateDataError",
-    "DimensionError",
-    "FdcnetError",
-    "FileFormatError",
-    "NonFiniteError",
-    "GradTape",
-    "Tensor",
-    "backward",
-    "no_grad",
-    "__version__",
-]
-
-
-def __getattr__(name):
-    if name in _TENSOR_EXPORTS:
-        from . import tensor
-
-        return getattr(tensor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -362,6 +362,8 @@ def _build_denoise(sub):
 
 def _run_denoise(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
+    if args.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     from .tensor import no_grad
 
     model, _ = _load_model(args.model, args.model_config)

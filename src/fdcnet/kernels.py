@@ -198,6 +198,10 @@ def conv1d_transposed(x, w, padding: int = 0) -> Tensor:
 
 # -- normalization -----------------------------------------------------------
 
+NORM_EPS = 1e-5  # added to the variance of both norms
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running buffers
+
+
 def batch_norm(
     x,
     gamma,
@@ -205,16 +209,13 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     *,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
     training: bool,
-    update_running: bool = True,
 ) -> Tensor:
     """Per-channel batch norm over (B, T) of a (B, C, T) input.
 
-    Training mode standardizes with biased batch statistics and (unless
-    suppressed) folds them into the running buffers with the given momentum;
-    eval mode uses the running buffers.
+    Training mode standardizes with biased batch statistics and folds them
+    into the running buffers with momentum BN_MOMENTUM; eval mode uses the
+    running buffers.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 3:
@@ -230,10 +231,9 @@ def batch_norm(
             raise DegenerateDataError(f"batch_norm needs B*T >= 2 in train mode, got {n}")
         mu = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
-        if update_running:
-            running_mean += momentum * (mu - running_mean)
-            running_var += momentum * (var - running_var)
-        ivar = 1.0 / np.sqrt(var + eps)
+        running_mean += BN_MOMENTUM * (mu - running_mean)
+        running_var += BN_MOMENTUM * (var - running_var)
+        ivar = 1.0 / np.sqrt(var + NORM_EPS)
         xhat = (x.data - mu.reshape(1, c, 1)) * ivar.reshape(1, c, 1)
 
         def bw(g):
@@ -243,7 +243,7 @@ def batch_norm(
             return [gx, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))]
 
     else:
-        ivar = 1.0 / np.sqrt(running_var + eps)
+        ivar = 1.0 / np.sqrt(running_var + NORM_EPS)
         xhat = (x.data - running_mean.reshape(1, c, 1)) * ivar.reshape(1, c, 1)
 
         def bw(g):
@@ -252,13 +252,13 @@ def batch_norm(
     return make_op(xhat * gm + bt, (x, gamma, beta), bw, "batch_norm")
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Layer norm over the last dimension."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * ivar
     gd = gamma.data
 

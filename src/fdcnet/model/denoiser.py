@@ -15,7 +15,6 @@ class ConvStem:
     """Channel lift C -> d_model, kernel 7, stride 1, same-length padding."""
 
     def __init__(self, n_channels: int, d_model: int, kernel_size: int, rng: np.random.Generator):
-        self.kernel_size = kernel_size
         self.padding = kernel_size // 2
         scale = 1.0 / math.sqrt(n_channels * kernel_size)
         self.w = Tensor(rng.normal(0.0, scale, (d_model, n_channels, kernel_size)), requires_grad=True)
@@ -35,7 +34,6 @@ class Decoder:
     network start at the identity mapping through the residual connection."""
 
     def __init__(self, d_model: int, n_channels: int, kernel_size: int, rng: np.random.Generator):
-        self.kernel_size = kernel_size
         self.padding = kernel_size // 2
         scale = 1.0 / math.sqrt(d_model * kernel_size)
         self.w1 = Tensor(rng.normal(0.0, scale, (d_model, d_model, kernel_size)), requires_grad=True)
@@ -47,18 +45,10 @@ class Decoder:
         self.w2 = Tensor(np.zeros((d_model, n_channels, kernel_size)), requires_grad=True)
         self.b2 = Tensor(np.zeros(n_channels), requires_grad=True)
 
-    def forward(self, h, training: bool = False, update_running: bool = True) -> Tensor:
+    def forward(self, h, training: bool = False) -> Tensor:
         y = conv1d_transposed(h, self.w1, padding=self.padding)
         y = add(y, reshape(self.b1, (1, self.b1.shape[0], 1)))
-        y = batch_norm(
-            y,
-            self.bn_gamma,
-            self.bn_beta,
-            self.running_mean,
-            self.running_var,
-            training=training,
-            update_running=update_running,
-        )
+        y = batch_norm(y, self.bn_gamma, self.bn_beta, self.running_mean, self.running_var, training=training)
         y = gelu(y)
         y = conv1d_transposed(y, self.w2, padding=self.padding)
         return add(y, reshape(self.b2, (1, self.b2.shape[0], 1)))
@@ -77,10 +67,10 @@ class Decoder:
         return {"bn.running_mean": self.running_mean, "bn.running_var": self.running_var}
 
 
-def denoise_forward(x_noisy, h_denoise, decoder: Decoder, training: bool = False, update_running: bool = True) -> Tensor:
+def denoise_forward(x_noisy, h_denoise, decoder: Decoder, training: bool = False) -> Tensor:
     """x_hat = decoder(h_denoise) + x_noisy; h_denoise is (B, T, d_model)."""
     x_noisy = as_tensor(x_noisy)
-    dec = decoder.forward(swapaxes(h_denoise, 1, 2), training, update_running)
+    dec = decoder.forward(swapaxes(h_denoise, 1, 2), training)
     if dec.shape != x_noisy.shape:
         raise DimensionError(f"decoder output {dec.shape} does not match input {x_noisy.shape}")
     return add(dec, x_noisy)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DimensionError
 from ..kernels import dropout, gelu, layer_norm, linear
 from ..tensor import Tensor, add, concat, reshape, transpose
 from .attention import attention_head_freq, attention_head_time
@@ -31,7 +31,6 @@ class EncoderLayer:
             raise ConfigError(f"n_heads {n_heads} must divide d_model {d_model}")
         if freq_heads and n_heads % 2 != 0:
             raise ConfigError(f"n_heads must be even for the time/freq split, got {n_heads}")
-        self.d_model = d_model
         self.n_heads = n_heads
         self.head_dim = d_model // n_heads
         self.n_time = n_heads if not freq_heads else n_heads // 2
@@ -99,7 +98,12 @@ class EncoderLayer:
 
 
 class EegspEncoder:
-    """Positional encoding plus a stack of encoder layers over (B, T, d)."""
+    """Positional encoding plus a stack of encoder layers over (B, T, d).
+
+    With ``eegsp`` the encoding is the learnable band-limited one and half
+    of each layer's heads attend in the DCT domain; without it the encoding
+    is the fixed sinusoid table and every head attends in time.
+    """
 
     def __init__(
         self,
@@ -110,25 +114,24 @@ class EegspEncoder:
         dropout_rate: float,
         rng: np.random.Generator,
         t_max: int = 512,
-        learnable_pe: bool = True,
-        freq_heads: bool = True,
+        eegsp: bool = True,
     ):
-        self.d_model = d_model
-        self.learnable_pe = learnable_pe
-        self.pe = BandLimitedPE(d_model, t_max) if learnable_pe else None
-        self._fixed_table = None if learnable_pe else sinusoid_table(t_max, d_model)
-        self.t_max = t_max
+        self.pe = BandLimitedPE(d_model, t_max) if eegsp else None
+        self._fixed_table = None if eegsp else sinusoid_table(t_max, d_model)
         self.layers = [
-            EncoderLayer(d_model, n_heads, ff_dim, dropout_rate, rng, freq_heads=freq_heads)
+            EncoderLayer(d_model, n_heads, ff_dim, dropout_rate, rng, freq_heads=eegsp)
             for _ in range(n_layers)
         ]
 
     def forward(self, x_emb, training: bool = False, rng=None) -> Tensor:
         t = x_emb.shape[1]
         if self.pe is not None:
-            h = add(x_emb, self.pe.forward(t))
+            table = self.pe.forward(t)
+        elif t <= len(self._fixed_table):
+            table = self._fixed_table[:t]
         else:
-            h = add(x_emb, self._fixed_table[:t])
+            raise DimensionError(f"pos_count {t} exceeds table size {len(self._fixed_table)}")
+        h = add(x_emb, table)
         for layer in self.layers:
             h = layer.forward(h, training, rng)
         return h

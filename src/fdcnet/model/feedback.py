@@ -27,9 +27,6 @@ class FeedbackModule:
         if d_model % 4 != 0:
             raise ConfigError(f"d_model must be divisible by 4, got {d_model}")
         d = d_model // 4
-        if d_model < 2 * d:
-            raise ConfigError(f"embedding dim {d} too wide for feature dim {d_model}")
-        self.d_model = d_model
         self.d = d
         s_embed = 1.0 / math.sqrt(d_model)
         self.embed_w = Tensor(rng.normal(0.0, s_embed, (d, d_model)), requires_grad=True)

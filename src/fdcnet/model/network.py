@@ -52,8 +52,13 @@ class ModelConfig:
     t_max: int = 512
 
     def validate(self) -> None:
-        if self.n_channels < 1:
-            raise ConfigError(f"n_channels must be >= 1, got {self.n_channels}")
+        for name in ("n_channels", "d_model", "n_layers", "n_heads", "ff_dim", "head_hidden",
+                     "gate_reduction", "kernel_size", "t_max", "t_fb"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the stem and decoder keep the length T only with an odd kernel
+        if self.kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.d_model % 4 != 0:
             raise ConfigError(f"d_model must be divisible by 4, got {self.d_model}")
         if self.d_model % self.n_heads != 0:
@@ -64,8 +69,6 @@ class ModelConfig:
             raise ConfigError(
                 f"gate_reduction {self.gate_reduction} must divide n_channels {self.n_channels}"
             )
-        if self.t_fb < 1:
-            raise ConfigError(f"t_fb must be >= 1, got {self.t_fb}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -144,15 +147,7 @@ class FdcNet:
             self.stem_den if cfg.cross else ConvStem(cfg.n_channels, cfg.d_model, cfg.kernel_size, rngs[2])
         )
         self.encoder = EegspEncoder(
-            cfg.d_model,
-            cfg.n_layers,
-            cfg.n_heads,
-            cfg.ff_dim,
-            cfg.dropout,
-            rngs[3],
-            t_max=cfg.t_max,
-            learnable_pe=cfg.eegsp,
-            freq_heads=cfg.eegsp,
+            cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.ff_dim, cfg.dropout, rngs[3], cfg.t_max, cfg.eegsp
         )
         self.decoder = Decoder(cfg.d_model, cfg.n_channels, cfg.kernel_size, rngs[4])
         self.head = ClassifierHead(cfg.d_model, cfg.head_hidden, rngs[5])
@@ -160,7 +155,7 @@ class FdcNet:
 
     # -- forward --------------------------------------------------------------
 
-    def forward(self, x_noisy, mode: str = "eval", rng=None, update_running: bool = True) -> ForwardResult:
+    def forward(self, x_noisy, mode: str = "eval", rng=None) -> ForwardResult:
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         training = mode == "train"
@@ -190,7 +185,7 @@ class FdcNet:
         else:
             logits, p = classify_forward(h_cls, self.head)
 
-        x_hat = denoise_forward(x, h_den, self.decoder, training, update_running)
+        x_hat = denoise_forward(x, h_den, self.decoder, training)
         return ForwardResult(x_hat=x_hat, logits=logits, p=p, h_denoise=h_den, h_classify=h_cls)
 
     # -- parameter registry ----------------------------------------------------
@@ -217,16 +212,10 @@ class FdcNet:
         absorb("denoiser.decoder", self.decoder)
         absorb("classifier", self.head)
         if cfg.feedback:
-            fb = self.fb.named_parameters()
-            out["feedback.embed.w"] = fb["embed.w"]
-            out["feedback.embed.b"] = fb["embed.b"]
-            out["feedback.inj_cls.w"] = fb["inj_cls.w"]
-            if cfg.t_fb >= 2:
-                out["feedback.enhance.w"] = fb["enhance.w"]
-                out["feedback.enhance.b"] = fb["enhance.b"]
-                out["feedback.project.w"] = fb["project.w"]
-                out["feedback.project.b"] = fb["project.b"]
-                out["feedback.inj_den.w"] = fb["inj_den.w"]
+            # with one iteration no classifier message reaches the denoiser
+            for name, p in self.fb.named_parameters().items():
+                if cfg.t_fb >= 2 or name in ("embed.w", "embed.b", "inj_cls.w"):
+                    out[f"feedback.{name}"] = p
         return out
 
     def named_buffers(self) -> dict[str, np.ndarray]:
@@ -238,30 +227,22 @@ class FdcNet:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {path: p.data for path, p in self.named_parameters().items()}
-        out.update({path: buf for path, buf in self.named_buffers().items()})
+        out.update(self.named_buffers())
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        buffers = self.named_buffers()
-        expected = set(params) | set(buffers)
-        got = set(arrays)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        state = self.state_arrays()
+        if set(state) != set(arrays):
+            missing = sorted(set(state) - set(arrays))
+            extra = sorted(set(arrays) - set(state))
             raise ContractError(
                 f"checkpoint does not match model: missing {missing or 'none'}, unexpected {extra or 'none'}"
             )
-        for path, p in params.items():
+        for path, dst in state.items():
             arr = np.asarray(arrays[path], dtype=np.float64)
-            if arr.shape != p.shape:
-                raise ContractError(f"shape mismatch for {path}: {arr.shape} vs {p.shape}")
-            p.data[...] = arr
-        for path, buf in buffers.items():
-            arr = np.asarray(arrays[path], dtype=np.float64)
-            if arr.shape != buf.shape:
-                raise ContractError(f"shape mismatch for {path}: {arr.shape} vs {buf.shape}")
-            buf[...] = arr
+            if arr.shape != dst.shape:
+                raise ContractError(f"shape mismatch for {path}: {arr.shape} vs {dst.shape}")
+            dst[...] = arr
 
     def save(self, path) -> None:
         save_checkpoint(path, self.state_arrays())

@@ -30,7 +30,6 @@ def sinusoid_table(t_max: int, d_model: int) -> np.ndarray:
 
 class BandLimitedPE:
     def __init__(self, d_model: int, t_max: int = 512):
-        self.d_model = d_model
         self.t_max = t_max
         self.alpha_logits = Tensor(np.zeros(K_HI - K_LO + 1), requires_grad=True)
         self._inv_sqrt_k = 1.0 / np.sqrt(np.arange(K_LO, K_HI + 1, dtype=np.float64))

@@ -7,6 +7,9 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
+BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moments
+EPS = 1e-8  # added to the second moment's root
+
 
 class AdamW:
     """Standard AdamW: bias-corrected Adam moments, weight decay applied
@@ -16,18 +19,9 @@ class AdamW:
     and state inspection unambiguous.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 0.001,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.001, weight_decay: float = 0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -35,19 +29,19 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for path, p in self.params.items():
             g = p.grad
             if g is None:
                 raise ContractError(f"no gradient for parameter {path!r}; run backward first")
             m = self.m[path]
             v = self.v[path]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -24,9 +24,6 @@ def escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
-        lo, hi = lo - pad, hi + pad
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -103,16 +100,12 @@ def summary_table(named_reports: list[tuple[str, EvalReport]]) -> str:
         lines.append(name)
         lines.append(header)
         lines.append("-" * len(header))
-        for snr, r in zip(report.grid, report.rows):
+        labels = [f"{snr:.2f}" for snr in report.grid] + ["average"]
+        for label, r in zip(labels, report.rows + [report.average]):
             lines.append(
-                f"{snr:>10.2f} {r.input_snr_db:>10.3f} {r.output_snr_db:>10.3f} "
+                f"{label:>10s} {r.input_snr_db:>10.3f} {r.output_snr_db:>10.3f} "
                 f"{r.cc_percent:>10.3f} {r.mse:>12.5g} {r.acc_4class:>8.4f}"
             )
-        a = report.average
-        lines.append(
-            f"{'average':>10s} {a.input_snr_db:>10.3f} {a.output_snr_db:>10.3f} "
-            f"{a.cc_percent:>10.3f} {a.mse:>12.5g} {a.acc_4class:>8.4f}"
-        )
         lines.append("")
     return "\n".join(lines)
 

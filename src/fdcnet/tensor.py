@@ -124,9 +124,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __rsub__(self, other):
         return sub(other, self)
 
@@ -135,48 +132,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            if other.size != 1:
-                raise ContractError("tensor division only supported by scalars")
-            if other.requires_grad:
-                # item() below would silently drop the divisor's gradient
-                raise ContractError("division by a tensor that requires grad is not supported")
-            other = other.item()
-        return mul(self, 1.0 / float(other))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    # -- conveniences --------------------------------------------------------
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def square(self):
-        return mul(self, self)
 
 
 def as_tensor(x) -> Tensor:

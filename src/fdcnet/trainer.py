@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -66,8 +66,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         for name in ("snr_start", "snr_end"):
             if not abs(getattr(self, name)) <= MAX_ABS_SNR_DB:
                 raise ConfigError(
@@ -313,13 +315,7 @@ def evaluate(
                 acc_4class=accuracy_4class(np.concatenate(ps), labels),
             )
         )
-    average = EvalRow(
-        input_snr_db=float(np.mean([r.input_snr_db for r in rows])),
-        output_snr_db=float(np.mean([r.output_snr_db for r in rows])),
-        cc_percent=float(np.mean([r.cc_percent for r in rows])),
-        mse=float(np.mean([r.mse for r in rows])),
-        acc_4class=float(np.mean([r.acc_4class for r in rows])),
-    )
+    average = EvalRow(*(float(np.mean(column)) for column in zip(*map(astuple, rows))))
     return EvalReport(grid=list(snr_grid), rows=rows, average=average)
 
 
@@ -330,16 +326,9 @@ def write_eval_csv(path, report: EvalReport) -> None:
     with atomic_writer(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_snr_db"] + EVAL_COLUMNS)
-        for snr, r in zip(report.grid, report.rows):
-            writer.writerow(
-                [f"{snr:.6g}", f"{r.input_snr_db:.10g}", f"{r.output_snr_db:.10g}",
-                 f"{r.cc_percent:.10g}", f"{r.mse:.10g}", f"{r.acc_4class:.10g}"]
-            )
-        a = report.average
-        writer.writerow(
-            ["average", f"{a.input_snr_db:.10g}", f"{a.output_snr_db:.10g}",
-             f"{a.cc_percent:.10g}", f"{a.mse:.10g}", f"{a.acc_4class:.10g}"]
-        )
+        labels = [f"{snr:.6g}" for snr in report.grid] + ["average"]
+        for label, r in zip(labels, report.rows + [report.average]):
+            writer.writerow([label] + [f"{v:.10g}" for v in astuple(r)])
 
 
 def read_eval_csv(path) -> EvalReport:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fdcnet
-from fdcnet.tensor import GradTape, Tensor, backward
+from fdcnet.tensor import GradTape, Tensor, backward, mul, tsum
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -57,6 +57,11 @@ def check_grad(f, x: np.ndarray, tol: float = 1e-5, h: float = 1e-5) -> float:
     err = rel_err(ga, gn)
     assert err < tol, f"gradient mismatch: rel err {err:.3g} >= {tol:g}"
     return err
+
+
+def sq_sum(t) -> Tensor:
+    """Sum of squares on the tape: a scalar loss that depends on every element."""
+    return tsum(mul(t, t))
 
 
 def rng(seed: int = 0) -> np.random.Generator:

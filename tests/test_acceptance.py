@@ -38,7 +38,7 @@ from fdcnet.model.pe import BandLimitedPE
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.optim import AdamW
 from fdcnet.synth import SynthSpec
-from fdcnet.tensor import GradTape, Tensor, backward, mul, no_grad, swapaxes, tsum
+from fdcnet.tensor import GradTape, Tensor, backward, mul, no_grad, sub, swapaxes, tsum
 from fdcnet.trainer import TrainConfig, curriculum_snr, evaluate, read_eval_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -88,7 +88,7 @@ def test_gradient_suite():
     w = ClassWeights(w=np.array([1.0, 1.0]), f=np.array([0.5, 0.5]))
 
     def loss_tensor():
-        out = model.forward(x, mode="train", update_running=False)
+        out = model.forward(x, mode="train")
         return joint_loss(clean, out.x_hat, out.p, y, w, alpha=0.6)
 
     params = model.named_parameters()
@@ -148,7 +148,7 @@ def test_gradient_suite():
     check_grad(
         lambda t: tsum(mul(
             batch_norm(t, Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv,
-                       training=True, update_running=False),
+                       training=True),
             pb,
         )),
         r.normal(size=(4, 3, 6)), tol=1e-5,
@@ -278,7 +278,7 @@ def test_range_properties():
     target = Tensor(rng(62).normal(size=(32, 16)))
     for _ in range(100):
         with GradTape():
-            diff = pe.forward(32) - target
+            diff = sub(pe.forward(32), target)
             backward(tsum(mul(diff, diff)))
         opt.step()
         opt.zero_grad()
@@ -296,7 +296,7 @@ def _independent_paths(model, x):
         xg = modulate(Tensor(x), model.gate.weights(channel_stats(Tensor(x))))
         s = model.stem_den.forward(xg)
         h_den = model.encoder.forward(swapaxes(s, 1, 2), False, None)
-        x_hat = denoise_forward(Tensor(x), h_den, model.decoder, False, False)
+        x_hat = denoise_forward(Tensor(x), h_den, model.decoder, False)
         h_cls = swapaxes(gelu(s), 1, 2)
         logits, p = classify_forward(h_cls, model.head)
     return x_hat.numpy(), logits.numpy(), p.numpy()
@@ -308,7 +308,7 @@ def test_ablation_equivalence():
 
     # fresh model: injections and decoder output layer start at zero
     fresh = _tiny_cfg_model(t_fb=2, randomize=False)
-    out = fresh.forward(x, mode="eval", update_running=False)
+    out = fresh.forward(x, mode="eval")
     xh, lg, p = _independent_paths(fresh, x)
     assert np.array_equal(out.x_hat.numpy(), xh)
     assert np.array_equal(out.logits.numpy(), lg)
@@ -317,7 +317,7 @@ def test_ablation_equivalence():
     # trained-weights case: message weights forced back to zero
     noisy = _tiny_cfg_model(t_fb=1, randomize=True)
     noisy.fb.inj_cls_w.data[:] = 0.0
-    out = noisy.forward(x, mode="eval", update_running=False)
+    out = noisy.forward(x, mode="eval")
     xh, lg, p = _independent_paths(noisy, x)
     assert np.array_equal(out.x_hat.numpy(), xh)
     assert np.array_equal(out.logits.numpy(), lg)
@@ -327,7 +327,7 @@ def test_ablation_equivalence():
     ablated = FdcNet(noisy.cfg.with_ablations(no_feedback=True), seed=1)
     state = noisy.state_arrays()
     ablated.load_state({k: state[k] for k in ablated.state_arrays()})
-    out = ablated.forward(x, mode="eval", update_running=False)
+    out = ablated.forward(x, mode="eval")
     assert np.array_equal(out.x_hat.numpy(), xh)
     assert np.array_equal(out.p.numpy(), p)
 

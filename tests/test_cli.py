@@ -206,6 +206,55 @@ class TestCorruptTextInputs:
         assert list(tmp_path.iterdir()) == [csv_path]
 
 
+class TestSizesRejected:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("sizes") / "d.fdcd"
+        assert main(["synth", "--subjects", "2", "--trials", "2", "--channels", "8",
+                     "--trial-seconds", "2", "--out", str(data)]) == 0
+        return data
+
+    @pytest.mark.parametrize("flag", [
+        "--n-heads=0", "--gate-reduction=0", "--d-model=0", "--kernel-size=0", "--ff-dim=0",
+        "--head-hidden=0", "--n-heads=-4", "--d-model=-4", "--ff-dim=-1", "--head-hidden=-1",
+        "--kernel-size=-1", "--n-layers=-1", "--kernel-size=4", "--lr=inf",
+        "--weight-decay=nan", "--weight-decay=-0.1",
+    ])
+    def test_train_exits_2_and_writes_no_model(self, corpus, tmp_path, capsys, flag):
+        run = tmp_path / "run"
+        code = main(["train", "--desk", "--epochs", "1", "--data", str(corpus),
+                     "--out-dir", str(run), flag])
+        assert code == 2
+        # the message names the field, before any training step runs
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:].split("=")[0].replace("-", "_") in err
+        assert not (run / "model.fdcn").exists()
+
+    def test_eval_of_zero_heads_config_exits_2(self, pipeline, tmp_path, capsys):
+        _, data, run = pipeline
+        cfg = tmp_path / "m.cfg"
+        text = (run / "model.cfg").read_text()
+        assert "n_heads = 2\n" in text
+        cfg.write_text(text.replace("n_heads = 2\n", "n_heads = 0\n"))
+        out = tmp_path / "eval.csv"
+        code = main(["eval", "--model", str(run / "model.fdcn"), "--model-config", str(cfg),
+                     "--data", str(data), "--snr-grid", "0", "--out", str(out)])
+        assert code == 2
+        assert "n_heads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_denoise_batch_size_below_1_exits_2_and_writes_nothing(self, pipeline, tmp_path,
+                                                                    capsys, size):
+        _, data, run = pipeline
+        code = main(["denoise", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     f"--batch-size={size}", "--out", str(tmp_path / "out" / "d.fdcd")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 200 s trials make each channel's sinusoid product (160, 88) @ (88, 160),
     # large enough that OpenBLAS splits it across two threads

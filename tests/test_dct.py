@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_grad, rng
+from conftest import check_grad, rng, sq_sum
 from fdcnet.kernels import dct_forward, dct_inverse, dct_matrix
-from fdcnet.tensor import Tensor, tsum
+from fdcnet.tensor import Tensor
 
 
 def dct2_oracle(x: np.ndarray) -> np.ndarray:
@@ -100,8 +100,8 @@ class TestMatrix:
 
     def test_gradients(self):
         x = rng(57).normal(size=(2, 6))
-        check_grad(lambda t: tsum(dct_forward(t) ** 2.0), x, tol=1e-6)
-        check_grad(lambda t: tsum(dct_inverse(t) ** 2.0), x, tol=1e-6)
+        check_grad(lambda t: sq_sum(dct_forward(t)), x, tol=1e-6)
+        check_grad(lambda t: sq_sum(dct_inverse(t)), x, tol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_grad, rng
+from conftest import check_grad, rng, sq_sum
 from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
 from fdcnet.kernels import (
     batch_norm,
@@ -91,7 +91,7 @@ class TestActivations:
     )
     def test_activation_gradients(self, fn):
         x = rng(1).normal(size=(3, 5))
-        check_grad(lambda t: tsum(fn(t) ** 2.0), x, tol=1e-5)
+        check_grad(lambda t: sq_sum(fn(t)), x, tol=1e-5)
 
 
 class TestConv1d:
@@ -130,8 +130,8 @@ class TestConv1d:
         r = rng(4)
         x = r.normal(size=(2, 2, 9))
         w = r.normal(size=(3, 2, 3))
-        check_grad(lambda t: tsum(conv1d(t, Tensor(w), padding=1) ** 2.0), x, tol=1e-5)
-        check_grad(lambda t: tsum(conv1d(Tensor(x), t, padding=1) ** 2.0), w, tol=1e-5)
+        check_grad(lambda t: sq_sum(conv1d(t, Tensor(w), padding=1)), x, tol=1e-5)
+        check_grad(lambda t: sq_sum(conv1d(Tensor(x), t, padding=1)), w, tol=1e-5)
 
 
 class TestConvTransposed:
@@ -167,11 +167,11 @@ class TestConvTransposed:
         x = r.normal(size=(2, 3, 5))
         w = r.normal(size=(3, 2, 3))
         check_grad(
-            lambda t: tsum(conv1d_transposed(t, Tensor(w), padding=1) ** 2.0),
+            lambda t: sq_sum(conv1d_transposed(t, Tensor(w), padding=1)),
             x, tol=1e-5,
         )
         check_grad(
-            lambda t: tsum(conv1d_transposed(Tensor(x), t, padding=1) ** 2.0),
+            lambda t: sq_sum(conv1d_transposed(Tensor(x), t, padding=1)),
             w, tol=1e-5,
         )
 
@@ -223,9 +223,9 @@ class TestLinear:
         x = rng(13).normal(size=(4, 3))
         w = rng(14).normal(size=(2, 3))
         b = rng(15).normal(size=(2,))
-        check_grad(lambda t: tsum(linear(t, Tensor(w), Tensor(b)) ** 2.0), x, tol=1e-5)
-        check_grad(lambda t: tsum(linear(Tensor(x), t, Tensor(b)) ** 2.0), w, tol=1e-5)
-        check_grad(lambda t: tsum(linear(Tensor(x), Tensor(w), t) ** 2.0), b, tol=1e-5)
+        check_grad(lambda t: sq_sum(linear(t, Tensor(w), Tensor(b))), x, tol=1e-5)
+        check_grad(lambda t: sq_sum(linear(Tensor(x), t, Tensor(b))), w, tol=1e-5)
+        check_grad(lambda t: sq_sum(linear(Tensor(x), Tensor(w), t)), b, tol=1e-5)
 
 
 class TestBatchNorm:
@@ -280,7 +280,7 @@ class TestBatchNorm:
 
         def f(t):
             rm, rv = np.zeros(2), np.ones(2)
-            return tsum(batch_norm(t, gamma, beta, rm, rv, training=True) ** 2.0)
+            return sq_sum(batch_norm(t, gamma, beta, rm, rv, training=True))
 
         check_grad(f, x, tol=1e-5)
 
@@ -289,11 +289,11 @@ class TestBatchNorm:
 
         def fg(t):
             rm, rv = np.zeros(2), np.ones(2)
-            return tsum(batch_norm(x, t, Tensor(np.zeros(2)), rm, rv, training=True) ** 2.0)
+            return sq_sum(batch_norm(x, t, Tensor(np.zeros(2)), rm, rv, training=True))
 
         def fb(t):
             rm, rv = np.zeros(2), np.ones(2)
-            return tsum(batch_norm(x, Tensor(np.ones(2)), t, rm, rv, training=True) ** 2.0)
+            return sq_sum(batch_norm(x, Tensor(np.ones(2)), t, rm, rv, training=True))
 
         check_grad(fg, rng(22).normal(size=(2,)) + 1.0, tol=1e-5)
         check_grad(fb, rng(23).normal(size=(2,)), tol=1e-5)
@@ -310,7 +310,7 @@ class TestLayerNorm:
         x = rng(25).normal(size=(2, 4, 6))
         g = Tensor(rng(26).normal(size=(6,)) + 1.0)
         b = Tensor(rng(27).normal(size=(6,)))
-        check_grad(lambda t: tsum(layer_norm(t, g, b) ** 2.0), x, tol=1e-5)
+        check_grad(lambda t: sq_sum(layer_norm(t, g, b)), x, tol=1e-5)
 
 
 class TestDropout:

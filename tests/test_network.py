@@ -1,10 +1,13 @@
 """Full dual-path model: wiring, registry, persistence, ablations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rng
-from fdcnet.errors import ConfigError, ContractError
+from fdcnet.errors import ConfigError, ContractError, DimensionError
 from fdcnet.model import FdcNet, ModelConfig
 from fdcnet.tensor import GradTape, backward, no_grad
 
@@ -100,7 +103,7 @@ class TestRegistry:
             y = np.array([[1.0, 0.0], [0.0, 1.0]])
             w = ClassWeights(w=np.array([1.0, 1.0]), f=np.array([0.5, 0.5]))
             with GradTape():
-                out = model.forward(x, mode="train", rng=rng(17), update_running=False)
+                out = model.forward(x, mode="train", rng=rng(17))
                 loss = joint_loss(clean, out.x_hat, out.p, y, w, alpha=0.6)
                 backward(loss)
             missing = [k for k, t in model.named_parameters().items() if t.grad is None]
@@ -152,6 +155,8 @@ class TestPersistence:
             _cfg(n_channels=3).validate()  # gate reduction must divide
         with pytest.raises(ConfigError):
             _cfg(t_fb=0).validate()
+        with pytest.raises(ConfigError, match="kernel_size"):
+            _cfg(kernel_size=4).validate()  # an even kernel changes the length
 
     @pytest.mark.parametrize("key, value", [
         ("d_model", 32.0), ("n_layers", True), ("feedback", 1), ("cross", "true"),
@@ -167,6 +172,30 @@ class TestPersistence:
         d = _cfg().to_dict()
         d["dropout"] = 0
         assert ModelConfig.from_dict(d).dropout == 0
+
+
+SIZE_FIELDS = ("n_channels", "d_model", "n_layers", "n_heads", "ff_dim", "head_hidden",
+               "gate_reduction", "kernel_size", "t_max")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SIZE_FIELDS), st.integers(-2, 9), st.booleans())
+def test_size_field_is_rejected_or_model_runs(name, value, eegsp):
+    # a size that passes validation builds a model whose eval forward runs;
+    # only a sequence longer than t_max is refused, and then by its shape
+    cfg = replace(_cfg(gate_reduction=2, eegsp=eegsp, t_max=16), **{name: value})
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    model = FdcNet(cfg, seed=0)
+    x = rng(0).normal(size=(2, cfg.n_channels, 16))
+    if cfg.t_max < 16:
+        with pytest.raises(DimensionError):
+            model.forward(x, mode="eval")
+        return
+    out = model.forward(x, mode="eval")
+    assert out.x_hat.shape == x.shape and out.p.shape == (2, 2)
 
 
 class TestAblationStructure:

@@ -43,7 +43,7 @@ class TestStep:
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.004
         g = np.array([0.7, -1.3])
         p = _param([0.5, 0.25])
-        opt = AdamW({"w": p}, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        opt = AdamW({"w": p}, lr=lr, weight_decay=wd)
 
         ref = np.array([0.5, 0.25])
         m = np.zeros(2)

@@ -7,7 +7,7 @@ from conftest import numeric_grad, rng
 from fdcnet.errors import DimensionError
 from fdcnet.kernels import softmax
 from fdcnet.model.pe import K_HI, K_LO, BandLimitedPE, sinusoid_table
-from fdcnet.tensor import GradTape, Tensor, backward, tmean
+from fdcnet.tensor import GradTape, Tensor, backward, mul, tmean
 
 
 def envelope_oracle(logits: np.ndarray) -> float:
@@ -90,13 +90,17 @@ class TestGradients:
         pe = BandLimitedPE(d_model=8, t_max=32)
         base = rng(4).normal(size=42) * 0.1
 
+        def loss():
+            y = pe.forward(16)
+            return tmean(mul(y, y))
+
         def f(logits):
             pe.alpha_logits.data[:] = logits
-            return float(tmean(pe.forward(16) ** 2.0).numpy())
+            return float(loss().numpy())
 
         pe.alpha_logits.data[:] = base
         with GradTape():
-            backward(tmean(pe.forward(16) ** 2.0))
+            backward(loss())
         analytic = pe.alpha_logits.grad.copy()
         numeric = numeric_grad(f, base.copy(), h=1e-6)
         denom = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)

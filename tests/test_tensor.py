@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_grad, rng
+from conftest import check_grad, rng, sq_sum
 from fdcnet.errors import ContractError, DimensionError, NonFiniteError
 from fdcnet.model import FdcNet
 from fdcnet.model.classifier import class_weights
@@ -22,8 +22,14 @@ from fdcnet.tensor import (
     concat,
     make_op,
     matmul,
+    mul,
     no_grad,
+    power,
+    reshape,
+    sub,
+    swapaxes,
     tmean,
+    transpose,
     tsum,
 )
 from fdcnet.trainer import desk_preset, model_config_from
@@ -107,23 +113,6 @@ class TestBackwardExamples:
             backward(tsum(x * x + x))  # d/dx = 2x + 1 = 5
         assert abs(x.grad[0] - 5.0) < 1e-12
 
-    def test_division_by_tracked_tensor_rejected(self):
-        # item() would turn b into a float and drop d/db = -sum(a) / b**2 = -1.5
-        a = Tensor(np.array([2.0, 4.0]), requires_grad=True)
-        b = Tensor(np.array(2.0), requires_grad=True)
-        with GradTape():
-            with pytest.raises(ContractError):
-                a / b
-        assert b.grad is None
-
-    def test_division_by_untracked_tensor_scales(self):
-        a = Tensor(np.array([2.0, 4.0]), requires_grad=True)
-        with GradTape():
-            y = a / Tensor(np.array(4.0))
-            backward(tsum(y))
-        np.testing.assert_array_equal(y.data, [0.5, 1.0])
-        np.testing.assert_array_equal(a.grad, [0.25, 0.25])
-
 
 class TestTapeSemantics:
     def test_off_tape_subgraph_gets_no_gradient(self):
@@ -175,9 +164,9 @@ class TestShapeOps:
     def test_reshape_transpose_swap_roundtrip(self):
         data = rng(7).normal(size=(2, 3, 4))
         x = Tensor(data)
-        assert np.array_equal(x.reshape((6, 4)).numpy(), data.reshape(6, 4))
-        assert np.array_equal(x.transpose((2, 0, 1)).numpy(), data.transpose(2, 0, 1))
-        assert np.array_equal(x.swapaxes(0, 2).numpy(), data.swapaxes(0, 2))
+        assert np.array_equal(reshape(x, (6, 4)).numpy(), data.reshape(6, 4))
+        assert np.array_equal(transpose(x, (2, 0, 1)).numpy(), data.transpose(2, 0, 1))
+        assert np.array_equal(swapaxes(x, 0, 2).numpy(), data.swapaxes(0, 2))
 
     def test_concat_and_slice_grads(self):
         a = rng(8).normal(size=(2, 3))
@@ -353,13 +342,13 @@ class TestTapeRelease:
 def test_binary_op_gradients_match_fd(seed, op):
     r = np.random.default_rng(seed)
     a = r.normal(size=(3, 4))
-    b = r.normal(size=(3, 4)) + 3.0  # keep pow bases positive
+    b = r.normal(size=(3, 4)) + 3.0  # keeps the pow base away from zero
 
     ops = {
         "add": lambda x, y: x + y,
         "mul": lambda x, y: x * y,
-        "sub": lambda x, y: x - y,
-        "pow": lambda x, y: (y * 1.0) ** 2.0 + x,
+        "sub": sub,
+        "pow": lambda x, y: power(x * x + y * y, 1.5),
     }
     check_grad(lambda t: tsum(ops[op](t, Tensor(b)) * 1.3), a, tol=1e-5)
 
@@ -370,5 +359,5 @@ def test_matmul_gradient_matches_fd(seed):
     r = np.random.default_rng(seed)
     a = r.normal(size=(3, 4))
     b = r.normal(size=(4, 2))
-    check_grad(lambda t: tsum(matmul(t, Tensor(b)) ** 2.0), a, tol=1e-5)
-    check_grad(lambda t: tsum(matmul(Tensor(a), t) ** 2.0), b, tol=1e-5)
+    check_grad(lambda t: sq_sum(matmul(t, Tensor(b))), a, tol=1e-5)
+    check_grad(lambda t: sq_sum(matmul(Tensor(a), t)), b, tol=1e-5)

@@ -98,6 +98,11 @@ class TestTrainConfig:
             dict(snr_start=7000.0),
             dict(snr_end=-7000.0),
             dict(snr_start=float("nan")),
+            dict(lr=float("inf")),
+            dict(lr=float("nan")),
+            dict(weight_decay=float("nan")),
+            dict(weight_decay=float("inf")),
+            dict(weight_decay=-0.01),
         ],
     )
     def test_validate_rejects(self, kw):
