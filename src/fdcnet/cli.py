@@ -227,18 +227,16 @@ def _train_config(args) -> TrainConfig:
 def _run_train(args, parser) -> int:
     _require(args, parser, "data", "out_dir")
     cfg = _train_config(args)
-    dataset = load_dataset(args.data)
+    # nothing is written until training has succeeded
+    model, log = train(load_dataset(args.data), cfg)
+    for f in fields(TrainConfig):
+        setattr(args, f.name, getattr(cfg, f.name))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model, log = train(dataset, cfg, checkpoint_path=out_dir / "model.fdcn")
+    _write_run_config(str(out_dir / "model.fdcn"), "train", _flag_values(args, parser))
+    model.save(out_dir / "model.fdcn")
     write_log_csv(out_dir / "training_log.csv", log)
     split = {"split": cfg.split, "seed": cfg.seed, "split_by_subject": cfg.split_by_subject}
     write_config(out_dir / "model.cfg", {"model": model.cfg.to_dict(), "split": split})
-    run_values = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-    run_values["data"] = args.data
-    run_values["out_dir"] = str(out_dir)
-    run_values["desk"] = args.desk
-    write_config(out_dir / "run_config.txt", {"train": run_values})
     final = log[-1]
     print(
         f"trained {cfg.epochs} epochs; final loss {final.loss_total:.6f}, "
@@ -306,6 +304,15 @@ def _resolve_split(args, recorded: dict | None, parser) -> bool:
     missing = {"split", "seed", "split_by_subject"} - set(recorded)
     if missing:
         raise FileFormatError(f"model config [split] section lacks {sorted(missing)}")
+    split, seed, by_subject = recorded["split"], recorded["seed"], recorded["split_by_subject"]
+    # exact types: a bool is not a number here
+    for key, ok, expected in (
+        ("split", type(split) in (int, float) and 0.0 < split < 1.0, "a number in (0, 1)"),
+        ("seed", type(seed) is int and seed >= 0, "an integer >= 0"),
+        ("split_by_subject", type(by_subject) is bool, "true or false"),
+    ):
+        if not ok:
+            raise FileFormatError(f"model config [split] {key} must be {expected}, got {recorded[key]!r}")
     for flag, key in (("split", "split"), ("split_seed", "seed")):
         given = getattr(args, flag)
         if given is not None and given != recorded[key]:
@@ -315,7 +322,7 @@ def _resolve_split(args, recorded: dict | None, parser) -> bool:
                 parser,
             )
         setattr(args, flag, recorded[key])
-    return bool(recorded["split_by_subject"])
+    return by_subject
 
 
 def _run_eval(args, parser) -> int:
@@ -454,10 +461,7 @@ def main(argv=None) -> int:
             hint_parser = sub_parsers[argv[0]]
         print(f"usage error: {_suggest(str(exc), hint_parser)}", file=sys.stderr)
         return 1
-    except FdcnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FdcnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -153,22 +153,20 @@ def split_indices(
     n: int, split: float, seed: int, *, subjects=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive train/test index split; pure function of
-    (n, split, seed). With `subjects` (one id per segment, a list or an
-    array) given, whole subjects are assigned to one side so no subject
-    identity leaks across the split."""
+    (n, split, seed). Whole groups go to one side: the subjects when
+    `subjects` (one id per segment, a list or an array) is given, so no
+    subject identity leaks across the split, else single segments."""
     if not 0.0 < split < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {split}")
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117)))
-    if subjects is None:
-        perm = rng.permutation(n)
-        k = int(round(n * split))
-        k = min(max(k, 1), n - 1) if n >= 2 else k
-        return np.sort(perm[:k]), np.sort(perm[k:])
-    subjects_arr = np.asarray(subjects)
-    uniq = np.unique(subjects_arr)
+    groups = np.arange(n) if subjects is None else np.asarray(subjects)
+    # NumPy 2.4's np.unique imports numpy.ma (1.4 MB of RSS) unless asked for indices
+    uniq, group_of = np.unique(groups, return_inverse=True)
     perm = rng.permutation(len(uniq))
     k = int(round(len(uniq) * split))
     k = min(max(k, 1), len(uniq) - 1) if len(uniq) >= 2 else k
-    mask = np.isin(subjects_arr, uniq[perm[:k]])
+    mask = np.isin(group_of, perm[:k])
     idx = np.arange(n)
     return idx[mask], idx[~mask]

@@ -112,16 +112,14 @@ def _broadcast_t(vec, b: int, d: int) -> Tensor:
     return reshape(vec, (b, 1, d))
 
 
-def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule, t: int, t_fb: int):
+def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule):
     """One feedback iteration.
 
     prev_feedback is None (no message yet, first iteration) or a tuple
     (p_prev, f_prev) of the previous classification probabilities and the
-    embedded classifier summary. Returns (h_den', h_cls', phi) where phi is
-    the denoiser-to-classifier message.
+    embedded classifier summary. Returns (h_den', h_cls'); the classifier
+    path receives the denoiser-to-classifier message phi.
     """
-    if not 1 <= t <= t_fb:
-        raise ContractError(f"iteration index {t} outside [1, {t_fb}]")
     b, _, d = h_den.shape
     if prev_feedback is not None:
         p_prev, f_prev = prev_feedback
@@ -132,7 +130,7 @@ def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule, t: int, t_fb
         h_den = add(h_den, _broadcast_t(linear(enhanced, fb.inj_den_w), b, d))
     phi = feedback_embed(tmean(h_den, axis=1), fb)
     h_cls = add(h_cls, _broadcast_t(linear(phi, fb.inj_cls_w), b, d))
-    return h_den, h_cls, phi
+    return h_den, h_cls
 
 
 class FdcNet:
@@ -178,7 +176,7 @@ class FdcNet:
         if self.cfg.feedback:
             message = None
             for t in range(1, self.cfg.t_fb + 1):
-                h_den, h_cls, _ = dual_path_step(h_den, h_cls, message, self.fb, t, self.cfg.t_fb)
+                h_den, h_cls = dual_path_step(h_den, h_cls, message, self.fb)
                 logits, p = classify_forward(h_cls, self.head)
                 if t < self.cfg.t_fb:
                     message = (p, feedback_embed(tmean(h_cls, axis=1), self.fb))

@@ -17,7 +17,7 @@ floor is added afterward and is excluded from the achieved-SNR measurement.
 Artifacts are shaped one chunk of segments at a time, about CHUNK_BYTES of
 EMG white noise per chunk. Each call builds one Generator per segment of a
 chunk and re-keys them for every chunk, which draws the same numbers as
-building segment_stream(spec.seed, id) afresh for every segment.
+building a fresh Philox keyed (spec.seed, id) for every segment.
 """
 
 from __future__ import annotations
@@ -65,13 +65,9 @@ class NoiseSpec:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
-def segment_stream(seed: int, segment_id: int) -> np.random.Generator:
-    """The noise stream of one segment: Philox keyed (seed, segment_id)."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, segment_id], np.uint64)))
-
-
 def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Generator:
-    """Put ``gen`` in the state segment_stream(seed, segment_id) starts in."""
+    """Put ``gen`` in the state a fresh Philox keyed (seed, segment_id)
+    starts in: the noise stream of one segment."""
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, segment_id], np.uint64)},
@@ -89,8 +85,8 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
     `clean` is one (C, T) segment, or N segments as an (N, C, T) array or a
     sequence of (C, T) arrays, which is stacked a chunk at a time. `ids` is
     the segment id or the N ids (default 0, or 0..N-1); segment k draws from
-    segment_stream(spec.seed, ids[k]). For N segments noisy is (N, C, T) and
-    achieved_snr_db an (N,) array.
+    the Philox stream keyed (spec.seed, ids[k]). For N segments noisy is
+    (N, C, T) and achieved_snr_db an (N,) array.
 
     noisy = clean + lambda_c * n_c + Gaussian(0, sigma), with
     lambda_c = RMS(clean_c) / (RMS(n_c) * 10^(target/20)) per channel.

@@ -74,6 +74,8 @@ class SynthSpec:
             raise ConfigError("pink_power must be >= 0")
         if not 0.0 <= self.label_effect <= 1.0:
             raise ConfigError(f"label_effect must be in [0, 1], got {self.label_effect}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_samples(self) -> int:

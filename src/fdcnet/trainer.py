@@ -81,6 +81,8 @@ class TrainConfig:
             )
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
 
@@ -176,11 +178,7 @@ def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> 
     return inject_noise(segments.clean[ids], spec, ids)[0]
 
 
-def train(
-    dataset: np.recarray,
-    cfg: TrainConfig,
-    checkpoint_path=None,
-) -> tuple[FdcNet, list[LogRow]]:
+def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]:
     cfg.validate()
     if len(dataset) == 0:
         raise DegenerateDataError("empty dataset")
@@ -239,33 +237,35 @@ def train(
                 val_cc=val_cc,
             )
         )
-    if checkpoint_path is not None:
-        model.save(checkpoint_path)
     return model, log
 
 
-def _noisy_forward(model, segments, indices, snr_db, cfg, batch_size, label, *key):
-    """Eval-mode forward over segments[indices], injecting each batch's noise
-    just before its pass (see _reinject); yields (ids, noisy, x_hat, p)."""
+def _level_metrics(model, segments, indices, labels, snr_db, cfg, label, *key) -> tuple:
+    """Metrics of segments[indices] at one SNR: each batch of cfg.batch_size
+    gets its noise just before its eval-mode pass (see _reinject). Returns
+    the means over segments of input SNR, output SNR, CC (as a fraction) and
+    MSE, then the 4-class accuracy against labels[indices]."""
+    in_snrs, out_snrs, ccs, mses, ps = [], [], [], [], []
     with no_grad():
-        for lo in range(0, len(indices), batch_size):
-            ids = indices[lo : lo + batch_size]
+        for lo in range(0, len(indices), cfg.batch_size):
+            ids = indices[lo : lo + cfg.batch_size]
             noisy = _reinject(segments, ids, snr_db, cfg, label, *key)
             out = model.forward(noisy, mode="eval")
-            yield ids, noisy, out.x_hat.numpy(), out.p.numpy()
+            for clean, xn, xh in zip(segments.clean[ids], noisy, out.x_hat.numpy()):
+                in_snrs.append(metric_snr(clean, xn))
+                out_snrs.append(metric_snr(clean, xh))
+                ccs.append(metric_cc(clean, xh))
+                mses.append(metric_mse(clean, xh))
+            ps.append(out.p.numpy())
+    means = (float(np.mean(v)) for v in (in_snrs, out_snrs, ccs, mses))
+    return (*means, accuracy_4class(np.concatenate(ps), labels[indices]))
 
 
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:
     if len(test_idx) == 0:
         return float("nan"), float("nan")
-    ccs = []
-    ps = []
-    batches = _noisy_forward(model, dataset, test_idx, snr, cfg, cfg.batch_size, "val-noise", epoch)
-    for ids, _, x_hat, p in batches:
-        ccs += [metric_cc(clean, xh) for clean, xh in zip(dataset.clean[ids], x_hat)]
-        ps.append(p)
-    acc = accuracy_4class(np.concatenate(ps), labels[test_idx])
-    return acc, float(np.mean(ccs))
+    _, _, cc, _, acc = _level_metrics(model, dataset, test_idx, labels, snr, cfg, "val-noise", epoch)
+    return acc, cc
 
 
 def evaluate(
@@ -286,35 +286,22 @@ def evaluate(
         raise ConfigError("snr_grid must be nonempty")
     if len(segments) == 0:
         raise DegenerateDataError("empty evaluation set")
-    labels = _labels(segments)
+    if eval_seed < 0:
+        raise ConfigError(f"eval seed must be >= 0, got {eval_seed}")
     noise_cfg = TrainConfig(
+        batch_size=batch_size,
         seed=eval_seed,
         emg_eog_ratio=emg_eog_ratio,
         gaussian_sigma=gaussian_sigma,
         sample_rate_hz=sample_rate_hz,
     )
+    indices, labels = np.arange(len(segments)), _labels(segments)
     rows: list[EvalRow] = []
     for gi, snr in enumerate(snr_grid):
-        in_snrs, out_snrs, ccs, mses, ps = [], [], [], [], []
-        batches = _noisy_forward(
-            model, segments, np.arange(len(segments)), snr, noise_cfg, batch_size, "eval-noise", gi
+        in_snr, out_snr, cc, mse, acc = _level_metrics(
+            model, segments, indices, labels, snr, noise_cfg, "eval-noise", gi
         )
-        for ids, noisy, x_hat, p in batches:
-            for clean, xn, xh in zip(segments.clean[ids], noisy, x_hat):
-                in_snrs.append(metric_snr(clean, xn))
-                out_snrs.append(metric_snr(clean, xh))
-                ccs.append(metric_cc(clean, xh))
-                mses.append(metric_mse(clean, xh))
-            ps.append(p)
-        rows.append(
-            EvalRow(
-                input_snr_db=float(np.mean(in_snrs)),
-                output_snr_db=float(np.mean(out_snrs)),
-                cc_percent=float(np.mean(ccs)) * 100.0,
-                mse=float(np.mean(mses)),
-                acc_4class=accuracy_4class(np.concatenate(ps), labels),
-            )
-        )
+        rows.append(EvalRow(in_snr, out_snr, cc * 100.0, mse, acc))
     average = EvalRow(*(float(np.mean(column)) for column in zip(*map(astuple, rows))))
     return EvalReport(grid=list(snr_grid), rows=rows, average=average)
 

@@ -228,7 +228,7 @@ class TestSizesRejected:
         # the message names the field, before any training step runs
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag[2:].split("=")[0].replace("-", "_") in err
-        assert not (run / "model.fdcn").exists()
+        assert not run.exists()
 
     def test_eval_of_zero_heads_config_exits_2(self, pipeline, tmp_path, capsys):
         _, data, run = pipeline
@@ -373,9 +373,12 @@ class TestPipeline:
         assert den.noisy.tobytes() == orig.noisy.tobytes()
 
     def test_run_config_keys_in_flag_order(self, pipeline):
-        from fdcnet.configfile import read_config
+        from dataclasses import fields
 
-        root, _, _ = pipeline
+        from fdcnet.configfile import read_config
+        from fdcnet.trainer import TrainConfig
+
+        root, _, run = pipeline
         sections = read_config(root / "run_config.txt")
         assert list(sections["synth"]) == [
             "subjects", "trials", "channels", "trial_seconds", "sample_rate", "label_effect",
@@ -384,28 +387,38 @@ class TestPipeline:
             "model", "data", "snr_grid", "seed", "sigma", "ratio", "sample_rate",
             "use", "split", "split_seed", "out"]
         assert list(sections["denoise"]) == ["model", "data", "batch_size", "out"]
+        train_keys = list(read_config(run / "run_config.txt")["train"])
+        assert train_keys == ["data", "out_dir", "desk", *(f.name for f in fields(TrainConfig))]
 
-    @pytest.mark.parametrize("command, flags, out_name", [
-        ("eval", ["--snr-grid", "-1:1:1", "--use", "test"], "eval.csv"),
-        ("denoise", ["--batch-size", "3"], "den.fdcd"),
+    @pytest.mark.parametrize("command, flags, outputs", [
+        ("eval", ["--snr-grid", "-1:1:1", "--use", "test"], ["eval.csv"]),
+        ("denoise", ["--batch-size", "3"], ["den.fdcd"]),
+        ("train", ["--epochs", "1", "--batch-size", "8", "--d-model", "8", "--n-layers", "1",
+                   "--n-heads", "2", "--ff-dim", "16", "--head-hidden", "8",
+                   "--gate-reduction", "2", "--kernel-size", "5", "--seed", "2"],
+         ["model.fdcn", "training_log.csv", "model.cfg"]),
     ])
-    def test_config_replay_keeps_model_config(self, pipeline, tmp_path, command, flags, out_name):
+    def test_config_replay_keeps_model_config(self, pipeline, tmp_path, command, flags, outputs):
         import shutil
 
         root, data, run = pipeline
-        # a checkpoint with no .cfg beside it needs --model-config
-        (tmp_path / "ckpt").mkdir()
-        (tmp_path / "cfgs").mkdir()
-        shutil.copy(run / "model.fdcn", tmp_path / "ckpt" / "model.fdcn")
-        shutil.copy(run / "model.cfg", tmp_path / "cfgs" / "m.cfg")
-        first = tmp_path / "first" / out_name
-        assert main([command, "--model", str(tmp_path / "ckpt" / "model.fdcn"),
-                     "--model-config", str(tmp_path / "cfgs" / "m.cfg"), "--data", str(data),
-                     *flags, "--out", str(first)]) == 0
-        replay = tmp_path / "replay" / out_name
-        assert main([command, "--config", str(first.parent / "run_config.txt"),
-                     "--out", str(replay)]) == 0
-        assert replay.read_bytes() == first.read_bytes()
+        inputs, out_flag, out_name = [], "--out-dir", ""
+        if command != "train":
+            # a checkpoint with no .cfg beside it needs --model-config
+            (tmp_path / "ckpt").mkdir()
+            (tmp_path / "cfgs").mkdir()
+            shutil.copy(run / "model.fdcn", tmp_path / "ckpt" / "model.fdcn")
+            shutil.copy(run / "model.cfg", tmp_path / "cfgs" / "m.cfg")
+            inputs = ["--model", str(tmp_path / "ckpt" / "model.fdcn"),
+                      "--model-config", str(tmp_path / "cfgs" / "m.cfg")]
+            out_flag, out_name = "--out", outputs[0]
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main([command, *inputs, "--data", str(data), *flags,
+                     out_flag, str(first / out_name)]) == 0
+        assert main([command, "--config", str(first / "run_config.txt"),
+                     out_flag, str(replay / out_name)]) == 0
+        for name in outputs:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
 
     def test_config_replay_keeps_hash_in_out_path(self, pipeline, tmp_path):
         root, data, run = pipeline
@@ -569,3 +582,41 @@ class TestEvalSplit:
         sections["split"] = {"split": 0.8, "seed": 3}
         write_config(run / "model.cfg", sections)
         assert self._evaluated(monkeypatch, tmp_path, corpus, run) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("split", "abc"), ("split", True), ("split", 1.0), ("seed", -1), ("seed", True),
+        ("seed", 0.5), ("split_by_subject", "maybe"), ("split_by_subject", 1),
+    ])
+    def test_bad_split_value_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys, key, value):
+        from fdcnet.configfile import read_config, write_config
+
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--out-dir", str(run), *self.TINY]) == 0
+        sections = read_config(run / "model.cfg")
+        sections["split"][key] = value
+        write_config(run / "model.cfg", sections)
+        out = tmp_path / "eval" / "e.csv"
+        code = main(["eval", "--model", str(run / "model.fdcn"), "--data", str(corpus),
+                     "--snr-grid", "0", "--use", "test", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"[split] {key} " in err
+        assert not out.parent.exists()
+
+
+class TestNegativeSeedRejected:
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys, command):
+        _, data, run = pipeline
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--subjects", "1", "--trials", "1", "--channels", "2",
+                      "--trial-seconds", "1", "--out", str(out / "d.fdcd")],
+            "train": ["train", "--data", str(data), "--out-dir", str(out), "--epochs", "1"],
+            "eval": ["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--snr-grid", "0", "--out", str(out / "e.csv")],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert list(tmp_path.iterdir()) == []

@@ -321,3 +321,42 @@ class TestSplit:
             split_indices(10, 0.0, seed=0)
         with pytest.raises(ConfigError):
             split_indices(10, 1.0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            split_indices(10, 0.8, seed=-1)
+
+    @staticmethod
+    def _per_segment_oracle(n, split, seed):
+        """The per-segment split as a separate algorithm: the first k of one
+        permutation of the n segments train."""
+        perm = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117))).permutation(n)
+        k = int(round(n * split))
+        k = min(max(k, 1), n - 1) if n >= 2 else k
+        return np.sort(perm[:k]), np.sort(perm[k:])
+
+    @pytest.mark.parametrize("n", [*range(40), 100, 400, 1999, 2000])
+    def test_without_subjects_each_segment_is_its_own_group(self, n):
+        for split in (0.1, 0.25, 0.5, 0.8, 0.95):
+            for seed in (0, 1, 2, 3, 7, 2**32 + 5):
+                got = split_indices(n, split, seed)
+                want = self._per_segment_oracle(n, split, seed)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subject_split_matches_subject_id_oracle(self, seed):
+        # the split as computed before it worked on group indices: whole
+        # subjects drawn from the sorted unique subject ids
+        r = rng(seed)
+        subjects = r.choice([3, 7, 11, 40, 2**31 + 1], size=int(r.integers(1, 200))).tolist()
+        for split in (0.2, 0.5, 0.8):
+            uniq = np.unique(subjects)
+            perm = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117))).permutation(len(uniq))
+            k = int(round(len(uniq) * split))
+            k = min(max(k, 1), len(uniq) - 1) if len(uniq) >= 2 else k
+            mask = np.isin(subjects, uniq[perm[:k]])
+            got = split_indices(len(subjects), split, seed, subjects=subjects)
+            np.testing.assert_array_equal(got[0], np.flatnonzero(mask))
+            np.testing.assert_array_equal(got[1], np.flatnonzero(~mask))

@@ -30,3 +30,38 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+ROOT = SRC.parents[1]
+PROGRAM_FILES = sorted(p for d in ("src", "perfbench", "scripts") for p in (ROOT / d).rglob("*.py"))
+
+
+def _named(node) -> set[str]:
+    """Every identifier a subtree names: variables, attributes, imported
+    names and identifier-like strings (the tracer looks functions up by
+    name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.asname or sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # one entry per top-level statement of every program file
+    statements = [(path, stmt) for path in PROGRAM_FILES
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    named = [_named(stmt) for _, stmt in statements]
+    unused = []
+    for i, (path, stmt) in enumerate(statements):
+        if path.is_relative_to(SRC) and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not any(stmt.name in names for j, names in enumerate(named) if j != i):
+                unused.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {stmt.name}")
+    assert not unused, f"defined but never named outside their definition: {unused}"

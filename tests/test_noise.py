@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rng
 from fdcnet import noise
 from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
-from fdcnet.noise import NoiseSpec, inject_noise, segment_stream
+from fdcnet.noise import NoiseSpec, inject_noise
 
 
 def _clean(seed=0, c=4, t=256):
@@ -19,6 +19,11 @@ def _clean(seed=0, c=4, t=256):
 def recomputed_snr(clean, noisy):
     resid = noisy - clean
     return 10.0 * np.log10((clean ** 2).sum() / (resid ** 2).sum())
+
+
+def fresh_stream(seed, segment_id):
+    """The noise stream of one segment: a fresh Philox keyed (seed, segment_id)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, segment_id], np.uint64)))
 
 
 def reference_segment(clean, spec, segment_id):
@@ -32,7 +37,7 @@ def reference_segment(clean, spec, segment_id):
     hold = max(1, int(round(0.7 * fs)))
     n_steps = t // hold + 2
     n_blinks = max(1, int(round(t / fs * 0.25)))
-    g = np.random.Generator(np.random.Philox(key=np.array([spec.seed, segment_id], np.uint64)))
+    g = fresh_stream(spec.seed, segment_id)
     white = g.standard_normal((c, 2, t))
     levels = g.standard_normal((c, n_steps))
     u = g.random((c, n_blinks, 3))
@@ -111,7 +116,7 @@ class TestStreamInvariance:
         assert achieved.tobytes() == want_achieved.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_pooled_generators_draw_as_segment_stream(self, monkeypatch, seed):
+    def test_pooled_generators_draw_as_fresh_streams(self, monkeypatch, seed):
         # chunks of 5 segments, so random ids fall on both sides of a chunk
         # boundary and the last chunk re-keys only part of the pool
         r = rng(90 + seed)
@@ -120,8 +125,8 @@ class TestStreamInvariance:
         spec = NoiseSpec(float(r.uniform(-3.0, 3.0)), seed=int(r.integers(0, 2**62)))
         monkeypatch.setattr(noise, "CHUNK_BYTES", 5 * 16 * 2 * 64)
         got, achieved = inject_noise(clean, spec, ids)
-        # every segment drawing from a fresh segment_stream(spec.seed, id)
-        monkeypatch.setattr(noise, "_rekey", lambda gen, key, i: segment_stream(key, i))
+        # every segment drawing from a fresh stream keyed (spec.seed, id)
+        monkeypatch.setattr(noise, "_rekey", lambda gen, key, i: fresh_stream(key, i))
         want, want_achieved = inject_noise(clean, spec, ids)
         assert got.tobytes() == want.tobytes()
         assert achieved.tobytes() == want_achieved.tobytes()
@@ -166,13 +171,6 @@ class TestStreamInvariance:
         a, _ = inject_noise(clean[0], NoiseSpec(0.0, seed=2**63))
         b, _ = inject_noise(clean[0], NoiseSpec(0.0, seed=2**63 + 1))
         assert not np.array_equal(a, b)
-
-    def test_stream_is_philox_keyed_seed_and_id(self):
-        got = segment_stream(2**63 + 5, 2**40).random(4)
-        want = np.random.Generator(
-            np.random.Philox(key=np.array([2**63 + 5, 2**40], np.uint64))
-        ).random(4)
-        assert got.tobytes() == want.tobytes()
 
     def test_empty_block(self):
         noisy, achieved = inject_noise(np.zeros((0, 2, 128)), NoiseSpec(0.0), [])

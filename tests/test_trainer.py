@@ -129,7 +129,8 @@ class TestTrainLoop:
     def test_smoke_run_shapes_and_log(self, tmp_path):
         segs = tiny_segments()
         path = tmp_path / "m.fdcn"
-        model, log = train(segs, tiny_cfg(), checkpoint_path=path)
+        model, log = train(segs, tiny_cfg())
+        model.save(path)
         assert path.exists()
         assert len(log) == 2
         assert [r.epoch for r in log] == [0, 1]
@@ -148,8 +149,10 @@ class TestTrainLoop:
     def test_bit_reproducible(self, tmp_path):
         segs = tiny_segments()
         p1, p2 = tmp_path / "a.fdcn", tmp_path / "b.fdcn"
-        _, log1 = train(segs, tiny_cfg(), checkpoint_path=p1)
-        _, log2 = train(segs, tiny_cfg(), checkpoint_path=p2)
+        m1, log1 = train(segs, tiny_cfg())
+        m2, log2 = train(segs, tiny_cfg())
+        m1.save(p1)
+        m2.save(p2)
         assert log1 == log2
         assert p1.read_bytes() == p2.read_bytes()
 
