@@ -3,14 +3,15 @@
 
 Runs the full pipeline through the CLI with a pinned seed and prints the
 headline numbers (loss trajectory, held-out accuracy at -3 dB and at 0 dB,
-output-SNR gain at 0 dB input). Everything lands under runs/desk-scale/ by
-default.
+output-SNR gain at 0 dB input), with each command's wall time and peak RSS.
+Everything lands under runs/desk-scale/ by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import subprocess
 import sys
 import time
@@ -18,11 +19,17 @@ from pathlib import Path
 
 
 def run(cmd: list[str]) -> float:
+    """Run one command; print its wall time and its peak RSS, which comes
+    from the child's own resource usage (ru_maxrss, in KiB on Linux)."""
     print(f"$ {' '.join(cmd)}", flush=True)
     t0 = time.monotonic()
-    subprocess.run(cmd, check=True)
+    pid = os.posix_spawn(cmd[0], cmd, os.environ)
+    _, status, usage = os.wait4(pid, 0)
     dt = time.monotonic() - t0
-    print(f"  [{dt:.1f}s]", flush=True)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise subprocess.CalledProcessError(code, cmd)
+    print(f"  [{dt:.1f}s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB]", flush=True)
     return dt
 
 

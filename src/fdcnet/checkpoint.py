@@ -5,7 +5,7 @@ Layout (all integers little-endian):
     magic   4 bytes  b"FDCN"
     version u32      currently 1
     count   u32      number of tensors
-    then per tensor, sorted by path:
+    then per tensor, in strictly increasing path order:
         path_len u16, path utf-8 bytes
         ndim     u8,  ndim * u32 dims
         payload  float64 little-endian, C order
@@ -67,7 +67,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             off += 8 * n
         except (struct.error, ValueError) as exc:
             raise FileFormatError(f"{path}: truncated tensor record: {exc}") from None
+        # the writer sorts the paths, so a repeat or a step back is corruption
+        if out and name <= last:
+            raise FileFormatError(f"{path}: tensor path {name!r} does not sort after {last!r}")
         out[name] = arr.astype(np.float64)
+        last = name
     if off != len(raw):
         raise FileFormatError(f"{path}: {len(raw) - off} trailing bytes")
     return out

@@ -23,13 +23,15 @@ from dataclasses import fields
 from pathlib import Path
 
 from .configfile import format_value, read_config, write_config
-from .dataset import build_dataset, load_dataset, save_dataset, split_indices
+from .dataset import DatasetReader, build_dataset, load_dataset, save_dataset, split_indices, write_header
 from .errors import ConfigError, FdcnetError, FileFormatError
+from .fileio import atomic_writer
 from .model import FdcNet, ModelConfig
 from .noise import MAX_ABS_SNR_DB
 from .report import write_report
 from .synth import SynthSpec
 from .trainer import (
+    READ_FIELDS,
     TrainConfig,
     desk_preset,
     evaluate,
@@ -228,7 +230,7 @@ def _run_train(args, parser) -> int:
     _require(args, parser, "data", "out_dir")
     cfg = _train_config(args)
     # nothing is written until training has succeeded
-    model, log = train(load_dataset(args.data), cfg)
+    model, log = train(load_dataset(args.data, READ_FIELDS), cfg)
     for f in fields(TrainConfig):
         setattr(args, f.name, getattr(cfg, f.name))
     out_dir = Path(args.out_dir)
@@ -330,7 +332,7 @@ def _run_eval(args, parser) -> int:
     model, sections = _load_model(args.model, args.model_config)
     by_subject = _resolve_split(args, sections.get("split"), parser)
     segments = _select_segments(
-        load_dataset(args.data), args.use, args.split, args.split_seed, by_subject
+        load_dataset(args.data, READ_FIELDS), args.use, args.split, args.split_seed, by_subject
     )
     grid = parse_snr_grid(args.snr_grid)
     report = evaluate(
@@ -374,16 +376,26 @@ def _run_denoise(args, parser) -> int:
     from .tensor import no_grad
 
     model, _ = _load_model(args.model, args.model_config)
-    segments = load_dataset(args.data)
-    with no_grad():
-        for lo in range(0, len(segments), args.batch_size):
-            rows = slice(lo, lo + args.batch_size)
-            x_hat = model.forward(segments.noisy[rows].copy(), mode="eval").x_hat
-            segments.clean[rows] = x_hat.numpy()
-    Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(args.out, segments)
+    # one --batch-size chunk of packed records at a time: its noisy field is
+    # forwarded, x_hat replaces its clean field, and the chunk is appended
+    with DatasetReader(args.data) as reader:
+        out_dir = Path(args.out).resolve().parent
+        # the directories made here, innermost first: a run that fails part
+        # way (a record the model rejects) removes them with its temporary file
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            with atomic_writer(args.out) as fh, no_grad():
+                write_header(fh, *reader.shape, reader.count)
+                for _, chunk in reader.chunks(args.batch_size):
+                    chunk["clean"] = model.forward(chunk["noisy"].copy(), mode="eval").x_hat.numpy()
+                    fh.write(chunk)
+        except BaseException:
+            for d in made:
+                d.rmdir()
+            raise
     _write_run_config(args.out, "denoise", _flag_values(args, parser))
-    print(f"denoised {len(segments)} segments into {args.out}")
+    print(f"denoised {reader.count} segments into {args.out}")
     return 0
 
 

@@ -8,7 +8,8 @@ segment, with the fields of ``record_dtype(C, T)``:
 
 Loaded and built datasets hold the aligned form, 16 + 16*C*T bytes per
 record with every float field 8-byte aligned; the file holds the packed
-form, 14 + 16*C*T bytes per record.
+form, 14 + 16*C*T bytes per record. A command that reads only some fields
+loads only those (``load_dataset(path, fields)``), aligned the same way.
 
 File layout (little-endian):
 
@@ -34,7 +35,7 @@ from .synth import SynthSpec, segment_windows, synth_clean_eeg
 
 MAGIC = b"FDCD"
 VERSION = 1
-# file bytes per chunk cast and written by save_dataset, read and cast by
+# file bytes per chunk cast and written by save_dataset, read and copied by
 # load_dataset
 CHUNK_BYTES = 1 << 20
 
@@ -60,6 +61,12 @@ def new_dataset(n: int, c: int, t: int) -> np.recarray:
     return np.zeros(n, record_dtype(c, t)).view(np.recarray)
 
 
+def write_header(fh, c: int, t: int, count: int) -> None:
+    """The file header of ``count`` records of (C, T) segments; a file of no
+    records declares C = T = 0."""
+    fh.write(struct.pack("<4sIIIQ", MAGIC, VERSION, c if count else 0, t if count else 0, count))
+
+
 def save_dataset(path, segments: np.recarray) -> None:
     """Write a dataset to ``path`` atomically, a bounded chunk at a time."""
     c, t = segments.dtype["clean"].shape if len(segments) else (0, 0)
@@ -68,46 +75,81 @@ def save_dataset(path, segments: np.recarray) -> None:
     packed = record_dtype(c, t, packed=True)
     step = max(1, CHUNK_BYTES // packed.itemsize)
     with atomic_writer(path) as fh:
-        fh.write(struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, len(segments)))
+        write_header(fh, c, t, len(segments))
         for lo in range(0, len(segments), step):
             fh.write(segments[lo : lo + step].astype(packed))
 
 
-def load_dataset(path) -> np.recarray:
-    """Read a dataset file into one aligned array, a bounded chunk at a time.
+class DatasetReader:
+    """A dataset file open for reading, its header checked against its size.
 
-    The header is checked against the file's size before anything is
-    allocated, so the records need no more memory than the returned array
-    plus one chunk of packed records.
+    ``shape`` is the segment shape (C, T), ``count`` the number of records,
+    and ``packed`` and ``aligned`` their record dtypes in the file and in
+    memory. The checks come before anything is allocated, so no header can
+    make a reader allocate more than its file holds.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(24)
-        if len(head) < 24:
-            raise FileFormatError(f"{path}: truncated header ({len(head)} bytes)")
-        magic, version, c, t, count = struct.unpack("<4sIIIQ", head)
-        if magic != MAGIC:
-            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
-            raise FileFormatError(f"{path}: unsupported version {version}")
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = fh = open(path, "rb")
         try:
-            packed, aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
-        except ValueError:  # a dimension or the record size exceeds a C int
-            raise FileFormatError(f"{path}: segment shape ({c}, {t}) is too large") from None
-        size = os.fstat(fh.fileno()).st_size
-        if size != 24 + count * packed.itemsize:
-            raise FileFormatError(
-                f"{path}: expected {24 + count * packed.itemsize} bytes for {count} segments, got {size}"
-            )
-        segments = np.zeros(count, aligned)
-        step = max(1, CHUNK_BYTES // packed.itemsize)
-        buf = np.empty(min(step, count), packed)
-        for lo in range(0, count, step):
-            chunk = buf[: min(step, count - lo)]
-            got = fh.readinto(chunk)
+            head = fh.read(24)
+            if len(head) < 24:
+                raise FileFormatError(f"{path}: truncated header ({len(head)} bytes)")
+            magic, version, c, t, count = struct.unpack("<4sIIIQ", head)
+            if magic != MAGIC:
+                raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise FileFormatError(f"{path}: unsupported version {version}")
+            try:
+                self.packed, self.aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
+            except ValueError:  # a dimension or the record size exceeds a C int
+                raise FileFormatError(f"{path}: segment shape ({c}, {t}) is too large") from None
+            size = os.fstat(fh.fileno()).st_size
+            if size != 24 + count * self.packed.itemsize:
+                raise FileFormatError(
+                    f"{path}: expected {24 + count * self.packed.itemsize} bytes for {count} segments, got {size}"
+                )
+        except BaseException:
+            fh.close()
+            raise
+        self.shape, self.count = (c, t), count
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def chunks(self, records: int):
+        """(first record index, packed records) of up to ``records`` records
+        at a time, in file order. Every chunk is the same buffer, refilled."""
+        buf = np.empty(min(records, self.count), self.packed)
+        for lo in range(0, self.count, records):
+            chunk = buf[: min(records, self.count - lo)]
+            got = self._fh.readinto(chunk)
             if got != chunk.nbytes:
-                raise FileFormatError(f"{path}: file ends inside segment {lo + got // packed.itemsize} "
-                                      f"of the {count} its header declares")
-            segments[lo : lo + len(chunk)] = chunk
+                raise FileFormatError(f"{self.path}: file ends inside segment {lo + got // self.packed.itemsize} "
+                                      f"of the {self.count} its header declares")
+            yield lo, chunk
+
+
+def load_dataset(path, fields=None) -> np.recarray:
+    """Read a dataset file into one aligned record array, a bounded chunk at
+    a time. With ``fields`` (names of ``record_dtype`` fields) the records
+    hold only those fields.
+
+    The records need no more memory than the returned array plus one chunk
+    of packed records.
+    """
+    with DatasetReader(path) as reader:
+        names = reader.aligned.names if fields is None else fields
+        dtype = np.dtype([(name, reader.aligned.fields[name][0]) for name in names], align=True)
+        segments = np.zeros(reader.count, dtype)
+        for lo, chunk in reader.chunks(max(1, CHUNK_BYTES // reader.packed.itemsize)):
+            rows = segments[lo : lo + len(chunk)]
+            for name in names:
+                rows[name] = chunk[name]
     return segments.view(np.recarray)
 
 

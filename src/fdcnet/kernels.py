@@ -121,16 +121,26 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
 # -- 1-D convolution ---------------------------------------------------------
 # Stride 1. conv1d's forward and conv1d_transposed's input gradient both run
 # _correlate; the other two run _scatter. Both are plain NumPy, so no backward
-# records an op of its own.
+# records an op of its own. Each weight gradient contracts the other operand
+# with a window matrix, as np.tensordot would, to the same bytes.
+
+def _window_matrix(x: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """The (B * T_out, A * K) matrix of the length-K windows of x (B, A, T)
+    padded by p on each side, T_out = T + 2p - K + 1."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
+    win = sliding_window_view(xp, k, axis=2)
+    b, a, t_out, _ = win.shape
+    return win.transpose(0, 2, 1, 3).reshape(b * t_out, a * k)
+
 
 def _correlate(x: np.ndarray, w: np.ndarray, padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """x (B, A, T) cross-correlated with w (D, A, K) -> (B, D, T + 2p - K + 1),
-    and the (B, A, T_out, K) window view of the padded x."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    win = sliding_window_view(xp, w.shape[2], axis=2)
-    # contract (A, K) pairs through BLAS: (B, T_out, D) -> (B, D, T_out)
-    y = np.tensordot(win, w, axes=([1, 3], [1, 2])).transpose(0, 2, 1)
-    return np.ascontiguousarray(y), win
+    """x (B, A, T) cross-correlated with w (D, A, K) -> (B, D, T_out), and
+    the window matrix of x that it multiplied w with."""
+    d, a, k = w.shape
+    m = _window_matrix(x, k, padding)
+    # contract (A, K) pairs through BLAS: (B * T_out, D) -> (B, D, T_out)
+    y = np.dot(m, w.transpose(1, 2, 0).reshape(a * k, d)).reshape(len(x), -1, d).transpose(0, 2, 1)
+    return np.ascontiguousarray(y), m
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
@@ -159,13 +169,14 @@ def conv1d(x, w, padding: int = 0) -> Tensor:
         raise DimensionError(
             f"kernel size {k} exceeds padded length {t_pad} (T={x.shape[2]}, padding={padding})"
         )
-    wd = w.data
-    y, win = _correlate(x.data, wd, padding)
+    xd, wd = x.data, w.data
+    y, _ = _correlate(xd, wd, padding)
 
     def bw(g):
-        gw = np.tensordot(g, win, axes=([0, 2], [0, 2]))
+        # the window matrix is K times the size of x: rebuilt, not kept
+        gw = np.dot(g.transpose(1, 0, 2).reshape(g.shape[1], -1), _window_matrix(xd, k, padding))
         # conv1d weights are (C_out, C_in, K): the scatter's (A, D, K) layout
-        return [_scatter(g, wd, padding), gw]
+        return [_scatter(g, wd, padding), gw.reshape(wd.shape)]
 
     return make_op(y, (x, w), bw, "conv1d")
 
@@ -189,9 +200,9 @@ def conv1d_transposed(x, w, padding: int = 0) -> Tensor:
 
     def bw(g):
         # the weights are (C_in, C_out, K): the correlation's (D, A, K) layout
-        gx, gwin = _correlate(g, wd, padding)
-        gw = np.tensordot(xd, gwin, axes=([0, 2], [0, 2]))
-        return [gx, gw]
+        gx, gm = _correlate(g, wd, padding)
+        gw = np.dot(xd.transpose(1, 0, 2).reshape(xd.shape[1], -1), gm)
+        return [gx, gw.reshape(wd.shape)]
 
     return make_op(_scatter(xd, wd, padding), (x, w), bw, "conv1d_transposed")
 

@@ -1,10 +1,11 @@
 """Curriculum-scheduled joint training and SNR-sweep evaluation.
 
 Each epoch re-injects fresh artifact noise into the clean training segments
-at the scheduled SNR (the stored noisy signals are only used as-is by eval
-tooling working directly on dataset files). Training, validation and the SNR
-sweep inject one batch at a time, so no more than one batch of noisy segments
-is held; a segment's noise depends only on its stream key, not on its batch.
+at the scheduled SNR; only ``fdcnet denoise`` reads the stored noisy
+signals, so train and eval load only the READ_FIELDS of a dataset.
+Training, validation and the SNR sweep inject one batch at a time, so no
+more than one batch of noisy segments is held; a segment's noise depends
+only on its stream key, not on its batch.
 All randomness is derived from the config seed, so training logs and
 checkpoints are bit-reproducible.
 """
@@ -157,6 +158,10 @@ def write_log_csv(path, rows: list[LogRow]) -> None:
                 [r.epoch, f"{r.snr_db:.6g}", f"{r.loss_total:.10g}", f"{r.loss_mse:.10g}",
                  f"{r.loss_cls:.10g}", f"{r.val_acc:.10g}", f"{r.val_cc:.10g}"]
             )
+
+
+# the dataset fields train and evaluate read
+READ_FIELDS = ("subject_id", "valence", "arousal", "clean")
 
 
 def _labels(segments) -> np.ndarray:

@@ -20,11 +20,11 @@ def _sample_state():
     }
 
 
-def joined_save_checkpoint(path, tensors):
-    """The earlier writer, which built the whole file in memory first."""
-    blobs = [struct.pack("<4sII", MAGIC, VERSION, len(tensors))]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+def write_records(path, records):
+    """A checkpoint file holding the (path, array) records in the given order."""
+    blobs = [struct.pack("<4sII", MAGIC, VERSION, len(records))]
+    for name, arr in records:
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         enc = name.encode("utf-8")
         blobs.append(struct.pack("<H", len(enc)))
         blobs.append(enc)
@@ -32,6 +32,11 @@ def joined_save_checkpoint(path, tensors):
         blobs.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         blobs.append(arr.tobytes())
     path.write_bytes(b"".join(blobs))
+
+
+def joined_save_checkpoint(path, tensors):
+    """The earlier writer, which built the whole file in memory first."""
+    write_records(path, [(name, tensors[name]) for name in sorted(tensors)])
 
 
 class TestRoundTrip:
@@ -130,3 +135,22 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"\x00\x01")
         with pytest.raises(FileFormatError):
             load_checkpoint(path)
+
+    def test_repeated_path_rejected(self, tmp_path):
+        # a reader that kept the last record would load {"a": [1, 1, 1]}
+        path = tmp_path / "m.fdcn"
+        write_records(path, [("a", np.zeros(3)), ("a", np.ones(3))])
+        with pytest.raises(FileFormatError, match="'a' does not sort after 'a'"):
+            load_checkpoint(path)
+
+    def test_paths_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "m.fdcn"
+        write_records(path, [("b", np.zeros(2)), ("a", np.ones(2))])
+        with pytest.raises(FileFormatError, match="'a' does not sort after 'b'"):
+            load_checkpoint(path)
+
+    def test_records_in_increasing_order_load(self, tmp_path):
+        path = tmp_path / "m.fdcn"
+        write_records(path, [("", np.zeros(1)), ("a", np.ones(2)), ("a.b", np.full(3, 2.0))])
+        back = load_checkpoint(path)
+        assert list(back) == ["", "a", "a.b"] and back["a.b"].tolist() == [2.0, 2.0, 2.0]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -620,3 +621,132 @@ class TestNegativeSeedRejected:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def desk_corpus(tmp_path_factory):
+    """A dataset of the desk corpus size, 2000 segments of 8 x 128 (32.8 MB
+    as a file), and an untrained desk model for it."""
+    from fdcnet.configfile import write_config
+    from fdcnet.dataset import new_dataset, save_dataset
+    from fdcnet.model import FdcNet
+    from fdcnet.trainer import model_config_from
+
+    root = tmp_path_factory.mktemp("desk")
+    r = np.random.default_rng(5)
+    ds = new_dataset(2000, 8, 128)
+    ds.clean = r.normal(size=ds.clean.shape)
+    ds.noisy = ds.clean + r.normal(size=ds.clean.shape)
+    ds.subject_id = np.arange(2000) // 500
+    ds.valence, ds.arousal = r.integers(0, 2, 2000), r.integers(0, 2, 2000)
+    save_dataset(root / "data.fdcd", ds)
+    model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+    model.save(root / "model.fdcn")
+    split = {"split": 0.8, "seed": 0, "split_by_subject": False}
+    write_config(root / "model.cfg", {"model": model.cfg.to_dict(), "split": split})
+    return root
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordsHeld:
+    """Each command holds only the records and fields it reads."""
+
+    def test_eval_holds_the_read_fields_and_its_split(self, desk_corpus, monkeypatch):
+        from fdcnet import cli
+        from fdcnet.dataset import CHUNK_BYTES
+
+        seen = []
+
+        def capture(model, segments, *args, **kwargs):
+            # the peak so far covers reading the file and taking the split
+            seen.append((segments.dtype.names, len(segments), tracemalloc.get_traced_memory()[1]))
+            return evaluate(model, segments, *args, **kwargs)
+
+        evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", capture)
+        argv = ["eval", "--model", str(desk_corpus / "model.fdcn"), "--data", str(desk_corpus / "data.fdcd"),
+                "--use", "test", "--snr-grid", "0", "--out", str(desk_corpus / "eval" / "e.csv")]
+        _traced_peak(lambda: main(argv))
+        (names, n, peak), = seen
+        # 8200-byte records without noisy: the whole file's, then the split's
+        # copy, while one chunk of packed records is read; 2 MiB for the rest
+        bound = (2000 + 400) * 8200 + CHUNK_BYTES + 2 * 2**20
+        assert peak <= bound, f"{peak} bytes before evaluating, bound {bound}"
+        assert names == ("subject_id", "valence", "arousal", "clean") and n == 400
+
+    def test_denoise_peak_is_well_below_the_file_size(self, desk_corpus, tmp_path):
+        data = desk_corpus / "data.fdcd"
+        out = tmp_path / "den.fdcd"
+        # an eval-mode pass of the desk model takes about 0.6 MiB of arrays a
+        # segment; at 8 segments a batch, a reader of the whole file would show
+        peak = _traced_peak(lambda: main(["denoise", "--model", str(desk_corpus / "model.fdcn"),
+                                          "--data", str(data), "--batch-size", "8", "--out", str(out)]))
+        size = data.stat().st_size
+        assert out.stat().st_size == size
+        assert peak <= size / 4, f"{peak} bytes for a {size}-byte file"
+
+
+class TestStreamingDenoise:
+    def _denoise(self, run, data, out, *flags):
+        return main(["denoise", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--batch-size", "5", "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("when", ["before", "while streaming"])
+    def test_truncated_data_exits_2_and_writes_nothing(self, pipeline, tmp_path, monkeypatch, capsys, when):
+        from fdcnet.model import FdcNet
+
+        _, data, run = pipeline
+        cut = tmp_path / "in" / "data.fdcd"
+        cut.parent.mkdir()
+        cut.write_bytes(data.read_bytes())
+        count = int.from_bytes(cut.read_bytes()[16:24], "little")
+        assert count > 10
+        # keep 7 whole records: the file ends inside the second chunk of 5
+        keep = 24 + 7 * (cut.stat().st_size - 24) // count
+        if when == "before":
+            os.truncate(cut, keep)
+        else:
+            forward = FdcNet.forward
+
+            def cutting(self, x, *args, **kwargs):
+                os.truncate(cut, keep)
+                return forward(self, x, *args, **kwargs)
+
+            monkeypatch.setattr(FdcNet, "forward", cutting)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert self._denoise(run, cut, out_dir / "den.fdcd") == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(out_dir.iterdir()) == []
+
+    def test_rejected_records_leave_no_directory(self, pipeline, desk_corpus, tmp_path, capsys):
+        _, _, run = pipeline
+        # a 2-channel model on 8-channel records fails at the first chunk
+        assert self._denoise(run, desk_corpus / "data.fdcd", tmp_path / "new" / "sub" / "den.fdcd") == 2
+        assert "expected (B, 2, T) input" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_equal_to_data_writes_the_same_bytes(self, pipeline, tmp_path):
+        _, data, run = pipeline
+        same = tmp_path / "same.fdcd"
+        same.write_bytes(data.read_bytes())
+        assert self._denoise(run, data, tmp_path / "fresh.fdcd") == 0
+        assert self._denoise(run, same, same) == 0
+        assert same.read_bytes() == (tmp_path / "fresh.fdcd").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.fdcd", "run_config.txt", "same.fdcd"]
+
+    def test_file_of_no_records(self, pipeline, tmp_path):
+        from fdcnet.dataset import new_dataset, save_dataset
+
+        _, _, run = pipeline
+        save_dataset(tmp_path / "empty.fdcd", new_dataset(0, 2, 256))
+        assert self._denoise(run, tmp_path / "empty.fdcd", tmp_path / "den.fdcd") == 0
+        assert (tmp_path / "den.fdcd").read_bytes() == (tmp_path / "empty.fdcd").read_bytes()

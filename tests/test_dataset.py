@@ -93,6 +93,32 @@ class TestChunkedReader:
         assert peak <= back.nbytes + 2 * 2**20, f"{peak} bytes for a {back.nbytes}-byte array"
 
 
+    @pytest.mark.parametrize("n", [0, 1, STEP - 1, STEP, STEP + 1])
+    @pytest.mark.parametrize("fields", [("subject_id", "valence", "arousal", "clean"), ("noisy", "valence")])
+    def test_field_subset_equals_full_load(self, tmp_path, n, fields):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(n, 2, 4, seed=n))
+        back, full = load_dataset(path, fields), load_dataset(path)
+        assert isinstance(back, np.recarray) and back.dtype.names == fields and back.shape == full.shape
+        assert back.dtype.isalignedstruct
+        # one (2, 4) float field and 8 bytes of labels; a file of no records declares (0, 0)
+        assert back.dtype.itemsize == (8 + 8 * 2 * 4 if n else 8)
+        for name in fields:
+            assert back[name].tobytes() == full[name].tobytes(), name
+
+    def test_field_subset_peak_memory(self, tmp_path):
+        path = tmp_path / "d.fdcd"
+        save_dataset(path, _segments(400, 8, 128))
+        tracemalloc.start()
+        try:
+            back = load_dataset(path, ("valence", "clean"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.nbytes == 400 * (8 + 8 * 8 * 128)
+        assert peak <= back.nbytes + 2 * 2**20, f"{peak} bytes for a {back.nbytes}-byte array"
+
+
 class TestFileFormat:
     def test_round_trip_field_by_field(self, tmp_path):
         path = tmp_path / "d.fdcd"

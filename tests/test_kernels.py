@@ -211,6 +211,44 @@ class TestConvDirectionsWrittenOnce:
         assert np.array_equal(_input_grad(conv1d_transposed, x, w, g, padding), want)
 
 
+def _grads(op, x, w, g, padding):
+    """The input and weight gradients that op's backward returns for upstream g."""
+    with GradTape() as tape:
+        op(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), padding=padding)
+        ((_, bw),) = tape.nodes
+        return bw(g)
+
+
+def _windows(a, k, padding):
+    """(B, A, T_out, K) windows of a (B, A, T) padded by `padding` a side."""
+    return np.lib.stride_tricks.sliding_window_view(np.pad(a, ((0, 0), (0, 0), (padding, padding))), k, axis=2)
+
+
+class TestConvMatchesTensordot:
+    """The forward and the weight gradients contract a window matrix with
+    np.dot as np.tensordot does over the window view, to the byte."""
+
+    SHAPES = [(2, 3, 4, 16, 1, 0), (2, 3, 4, 16, 4, 0), (3, 5, 2, 9, 3, 1), (32, 32, 8, 128, 7, 3)]
+
+    @pytest.mark.parametrize("b, a, d, t, k, padding", SHAPES)
+    def test_conv1d(self, b, a, d, t, k, padding):
+        r = rng(60 + k)
+        x, w = r.normal(size=(b, a, t)), r.normal(size=(d, a, k))
+        y = conv1d(Tensor(x), Tensor(w), padding=padding).numpy()
+        win = _windows(x, k, padding)
+        assert np.array_equal(y, np.tensordot(win, w, axes=([1, 3], [1, 2])).transpose(0, 2, 1))
+        g = r.normal(size=y.shape)
+        assert np.array_equal(_grads(conv1d, x, w, g, padding)[1], np.tensordot(g, win, axes=([0, 2], [0, 2])))
+
+    @pytest.mark.parametrize("b, a, d, t, k, padding", SHAPES)
+    def test_conv1d_transposed(self, b, a, d, t, k, padding):
+        r = rng(70 + k)
+        x, w = r.normal(size=(b, a, t)), r.normal(size=(a, d, k))
+        g = r.normal(size=conv1d_transposed(Tensor(x), Tensor(w), padding=padding).shape)
+        want = np.tensordot(x, _windows(g, k, padding), axes=([0, 2], [0, 2]))
+        assert np.array_equal(_grads(conv1d_transposed, x, w, g, padding)[1], want)
+
+
 class TestLinear:
     def test_values(self):
         x = rng(10).normal(size=(4, 3))
