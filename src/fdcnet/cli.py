@@ -18,6 +18,7 @@ if _threads and _threads.isdigit():
 import argparse
 import difflib
 import math
+import shlex
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -66,6 +67,9 @@ def _suggest(message: str, parser) -> str:
     return message + (" (" + " ".join(hints) + ")" if hints else "")
 
 
+MAX_SNR_LEVELS = 10_001
+
+
 def parse_snr_grid(text: str) -> list[float]:
     """`start:end:step`, inclusive on both ends when step divides the range;
     a single number is a one-point grid."""
@@ -88,7 +92,11 @@ def parse_snr_grid(text: str) -> list[float]:
     start, end, step = values
     if step == 0 or (end - start) * step < 0:
         raise ConfigError(f"inconsistent snr grid {text!r}")
-    n = int(round((end - start) / step))
+    # counted before any list is built; a tiny step overflows to inf
+    steps = (end - start) / step
+    if not steps <= MAX_SNR_LEVELS - 1:
+        raise ConfigError(f"snr grid {text!r} needs more than {MAX_SNR_LEVELS} levels")
+    n = int(round(steps))
     grid = [start + i * step for i in range(n + 1)]
     if abs(grid[-1] - end) > 1e-9:
         grid = [g for g in grid if (g - end) * step <= 1e-9]
@@ -411,12 +419,16 @@ def _build_report(sub):
 
 def _run_report(args, parser) -> int:
     if isinstance(args.csv, str):
-        args.csv = args.csv.split()
+        # run_config.txt holds the list as shell words, so a path may hold spaces
+        try:
+            args.csv = shlex.split(args.csv)
+        except ValueError as exc:
+            raise UsageError(f"config key [report] csv: {exc}", parser) from None
     _require(args, parser, "out_dir", "csv")
     named = [(Path(path).stem, read_eval_csv(path)) for path in args.csv]
     written = write_report(args.out_dir, named)
     _write_run_config(str(Path(args.out_dir) / "summary.txt"), "report",
-                      {"out_dir": args.out_dir, "csv": " ".join(args.csv)})
+                      {"out_dir": args.out_dir, "csv": shlex.join(args.csv)})
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DegenerateDataError, DimensionError
+from .errors import DegenerateDataError, DimensionError
 from .tensor import Tensor, as_tensor, make_op
 
 # -- activations -------------------------------------------------------------
@@ -106,8 +106,6 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     x = as_tensor(x)
     if not training or rate <= 0.0:
         return x
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     # the tape keeps the boolean keep-mask (1 byte an element, not 8); forward
     # and backward rebuild the same float64 scale from it
     keep = rng.random(x.shape) >= rate

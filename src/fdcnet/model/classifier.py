@@ -19,21 +19,13 @@ class ClassifierHead:
     def __init__(self, d_model: int, hidden: int, rng: np.random.Generator):
         s = 1.0 / math.sqrt(d_model)
         self.d_model = d_model
-        self.attn_w = Tensor(rng.normal(0.0, s, (1, d_model)), requires_grad=True)
-        self.attn_b = Tensor(np.zeros(1), requires_grad=True)
-        self.w1 = Tensor(rng.normal(0.0, s, (hidden, d_model)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (2, hidden)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(2), requires_grad=True)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {
-            "attn.w": self.attn_w,
-            "attn.b": self.attn_b,
-            "head.w1": self.w1,
-            "head.b1": self.b1,
-            "head.w2": self.w2,
-            "head.b2": self.b2,
+        self.params = {
+            "attn.w": Tensor(rng.normal(0.0, s, (1, d_model)), requires_grad=True),
+            "attn.b": Tensor(np.zeros(1), requires_grad=True),
+            "head.w1": Tensor(rng.normal(0.0, s, (hidden, d_model)), requires_grad=True),
+            "head.b1": Tensor(np.zeros(hidden), requires_grad=True),
+            "head.w2": Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (2, hidden)), requires_grad=True),
+            "head.b2": Tensor(np.zeros(2), requires_grad=True),
         }
 
 
@@ -48,10 +40,11 @@ def classify_forward(h_classify, params: ClassifierHead) -> tuple[Tensor, Tensor
     if h.ndim != 3 or h.shape[2] != params.d_model:
         raise DimensionError(f"expected (B, T, {params.d_model}), got {h.shape}")
     b, t, d = h.shape
-    scores = reshape(linear(h, params.attn_w, params.attn_b), (b, t))
+    p = params.params
+    scores = reshape(linear(h, p["attn.w"], p["attn.b"]), (b, t))
     weights = softmax(scores)
     pooled = tsum(mul(h, reshape(weights, (b, t, 1))), axis=1)
-    logits = linear(gelu(linear(pooled, params.w1, params.b1)), params.w2, params.b2)
+    logits = linear(gelu(linear(pooled, p["head.w1"], p["head.b1"])), p["head.w2"], p["head.b2"])
     return logits, sigmoid(logits)
 
 

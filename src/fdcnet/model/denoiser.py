@@ -17,15 +17,14 @@ class ConvStem:
     def __init__(self, n_channels: int, d_model: int, kernel_size: int, rng: np.random.Generator):
         self.padding = kernel_size // 2
         scale = 1.0 / math.sqrt(n_channels * kernel_size)
-        self.w = Tensor(rng.normal(0.0, scale, (d_model, n_channels, kernel_size)), requires_grad=True)
-        self.b = Tensor(np.zeros(d_model), requires_grad=True)
+        self.params = {
+            "w": Tensor(rng.normal(0.0, scale, (d_model, n_channels, kernel_size)), requires_grad=True),
+            "b": Tensor(np.zeros(d_model), requires_grad=True),
+        }
 
     def forward(self, x) -> Tensor:
-        y = conv1d(x, self.w, padding=self.padding)
-        return add(y, reshape(self.b, (1, self.b.shape[0], 1)))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
+        w, b = self.params["w"], self.params["b"]
+        return add(conv1d(x, w, padding=self.padding), reshape(b, (1, b.shape[0], 1)))
 
 
 class Decoder:
@@ -36,35 +35,26 @@ class Decoder:
     def __init__(self, d_model: int, n_channels: int, kernel_size: int, rng: np.random.Generator):
         self.padding = kernel_size // 2
         scale = 1.0 / math.sqrt(d_model * kernel_size)
-        self.w1 = Tensor(rng.normal(0.0, scale, (d_model, d_model, kernel_size)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(d_model), requires_grad=True)
-        self.bn_gamma = Tensor(np.ones(d_model), requires_grad=True)
-        self.bn_beta = Tensor(np.zeros(d_model), requires_grad=True)
-        self.running_mean = np.zeros(d_model)
-        self.running_var = np.ones(d_model)
-        self.w2 = Tensor(np.zeros((d_model, n_channels, kernel_size)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_channels), requires_grad=True)
+        self.params = {
+            "conv1.w": Tensor(rng.normal(0.0, scale, (d_model, d_model, kernel_size)), requires_grad=True),
+            "conv1.b": Tensor(np.zeros(d_model), requires_grad=True),
+            "bn.gamma": Tensor(np.ones(d_model), requires_grad=True),
+            "bn.beta": Tensor(np.zeros(d_model), requires_grad=True),
+            "conv2.w": Tensor(np.zeros((d_model, n_channels, kernel_size)), requires_grad=True),
+            "conv2.b": Tensor(np.zeros(n_channels), requires_grad=True),
+        }
+        # BatchNorm running statistics: checkpointed, never trained
+        self.buffers = {"bn.running_mean": np.zeros(d_model), "bn.running_var": np.ones(d_model)}
 
     def forward(self, h, training: bool = False) -> Tensor:
-        y = conv1d_transposed(h, self.w1, padding=self.padding)
-        y = add(y, reshape(self.b1, (1, self.b1.shape[0], 1)))
-        y = batch_norm(y, self.bn_gamma, self.bn_beta, self.running_mean, self.running_var, training=training)
+        p, buf = self.params, self.buffers
+        y = conv1d_transposed(h, p["conv1.w"], padding=self.padding)
+        y = add(y, reshape(p["conv1.b"], (1, p["conv1.b"].shape[0], 1)))
+        y = batch_norm(y, p["bn.gamma"], p["bn.beta"], buf["bn.running_mean"], buf["bn.running_var"],
+                       training=training)
         y = gelu(y)
-        y = conv1d_transposed(y, self.w2, padding=self.padding)
-        return add(y, reshape(self.b2, (1, self.b2.shape[0], 1)))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {
-            "conv1.w": self.w1,
-            "conv1.b": self.b1,
-            "bn.gamma": self.bn_gamma,
-            "bn.beta": self.bn_beta,
-            "conv2.w": self.w2,
-            "conv2.b": self.b2,
-        }
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return {"bn.running_mean": self.running_mean, "bn.running_var": self.running_var}
+        y = conv1d_transposed(y, p["conv2.w"], padding=self.padding)
+        return add(y, reshape(p["conv2.b"], (1, p["conv2.b"].shape[0], 1)))
 
 
 def denoise_forward(x_noisy, h_denoise, decoder: Decoder, training: bool = False) -> Tensor:

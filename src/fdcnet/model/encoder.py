@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 from ..kernels import dropout, gelu, layer_norm, linear
 from ..tensor import Tensor, add, concat, reshape, transpose
 from .attention import attention_head_freq, attention_head_time
@@ -27,10 +27,6 @@ class EncoderLayer:
         rng: np.random.Generator,
         freq_heads: bool = True,
     ):
-        if d_model % n_heads != 0:
-            raise ConfigError(f"n_heads {n_heads} must divide d_model {d_model}")
-        if freq_heads and n_heads % 2 != 0:
-            raise ConfigError(f"n_heads must be even for the time/freq split, got {n_heads}")
         self.n_heads = n_heads
         self.head_dim = d_model // n_heads
         self.n_time = n_heads if not freq_heads else n_heads // 2
@@ -40,28 +36,34 @@ class EncoderLayer:
         def w(shape, scale):
             return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
 
-        self.wq = w((d_model, d_model), s)
-        self.wk = w((d_model, d_model), s)
-        self.wv = w((d_model, d_model), s)
-        self.wo = w((d_model, d_model), s)
-        self.ffn_w1 = w((ff_dim, d_model), s)
-        self.ffn_b1 = Tensor(np.zeros(ff_dim), requires_grad=True)
-        self.ffn_w2 = w((d_model, ff_dim), 1.0 / math.sqrt(ff_dim))
-        self.ffn_b2 = Tensor(np.zeros(d_model), requires_grad=True)
-        self.ln1_gamma = Tensor(np.ones(d_model), requires_grad=True)
-        self.ln1_beta = Tensor(np.zeros(d_model), requires_grad=True)
-        self.ln2_gamma = Tensor(np.ones(d_model), requires_grad=True)
-        self.ln2_beta = Tensor(np.zeros(d_model), requires_grad=True)
+        def const(shape, value):
+            return Tensor(np.full(shape, value), requires_grad=True)
+
+        self.params = {
+            "attn.wq": w((d_model, d_model), s),
+            "attn.wk": w((d_model, d_model), s),
+            "attn.wv": w((d_model, d_model), s),
+            "attn.wo": w((d_model, d_model), s),
+            "ffn.w1": w((ff_dim, d_model), s),
+            "ffn.b1": const(ff_dim, 0.0),
+            "ffn.w2": w((d_model, ff_dim), 1.0 / math.sqrt(ff_dim)),
+            "ffn.b2": const(d_model, 0.0),
+            "ln1.gamma": const(d_model, 1.0),
+            "ln1.beta": const(d_model, 0.0),
+            "ln2.gamma": const(d_model, 1.0),
+            "ln2.beta": const(d_model, 0.0),
+        }
 
     def _split_heads(self, x) -> Tensor:
         b, t, _ = x.shape
         return transpose(reshape(x, (b, t, self.n_heads, self.head_dim)), (0, 2, 1, 3))
 
     def forward(self, h, training: bool = False, rng=None) -> Tensor:
+        p = self.params
         b, t, d = h.shape
-        q = self._split_heads(linear(h, self.wq))  # B H T hd
-        k = self._split_heads(linear(h, self.wk))
-        v = self._split_heads(linear(h, self.wv))
+        q = self._split_heads(linear(h, p["attn.wq"]))  # B H T hd
+        k = self._split_heads(linear(h, p["attn.wk"]))
+        v = self._split_heads(linear(h, p["attn.wv"]))
         nt = self.n_time
         if nt == self.n_heads:
             heads = attention_head_time(q, k, v)
@@ -74,27 +76,11 @@ class EncoderLayer:
                 axis=1,
             )
         merged = reshape(transpose(heads, (0, 2, 1, 3)), (b, t, d))
-        attn_out = dropout(linear(merged, self.wo), self.dropout_rate, rng, training)
-        h = layer_norm(add(h, attn_out), self.ln1_gamma, self.ln1_beta)
-        ffn = linear(gelu(linear(h, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
+        attn_out = dropout(linear(merged, p["attn.wo"]), self.dropout_rate, rng, training)
+        h = layer_norm(add(h, attn_out), p["ln1.gamma"], p["ln1.beta"])
+        ffn = linear(gelu(linear(h, p["ffn.w1"], p["ffn.b1"])), p["ffn.w2"], p["ffn.b2"])
         ffn = dropout(ffn, self.dropout_rate, rng, training)
-        return layer_norm(add(h, ffn), self.ln2_gamma, self.ln2_beta)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {
-            "attn.wq": self.wq,
-            "attn.wk": self.wk,
-            "attn.wv": self.wv,
-            "attn.wo": self.wo,
-            "ffn.w1": self.ffn_w1,
-            "ffn.b1": self.ffn_b1,
-            "ffn.w2": self.ffn_w2,
-            "ffn.b2": self.ffn_b2,
-            "ln1.gamma": self.ln1_gamma,
-            "ln1.beta": self.ln1_beta,
-            "ln2.gamma": self.ln2_gamma,
-            "ln2.beta": self.ln2_beta,
-        }
+        return layer_norm(add(h, ffn), p["ln2.gamma"], p["ln2.beta"])
 
 
 class EegspEncoder:
@@ -122,6 +108,9 @@ class EegspEncoder:
             EncoderLayer(d_model, n_heads, ff_dim, dropout_rate, rng, freq_heads=eegsp)
             for _ in range(n_layers)
         ]
+        self.params = {f"pe.{name}": p for name, p in self.pe.named_parameters().items()} if eegsp else {}
+        for i, layer in enumerate(self.layers):
+            self.params.update({f"layers.{i}.{name}": p for name, p in layer.params.items()})
 
     def forward(self, x_emb, training: bool = False, rng=None) -> Tensor:
         t = x_emb.shape[1]
@@ -135,13 +124,3 @@ class EegspEncoder:
         for layer in self.layers:
             h = layer.forward(h, training, rng)
         return h
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.pe is not None:
-            for name, p in self.pe.named_parameters().items():
-                out[f"pe.{name}"] = p
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.named_parameters().items():
-                out[f"layers.{i}.{name}"] = p
-        return out

@@ -5,8 +5,12 @@ The classification-to-denoising message carries the predicted probabilities
 (applied as a sigmoid gate on the denoiser latent) and an embedded latent
 summary (applied through the feature-enhancement multiplier). The
 denoising-to-classification message is the embedded denoiser summary added
-to the classifier latent. Both injection matrices start at zero, so a fresh
-model behaves exactly like two independent paths.
+to the classifier latent. Both injection matrices start at zero, so the
+summaries add nothing at first. The feedback gate does act from the first
+step: sigmoid(W_f p + b_f) with b_f = 0 scales the denoiser latent by about
+0.5. A fresh model's x_hat and logits still equal those of two independent
+paths, but only because the decoder's last convolution (conv2.w) and
+inj_cls.w also start at zero; its h_denoise is the gated one.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 from ..kernels import linear, relu, sigmoid
 from ..tensor import Tensor, as_tensor, mul
 from .classifier import weighted_bce
@@ -24,43 +28,24 @@ from .denoiser import denoise_loss
 
 class FeedbackModule:
     def __init__(self, d_model: int, rng: np.random.Generator):
-        if d_model % 4 != 0:
-            raise ConfigError(f"d_model must be divisible by 4, got {d_model}")
         d = d_model // 4
         self.d = d
-        s_embed = 1.0 / math.sqrt(d_model)
-        self.embed_w = Tensor(rng.normal(0.0, s_embed, (d, d_model)), requires_grad=True)
-        self.embed_b = Tensor(np.zeros(d), requires_grad=True)
-        self.enhance_w = Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d)), requires_grad=True)
-        self.enhance_b = Tensor(np.zeros(d), requires_grad=True)
-        self.project_w = Tensor(rng.normal(0.0, 1.0 / math.sqrt(2.0), (d_model, 2)), requires_grad=True)
-        self.project_b = Tensor(np.zeros(d_model), requires_grad=True)
-        # zero-initialized injections: feedback terms grow from nothing
-        self.inj_den_w = Tensor(np.zeros((d_model, d)), requires_grad=True)
-        self.inj_cls_w = Tensor(np.zeros((d_model, d)), requires_grad=True)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {
-            "embed.w": self.embed_w,
-            "embed.b": self.embed_b,
-            "enhance.w": self.enhance_w,
-            "enhance.b": self.enhance_b,
-            "project.w": self.project_w,
-            "project.b": self.project_b,
-            "inj_den.w": self.inj_den_w,
-            "inj_cls.w": self.inj_cls_w,
+        self.params = {
+            "embed.w": Tensor(rng.normal(0.0, 1.0 / math.sqrt(d_model), (d, d_model)), requires_grad=True),
+            "embed.b": Tensor(np.zeros(d), requires_grad=True),
+            "enhance.w": Tensor(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d)), requires_grad=True),
+            "enhance.b": Tensor(np.zeros(d), requires_grad=True),
+            "project.w": Tensor(rng.normal(0.0, 1.0 / math.sqrt(2.0), (d_model, 2)), requires_grad=True),
+            "project.b": Tensor(np.zeros(d_model), requires_grad=True),
+            # zero-initialized injections: feedback terms grow from nothing
+            "inj_den.w": Tensor(np.zeros((d_model, d)), requires_grad=True),
+            "inj_cls.w": Tensor(np.zeros((d_model, d)), requires_grad=True),
         }
 
 
 def feedback_embed(x, params: FeedbackModule) -> Tensor:
-    """ReLU(W_e x + b_e): (B, D) -> nonnegative (B, d), requiring D >= 2d."""
-    x = as_tensor(x)
-    d_in = x.shape[-1]
-    if d_in < 2 * params.d:
-        raise ConfigError(f"embedding needs input dim >= {2 * params.d}, got {d_in}")
-    if d_in != params.embed_w.shape[1]:
-        raise DimensionError(f"expected input dim {params.embed_w.shape[1]}, got {d_in}")
-    return relu(linear(x, params.embed_w, params.embed_b))
+    """ReLU(W_e x + b_e): (B, d_model) -> nonnegative (B, d_model/4)."""
+    return relu(linear(x, params.params["embed.w"], params.params["embed.b"]))
 
 
 def feature_enhance(x, f, params: FeedbackModule) -> Tensor:
@@ -69,7 +54,7 @@ def feature_enhance(x, f, params: FeedbackModule) -> Tensor:
     f = as_tensor(f)
     if x.shape != f.shape or x.shape[-1] != params.d:
         raise DimensionError(f"expected matching (B, {params.d}) inputs, got {x.shape} and {f.shape}")
-    return mul(x, 1.0 + sigmoid(linear(f, params.enhance_w, params.enhance_b)))
+    return mul(x, 1.0 + sigmoid(linear(f, params.params["enhance.w"], params.params["enhance.b"])))
 
 
 def feedback_project(y_pred, params: FeedbackModule) -> Tensor:
@@ -77,13 +62,11 @@ def feedback_project(y_pred, params: FeedbackModule) -> Tensor:
     y_pred = as_tensor(y_pred)
     if y_pred.ndim != 2 or y_pred.shape[1] != 2:
         raise DimensionError(f"expected (B, 2) predictions, got {y_pred.shape}")
-    return sigmoid(linear(y_pred, params.project_w, params.project_b))
+    return sigmoid(linear(y_pred, params.params["project.w"], params.params["project.b"]))
 
 
 def joint_loss(x_clean, x_hat, p, y, w, alpha: float, return_parts: bool = False):
     """alpha * MSE + (1 - alpha) * weighted BCE as one scalar on the tape."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     l_mse = denoise_loss(x_clean, x_hat)
     l_cls = weighted_bce(p, y, w)
     total = alpha * l_mse + (1.0 - alpha) * l_cls

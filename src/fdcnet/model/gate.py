@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import DimensionError
 from ..kernels import linear, relu, sigmoid
 from ..tensor import Tensor, as_tensor, mul, reshape, tmean
 
@@ -22,24 +22,22 @@ def channel_stats(x) -> Tensor:
 
 class ChannelGate:
     def __init__(self, n_channels: int, reduction: int, rng: np.random.Generator):
-        if reduction < 1 or n_channels % reduction != 0:
-            raise ConfigError(f"reduction {reduction} must divide n_channels {n_channels}")
         hidden = n_channels // reduction
         self.n_channels = n_channels
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(n_channels), (hidden, n_channels)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (n_channels, hidden)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_channels), requires_grad=True)
+        self.params = {
+            "w1": Tensor(rng.normal(0.0, 1.0 / math.sqrt(n_channels), (hidden, n_channels)), requires_grad=True),
+            "b1": Tensor(np.zeros(hidden), requires_grad=True),
+            "w2": Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (n_channels, hidden)), requires_grad=True),
+            "b2": Tensor(np.zeros(n_channels), requires_grad=True),
+        }
 
     def weights(self, z) -> Tensor:
         """(B, C) channel statistics -> gate values strictly inside (0, 1)."""
         z = as_tensor(z)
         if z.ndim != 2 or z.shape[1] != self.n_channels:
             raise DimensionError(f"expected (B, {self.n_channels}), got {z.shape}")
-        return sigmoid(linear(relu(linear(z, self.w1, self.b1)), self.w2, self.b2))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        p = self.params
+        return sigmoid(linear(relu(linear(z, p["w1"], p["b1"])), p["w2"], p["b2"]))
 
 
 def modulate(x, alpha) -> Tensor:

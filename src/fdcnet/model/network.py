@@ -127,9 +127,9 @@ def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule):
         h_den = mul(h_den, _broadcast_t(gate, b, d))
         low = feedback_embed(tmean(h_den, axis=1), fb)
         enhanced = feature_enhance(low, f_prev, fb)
-        h_den = add(h_den, _broadcast_t(linear(enhanced, fb.inj_den_w), b, d))
+        h_den = add(h_den, _broadcast_t(linear(enhanced, fb.params["inj_den.w"]), b, d))
     phi = feedback_embed(tmean(h_den, axis=1), fb)
-    h_cls = add(h_cls, _broadcast_t(linear(phi, fb.inj_cls_w), b, d))
+    h_cls = add(h_cls, _broadcast_t(linear(phi, fb.params["inj_cls.w"]), b, d))
     return h_den, h_cls
 
 
@@ -193,39 +193,28 @@ class FdcNet:
         checkpoint path. The registry is what the optimizer and checkpoint
         see, so unused ablated branches never demand gradients."""
         cfg = self.cfg
-        out: dict[str, Tensor] = {}
-
-        def absorb(prefix, module):
-            for name, p in module.named_parameters().items():
-                out[f"{prefix}.{name}"] = p
-
-        if self.gate is not None:
-            absorb("encoder.gate", self.gate)
-        absorb("encoder", self.encoder)
+        parts = {"encoder.gate": self.gate, "encoder": self.encoder}
         if cfg.cross:
-            absorb("feedback.shared", self.stem_den)
+            parts["feedback.shared"] = self.stem_den
         else:
-            absorb("denoiser.stem", self.stem_den)
-            absorb("classifier.stem", self.stem_cls)
-        absorb("denoiser.decoder", self.decoder)
-        absorb("classifier", self.head)
+            parts["denoiser.stem"] = self.stem_den
+            parts["classifier.stem"] = self.stem_cls
+        parts["denoiser.decoder"] = self.decoder
+        parts["classifier"] = self.head
+        out = {f"{prefix}.{name}": p for prefix, part in parts.items() if part is not None
+               for name, p in part.params.items()}
         if cfg.feedback:
             # with one iteration no classifier message reaches the denoiser
-            for name, p in self.fb.named_parameters().items():
+            for name, p in self.fb.params.items():
                 if cfg.t_fb >= 2 or name in ("embed.w", "embed.b", "inj_cls.w"):
                     out[f"feedback.{name}"] = p
         return out
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return {
-            f"denoiser.decoder.{name}": buf for name, buf in self.decoder.named_buffers().items()
-        }
 
     # -- checkpointing ---------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {path: p.data for path, p in self.named_parameters().items()}
-        out.update(self.named_buffers())
+        out.update({f"denoiser.decoder.{name}": buf for name, buf in self.decoder.buffers.items()})
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:

@@ -82,8 +82,7 @@ def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Ge
 def inject_noise(clean, spec: NoiseSpec, ids=None):
     """Returns (noisy, achieved_snr_db).
 
-    `clean` is one (C, T) segment, or N segments as an (N, C, T) array or a
-    sequence of (C, T) arrays, which is stacked a chunk at a time. `ids` is
+    `clean` is one (C, T) segment or N segments as an (N, C, T) array. `ids` is
     the segment id or the N ids (default 0, or 0..N-1); segment k draws from
     the Philox stream keyed (spec.seed, ids[k]). For N segments noisy is
     (N, C, T) and achieved_snr_db an (N,) array.
@@ -93,13 +92,11 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
     achieved_snr_db is measured against the scaled bio-artifact only.
     """
     spec.validate()
-    single = isinstance(clean, np.ndarray) and clean.ndim == 2
+    single = clean.ndim == 2
     segments = clean[None] if single else clean
-    n = len(segments)
-    shape = np.shape(segments[0]) if n else np.shape(segments)[1:]
-    if len(shape) != 2:
-        raise DimensionError(f"inject_noise expects (C, T) segments, got shape {shape}")
-    c, t = shape
+    if segments.ndim != 3:
+        raise DimensionError(f"inject_noise expects (C, T) or (N, C, T), got shape {clean.shape}")
+    n, c, t = segments.shape
     ids = np.arange(n) if ids is None else np.asarray(ids).reshape(-1)
     if ids.shape != (n,):
         raise DimensionError(f"inject_noise got {ids.size} segment ids for {n} segments")

@@ -12,7 +12,7 @@ All generation is a pure function of the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,16 @@ BANDS: dict[str, tuple[float, float]] = {
     "gamma": (30.0, 45.0),
 }
 
-# default relative band powers; together with pink_power they sum to 1 so a
-# default trial has RMS close to 1 and the sigma=0.01 Gaussian floor sits
-# near -40 dB
-DEFAULT_BAND_POWERS: dict[str, float] = {
+# relative band powers; together with PINK_POWER they sum to 1 so a trial
+# has RMS close to 1 and the sigma=0.01 Gaussian floor sits near -40 dB
+BAND_POWERS: dict[str, float] = {
     "delta": 0.10,
     "theta": 0.25,
     "alpha": 0.30,
     "beta": 0.15,
     "gamma": 0.05,
 }
+PINK_POWER = 0.15
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,13 @@ class SynthSpec:
     n_channels: int = 32
     sample_rate_hz: float = 128.0
     trial_length_s: float = 10.5
-    band_powers: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BAND_POWERS))
-    pink_power: float = 0.15
     label_effect: float = 0.5
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_subjects < 1 or self.trials_per_subject < 1 or self.n_channels < 1:
             raise ConfigError("n_subjects, trials_per_subject, n_channels must be >= 1")
-        for name in ("sample_rate_hz", "trial_length_s", "pink_power"):
+        for name in ("sample_rate_hz", "trial_length_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sample_rate_hz <= 0 or self.trial_length_s <= 0:
@@ -65,13 +63,6 @@ class SynthSpec:
                 f"trial holds {self.sample_rate_hz * self.trial_length_s:.0f} samples; "
                 "need at least one 128-sample window"
             )
-        for name, p in self.band_powers.items():
-            if name not in BANDS:
-                raise ConfigError(f"unknown band {name!r}; expected one of {sorted(BANDS)}")
-            if not 0 <= p < math.inf:
-                raise ConfigError(f"band power for {name!r} must be finite and >= 0, got {p}")
-        if self.pink_power < 0:
-            raise ConfigError("pink_power must be >= 0")
         if not 0.0 <= self.label_effect <= 1.0:
             raise ConfigError(f"label_effect must be in [0, 1], got {self.label_effect}")
         if self.seed < 0:
@@ -112,8 +103,7 @@ def _pink_noise(white: np.ndarray, fs: float, power: float) -> np.ndarray:
     shape[1:] = 1.0 / np.sqrt(f[1:])
     x = np.fft.irfft(np.fft.rfft(white) * shape, n)
     r = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True))
-    # a zero-RMS row is all zeros, so any finite scale leaves it as it is
-    return x * (math.sqrt(power) / np.where(r > 0, r, 1.0))
+    return x * (math.sqrt(power) / r)
 
 
 def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
@@ -142,33 +132,32 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
             idx += 1
             valence = int(rng.random() < 0.5)
             arousal = int(rng.random() < 0.5)
-            powers = dict(spec.band_powers)
+            powers = dict(BAND_POWERS)
             e = spec.label_effect
-            if "alpha" in powers:
-                powers["alpha"] *= (1.0 + e) if valence else (1.0 - e)
-            if "beta" in powers:
-                powers["beta"] *= (1.0 + e) if arousal else (1.0 - e)
-            # (lo, hi, n_sin) per band that draws, with one amplitude per sinusoid
+            powers["alpha"] *= (1.0 + e) if valence else (1.0 - e)
+            powers["beta"] *= (1.0 + e) if arousal else (1.0 - e)
+            # (lo, hi, n_sin) per band that draws, with one amplitude per
+            # sinusoid; label_effect 1 zeroes alpha or beta, which then draws
+            # nothing
             bands, amps = [], []
             for name, (lo, hi) in BANDS.items():
-                power = powers.get(name, 0.0)
+                power = powers[name]
                 if power != 0.0:
                     n_sin = max(3, int(round(hi - lo)))
                     bands.append((lo, hi, n_sin))
                     amps += [math.sqrt(2.0 * power / n_sin)] * n_sin
-            white = np.zeros((n_ch, n))
+            white = np.empty((n_ch, n))
             freqs = np.empty((n_ch, len(amps)))
             phases = np.empty((n_ch, len(amps)))
             for c in range(n_ch):
-                if spec.pink_power != 0.0:
-                    white[c] = rng.standard_normal(n)
+                white[c] = rng.standard_normal(n)
                 j = 0
                 for lo, hi, n_sin in bands:
                     freqs[c, j : j + n_sin] = rng.uniform(lo, hi, n_sin)
                     phases[c, j : j + n_sin] = rng.uniform(0.0, 2.0 * math.pi, n_sin)
                     j += n_sin
             sines = _sinusoid_sums(freqs, phases, np.broadcast_to(amps, freqs.shape), n, fs)
-            trial = _pink_noise(white, fs, spec.pink_power) + sines
+            trial = _pink_noise(white, fs, PINK_POWER) + sines
             out.append((trial, valence, arousal, subject))
     return out
 

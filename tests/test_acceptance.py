@@ -257,14 +257,14 @@ def test_range_properties():
     r = rng(60)
     for _ in range(10):
         f = r.normal(size=(100_000, fb.d))
-        m = 1.0 + sigmoid(linear(f, fb.enhance_w, fb.enhance_b)).numpy()
+        m = 1.0 + sigmoid(linear(f, fb.params["enhance.w"], fb.params["enhance.b"])).numpy()
         assert np.all(m > 1.0) and np.all(m < 2.0)
         total += m.size
     assert total >= 1_000_000
     # the module applies exactly that multiplier
     f = r.normal(size=(64, fb.d))
     xin = r.normal(size=(64, fb.d))
-    expect = xin * (1.0 + sigmoid(linear(f, fb.enhance_w, fb.enhance_b)).numpy())
+    expect = xin * (1.0 + sigmoid(linear(f, fb.params["enhance.w"], fb.params["enhance.b"])).numpy())
     np.testing.assert_allclose(feature_enhance(xin, f, fb).numpy(), expect, rtol=1e-15)
 
     gate = ChannelGate(8, 4, rng(61))
@@ -316,7 +316,7 @@ def test_ablation_equivalence():
 
     # trained-weights case: message weights forced back to zero
     noisy = _tiny_cfg_model(t_fb=1, randomize=True)
-    noisy.fb.inj_cls_w.data[:] = 0.0
+    noisy.fb.params["inj_cls.w"].data[:] = 0.0
     out = noisy.forward(x, mode="eval")
     xh, lg, p = _independent_paths(noisy, x)
     assert np.array_equal(out.x_hat.numpy(), xh)

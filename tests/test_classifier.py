@@ -24,7 +24,7 @@ def _head(d=8, hidden=4, seed=0):
 class TestClassifyForward:
     def test_zero_params_give_half_probs(self):
         head = _head()
-        for t in head.named_parameters().values():
+        for t in head.params.values():
             t.data[:] = 0.0
         h = Tensor(rng(1).normal(size=(3, 10, 8)))
         logits, p = classify_forward(h, head)
@@ -39,14 +39,14 @@ class TestClassifyForward:
 
     def test_uniform_attention_equals_temporal_mean(self):
         head = _head(seed=4)
-        head.attn_w.data[:] = 0.0  # constant scores -> uniform softmax weights
-        head.attn_b.data[:] = 0.3
+        head.params["attn.w"].data[:] = 0.0  # constant scores -> uniform softmax weights
+        head.params["attn.b"].data[:] = 0.3
         h = rng(5).normal(size=(2, 7, 8))
         logits, _ = classify_forward(Tensor(h), head)
 
         pooled = h.mean(axis=1)
-        w1, b1 = head.w1.numpy(), head.b1.numpy()
-        w2, b2 = head.w2.numpy(), head.b2.numpy()
+        w1, b1 = head.params["head.w1"].numpy(), head.params["head.b1"].numpy()
+        w2, b2 = head.params["head.w2"].numpy(), head.params["head.b2"].numpy()
         hid = pooled @ w1.T + b1
         hid = 0.5 * hid * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (hid + 0.044715 * hid ** 3)))
         expect = hid @ w2.T + b2

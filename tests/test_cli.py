@@ -61,6 +61,17 @@ class TestSnrGrid:
     def test_large_step_is_not_a_level(self):
         assert parse_snr_grid("-3:3:7000") == [-3.0]
 
+    # 1e-320 overflows the level count to inf; 1e-12 asks for 6e12 levels
+    @pytest.mark.parametrize("text", ["-3:3:1e-320", "-3:3:1e-12", "3:-3:-1e-12",
+                                      "0:234.3984375:0.0234375"])
+    def test_grid_beyond_the_level_cap_rejected(self, text):
+        with pytest.raises(ConfigError, match="levels"):
+            parse_snr_grid(text)
+
+    def test_grid_at_the_level_cap(self):
+        # 234.375 / 0.0234375 is exactly 10000 steps
+        assert len(parse_snr_grid("0:234.375:0.0234375")) == 10_001
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
@@ -117,6 +128,7 @@ class TestConfigValueTypes:
         ("train", "desk = 1", ["--data", "d.fdcd", "--out-dir", "run"]),
         ("synth", "channels = 2.5", ["--out", "run/d.fdcd"]),
         ("eval", "use = bogus", ["--model", "m.fdcn", "--data", "d.fdcd", "--out", "run/e.csv"]),
+        ("report", "csv = it's.csv", ["--out-dir", "run"]),  # shell words: an unclosed quote
     ])
     def test_bad_value_is_usage_error_naming_key(self, tmp_path, capsys, command, line, flags):
         cfg = tmp_path / "c.txt"
@@ -169,10 +181,11 @@ class TestLargeSnrRejected:
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
-    def test_eval_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("grid", ["7000", "-3:3:1e-320"])
+    def test_eval_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys, grid):
         _, data, run = pipeline
         code = main(["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
-                     "--snr-grid", "7000", "--out", str(tmp_path / "out" / "e.csv")])
+                     "--snr-grid", grid, "--out", str(tmp_path / "out" / "e.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
@@ -431,6 +444,26 @@ class TestPipeline:
         assert main(["eval", "--config", str(tmp_path / "run_config.txt")]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run_config.txt", "x#y.csv"]
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("names", [["my dir/e.csv"], ["my dir/e.csv", "plain/f.csv"],
+                                       ["plain/f.csv"]])
+    def test_report_config_replay_keeps_csv_paths(self, pipeline, tmp_path, names):
+        root, data, run = pipeline
+        csvs = [str(tmp_path / name) for name in names]
+        for out in csvs:
+            assert main(["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
+                         "--snr-grid", "0", "--out", out]) == 0
+        first, replay = tmp_path / "rep", tmp_path / "replay"
+        assert main(["report", *csvs, "--out-dir", str(first)]) == 0
+        config = (first / "run_config.txt").read_text()
+        if names == ["plain/f.csv"]:
+            assert f"csv = {csvs[0]}\n" in config  # a path without spaces is written bare
+        assert main(["report", "--config", str(first / "run_config.txt"),
+                     "--out-dir", str(replay)]) == 0
+        written = sorted(p.name for p in first.iterdir() if p.name != "run_config.txt")
+        assert written == sorted(p.name for p in replay.iterdir() if p.name != "run_config.txt")
+        for name in written:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
 
     def test_run_config_accumulates_sections(self, pipeline):
         root, _, _ = pipeline

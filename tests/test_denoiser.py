@@ -13,7 +13,7 @@ class TestResidualIdentity:
     def test_zero_final_layer_is_bit_exact_identity(self):
         dec = Decoder(d_model=8, n_channels=3, kernel_size=5, rng=rng(0))
         # final layer is zero-initialized by construction
-        assert np.all(dec.w2.numpy() == 0.0) and np.all(dec.b2.numpy() == 0.0)
+        assert np.all(dec.params["conv2.w"].numpy() == 0.0) and np.all(dec.params["conv2.b"].numpy() == 0.0)
         x_noisy = Tensor(rng(1).normal(size=(2, 3, 32)))
         h = Tensor(rng(2).normal(size=(2, 32, 8)))
         x_hat = denoise_forward(x_noisy, h, dec, training=False)
@@ -21,10 +21,10 @@ class TestResidualIdentity:
 
     def test_forced_zero_after_training_steps(self):
         dec = Decoder(d_model=8, n_channels=3, kernel_size=5, rng=rng(3))
-        dec.w1.data[:] = rng(4).normal(size=dec.w1.shape)
-        dec.w2.data[:] = rng(5).normal(size=dec.w2.shape)  # pretend trained
-        dec.w2.data[:] = 0.0
-        dec.b2.data[:] = 0.0
+        dec.params["conv1.w"].data[:] = rng(4).normal(size=dec.params["conv1.w"].shape)
+        dec.params["conv2.w"].data[:] = rng(5).normal(size=dec.params["conv2.w"].shape)  # pretend trained
+        dec.params["conv2.w"].data[:] = 0.0
+        dec.params["conv2.b"].data[:] = 0.0
         x_noisy = Tensor(rng(6).normal(size=(1, 3, 16)))
         h = Tensor(rng(7).normal(size=(1, 16, 8)))
         out = denoise_forward(x_noisy, h, dec, training=False)
@@ -34,7 +34,7 @@ class TestResidualIdentity:
 class TestShapes:
     def test_output_matches_input_shape(self):
         dec = Decoder(d_model=16, n_channels=32, kernel_size=7, rng=rng(8))
-        dec.w2.data[:] = rng(9).normal(size=dec.w2.shape) * 0.01
+        dec.params["conv2.w"].data[:] = rng(9).normal(size=dec.params["conv2.w"].shape) * 0.01
         x = Tensor(rng(10).normal(size=(2, 32, 128)))
         h = Tensor(rng(11).normal(size=(2, 128, 16)))
         assert denoise_forward(x, h, dec, training=False).shape == (2, 32, 128)
@@ -83,12 +83,12 @@ class TestBatchNormBuffers:
         dec = Decoder(d_model=8, n_channels=2, kernel_size=3, rng=rng(23))
         x = Tensor(rng(24).normal(size=(2, 2, 16)))
         h = Tensor(rng(25).normal(size=(2, 16, 8)))
-        rm0 = dec.running_mean.copy()
+        rm0 = dec.buffers["bn.running_mean"].copy()
         denoise_forward(x, h, dec, training=False)
-        np.testing.assert_array_equal(dec.running_mean, rm0)
+        np.testing.assert_array_equal(dec.buffers["bn.running_mean"], rm0)
         denoise_forward(x, h, dec, training=True)
-        assert not np.array_equal(dec.running_mean, rm0)
+        assert not np.array_equal(dec.buffers["bn.running_mean"], rm0)
 
     def test_named_buffers(self):
         dec = Decoder(d_model=8, n_channels=2, kernel_size=3, rng=rng(29))
-        assert set(dec.named_buffers()) == {"bn.running_mean", "bn.running_var"}
+        assert set(dec.buffers) == {"bn.running_mean", "bn.running_var"}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,34 @@ def test_every_top_level_definition_is_named_elsewhere():
             if not any(stmt.name in names for j, names in enumerate(named) if j != i):
                 unused.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {stmt.name}")
     assert not unused, f"defined but never named outside their definition: {unused}"
+
+
+def _load_tracing():
+    """perfbench/tracing.py as a module, loaded from its file (perfbench is
+    not a package on the test path)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_binds_resolves():
+    # the tracer wraps these functions by name; a rename in src/ would
+    # otherwise surface only in a traced benchmark run
+    tracing = _load_tracing()
+    missing = []
+    for mod_name, funcs in tracing.OP_FUNCS.items():
+        mod = importlib.import_module(mod_name)
+        missing += [f"{mod_name}.{fn}" for fn in funcs if not callable(getattr(mod, fn, None))]
+    for _, mod_name, fn_name, where in tracing.FUNCTION_SPANS:
+        fn = getattr(importlib.import_module(mod_name), fn_name, None)
+        if not callable(fn):
+            missing.append(f"{mod_name}.{fn_name}")
+        for owner in where or []:
+            if getattr(importlib.import_module(owner), fn_name, None) is not fn:
+                missing.append(f"{owner}.{fn_name}")
+    for _, mod_name, cls_name, meth in tracing.METHOD_SPANS:
+        cls = getattr(importlib.import_module(mod_name), cls_name, None)
+        if not callable(getattr(cls, meth, None)):
+            missing.append(f"{mod_name}.{cls_name}.{meth}")
+    assert not missing, f"names the tracer binds that src/ does not define: {missing}"

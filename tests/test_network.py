@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import rng
 from fdcnet.errors import ConfigError, ContractError, DimensionError
 from fdcnet.model import FdcNet, ModelConfig
-from fdcnet.tensor import GradTape, backward, no_grad
+from fdcnet.model.classifier import ClassifierHead
+from fdcnet.model.denoiser import ConvStem, Decoder
+from fdcnet.model.encoder import EegspEncoder, EncoderLayer
+from fdcnet.model.feedback import FeedbackModule
+from fdcnet.model.gate import ChannelGate
+from fdcnet.tensor import GradTape, Tensor, backward, no_grad
 
 
 def _cfg(**kw):
@@ -23,6 +28,21 @@ def _cfg(**kw):
 
 def _x(b=2, c=4, t=32, seed=0):
     return rng(seed).normal(size=(b, c, t))
+
+
+def _held_tensors(value):
+    """Every Tensor reachable from ``value`` through containers and the
+    attributes of model objects (a component, its layers, its PE)."""
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _held_tensors(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _held_tensors(v)
+    elif type(value).__module__.startswith("fdcnet.model."):
+        yield from _held_tensors(vars(value))
 
 
 class TestForward:
@@ -109,6 +129,21 @@ class TestRegistry:
             missing = [k for k, t in model.named_parameters().items() if t.grad is None]
             assert not missing, f"{flags}: no grad for {missing}"
 
+    def test_no_component_keeps_a_second_registry(self):
+        for cls in (EncoderLayer, EegspEncoder, ChannelGate, ConvStem, Decoder, ClassifierHead,
+                    FeedbackModule):
+            assert not hasattr(cls, "named_parameters") and not hasattr(cls, "named_buffers"), cls
+
+    def test_every_held_tensor_is_in_params_and_registered(self):
+        model = FdcNet(_cfg(t_fb=2), seed=22)  # every flag on
+        registered = {id(t) for t in model.named_parameters().values()}
+        components = [model.gate, model.stem_den, model.encoder, *model.encoder.layers,
+                      model.decoder, model.head, model.fb]
+        for part in components:
+            held = {id(t) for t in _held_tensors(vars(part))}
+            assert held == {id(t) for t in part.params.values()}, type(part).__name__
+            assert held <= registered, type(part).__name__
+
     def test_with_ablations_builder(self):
         cfg = _cfg().with_ablations(no_feedback=True)
         assert not cfg.feedback and cfg.cross
@@ -124,7 +159,7 @@ class TestPersistence:
         r = rng(19)
         for t in model.named_parameters().values():
             t.data[:] = r.normal(scale=0.1, size=t.shape)
-        model.decoder.running_mean[:] = r.normal(size=16)
+        model.decoder.buffers["bn.running_mean"][:] = r.normal(size=16)
         path = tmp_path / "m.fdcn"
         model.save(path)
         clone = FdcNet.load(path, _cfg())
@@ -134,7 +169,7 @@ class TestPersistence:
             b = clone.forward(x, mode="eval")
         np.testing.assert_array_equal(a.x_hat.numpy(), b.x_hat.numpy())
         np.testing.assert_array_equal(a.p.numpy(), b.p.numpy())
-        np.testing.assert_array_equal(model.decoder.running_mean, clone.decoder.running_mean)
+        np.testing.assert_array_equal(model.decoder.buffers["bn.running_mean"], clone.decoder.buffers["bn.running_mean"])
 
     def test_load_rejects_wrong_architecture(self, tmp_path):
         model = FdcNet(_cfg(), seed=21)
@@ -157,6 +192,19 @@ class TestPersistence:
             _cfg(t_fb=0).validate()
         with pytest.raises(ConfigError, match="kernel_size"):
             _cfg(kernel_size=4).validate()  # an even kernel changes the length
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(n_heads=3), "must divide d_model"),  # 16 % 3 != 0
+        (dict(d_model=12, n_heads=3), "even"),  # divides, but odd heads with eegsp
+        (dict(dropout=1.0), "dropout"),
+        (dict(dropout=1.5), "dropout"),
+    ])
+    def test_validate_rejects_sizes_the_components_assume(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            _cfg(**kw).validate()
+
+    def test_odd_heads_allowed_without_eegsp(self):
+        _cfg(d_model=12, n_heads=3, eegsp=False).validate()
 
     @pytest.mark.parametrize("key, value", [
         ("d_model", 32.0), ("n_layers", True), ("feedback", 1), ("cross", "true"),
@@ -204,7 +252,7 @@ class TestAblationStructure:
         den = model.stem_den
         cls = model.stem_cls
         assert den is not cls
-        assert not np.array_equal(den.w.numpy(), cls.w.numpy())
+        assert not np.array_equal(den.params["w"].numpy(), cls.params["w"].numpy())
 
     def test_shared_stem_when_cross(self):
         model = FdcNet(_cfg(), seed=23)

@@ -7,8 +7,9 @@ from scipy.signal import welch
 
 from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
 from fdcnet.synth import (
+    BAND_POWERS,
     BANDS,
-    DEFAULT_BAND_POWERS,
+    PINK_POWER,
     SynthSpec,
     _sinusoid_sums,
     segment_windows,
@@ -57,7 +58,7 @@ def oracle_clean_eeg(spec):
         rng = np.random.default_rng(child)
         valence = int(rng.random() < 0.5)
         arousal = int(rng.random() < 0.5)
-        powers = dict(spec.band_powers)
+        powers = dict(BAND_POWERS)
         e = spec.label_effect
         if "alpha" in powers:
             powers["alpha"] *= (1.0 + e) if valence else (1.0 - e)
@@ -65,7 +66,7 @@ def oracle_clean_eeg(spec):
             powers["beta"] *= (1.0 + e) if arousal else (1.0 - e)
         trial = np.empty((spec.n_channels, n))
         for c in range(spec.n_channels):
-            sig = _oracle_pink_noise(rng, n, fs, spec.pink_power)
+            sig = _oracle_pink_noise(rng, n, fs, PINK_POWER)
             for name, (lo, hi) in BANDS.items():
                 sig = sig + _oracle_band_mixture(rng, n, fs, lo, hi, powers.get(name, 0.0))
             trial[c] = sig
@@ -84,15 +85,6 @@ _ORACLE_SPECS = {
                       trial_length_s=1.3, seed=4),
     "n129-odd": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=3,
                           sample_rate_hz=129.0, trial_length_s=1.0, seed=5),
-    "zero-theta": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
-                            band_powers={**DEFAULT_BAND_POWERS, "theta": 0.0}, seed=6),
-    "no-gamma-key": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
-                              band_powers={k: v for k, v in DEFAULT_BAND_POWERS.items()
-                                           if k != "gamma"}, seed=7),
-    "no-pink": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
-                         pink_power=0.0, seed=8),
-    "pink-only": SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=4,
-                           band_powers={k: 0.0 for k in BANDS}, seed=9),
     "effect-0": SynthSpec(n_subjects=1, trials_per_subject=4, n_channels=4,
                           label_effect=0.0, seed=10),
     "effect-1": SynthSpec(n_subjects=2, trials_per_subject=4, n_channels=4,
@@ -191,7 +183,7 @@ class TestCleanEeg:
         trials = synth_clean_eeg(spec)
         stack = np.concatenate([t for t, _, _, _ in trials], axis=0)
         total = band_power(stack, 0.5, 64.0)
-        for name, share in DEFAULT_BAND_POWERS.items():
+        for name, share in BAND_POWERS.items():
             got = band_power(stack, *BANDS[name]) / total
             assert got > 0.4 * share, f"{name}: {got:.3f} vs configured {share}"
 
@@ -202,15 +194,10 @@ class TestCleanEeg:
             SynthSpec(trial_length_s=0.25).validate()  # shorter than one window
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["sample_rate_hz", "trial_length_s", "pink_power"])
+    @pytest.mark.parametrize("field", ["sample_rate_hz", "trial_length_s"])
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SynthSpec(**{field: value}).validate()
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_band_power_rejected(self, value):
-        with pytest.raises(ConfigError, match="alpha"):
-            SynthSpec(band_powers={**DEFAULT_BAND_POWERS, "alpha": value}).validate()
 
 
 def _artifact(kind, length, seed):

@@ -103,6 +103,7 @@ class TestTrainConfig:
             dict(weight_decay=float("nan")),
             dict(weight_decay=float("inf")),
             dict(weight_decay=-0.01),
+            dict(alpha=-0.1),
         ],
     )
     def test_validate_rejects(self, kw):
