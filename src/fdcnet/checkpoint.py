@@ -70,6 +70,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         # the writer sorts the paths, so a repeat or a step back is corruption
         if out and name <= last:
             raise FileFormatError(f"{path}: tensor path {name!r} does not sort after {last!r}")
+        # the model takes the arrays as they are, past Tensor's finite-only rule
+        if not np.isfinite(arr).all():
+            raise FileFormatError(f"{path}: tensor {name!r} holds non-finite values")
         out[name] = arr.astype(np.float64)
         last = name
     if off != len(raw):

@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FileFormatError
+from .errors import ConfigError, DegenerateDataError, DimensionError, FileFormatError
 from .fileio import atomic_writer
 from .noise import NoiseSpec, inject_noise
 from .synth import SynthSpec, segment_windows, synth_clean_eeg
@@ -101,6 +101,8 @@ class DatasetReader:
                 raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
             if version != VERSION:
                 raise FileFormatError(f"{path}: unsupported version {version}")
+            if count and not c * t:
+                raise FileFormatError(f"{path}: {count} segments of empty shape ({c}, {t})")
             try:
                 self.packed, self.aligned = record_dtype(c, t, packed=True), record_dtype(c, t)
             except ValueError:  # a dimension or the record size exceeds a C int
@@ -197,7 +199,8 @@ def split_indices(
     """Disjoint, exhaustive train/test index split; pure function of
     (n, split, seed). Whole groups go to one side: the subjects when
     `subjects` (one id per segment, a list or an array) is given, so no
-    subject identity leaks across the split, else single segments."""
+    subject identity leaks across the split, else single segments. Each
+    side gets at least one group, so fewer than two groups is an error."""
     if not 0.0 < split < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {split}")
     if seed < 0:
@@ -206,9 +209,11 @@ def split_indices(
     groups = np.arange(n) if subjects is None else np.asarray(subjects)
     # NumPy 2.4's np.unique imports numpy.ma (1.4 MB of RSS) unless asked for indices
     uniq, group_of = np.unique(groups, return_inverse=True)
+    if len(uniq) < 2:
+        kind = "segments" if subjects is None else "subjects"
+        raise DegenerateDataError(f"a train/test split needs at least 2 {kind}, got {len(uniq)}")
     perm = rng.permutation(len(uniq))
-    k = int(round(len(uniq) * split))
-    k = min(max(k, 1), len(uniq) - 1) if len(uniq) >= 2 else k
+    k = min(max(int(round(len(uniq) * split)), 1), len(uniq) - 1)
     mask = np.isin(group_of, perm[:k])
     idx = np.arange(n)
     return idx[mask], idx[~mask]

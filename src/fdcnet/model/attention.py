@@ -11,16 +11,8 @@ import math
 
 import numpy as np
 
-from ..errors import DimensionError
 from ..kernels import dct_forward, dct_inverse
 from ..tensor import Tensor, as_tensor, make_op, swapaxes
-
-
-def _check(q, k, v):
-    if not (q.shape == k.shape == v.shape):
-        raise DimensionError(f"Q/K/V shapes disagree: {q.shape}, {k.shape}, {v.shape}")
-    if q.ndim < 2:
-        raise DimensionError(f"attention needs (..., T, d_h), got {q.shape}")
 
 
 # bytes of (..., T, T) attention weights handled at a time: about one
@@ -61,7 +53,6 @@ def attention_head_time(q, k, v) -> Tensor:
     is recorded under the op name ``softmax``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    _check(q, k, v)
     qd, kd, vd = q.data, k.data, v.data
     scale = 1.0 / math.sqrt(qd.shape[-1])
     blocks = _blocks(qd.shape)
@@ -102,6 +93,4 @@ def _idct_tokens(x) -> Tensor:
 def attention_head_freq(q, k, v) -> Tensor:
     """Attention computed between DCT coefficient sequences, mapped back to
     the time domain."""
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    _check(q, k, v)
     return _idct_tokens(attention_head_time(_dct_tokens(q), _dct_tokens(k), _dct_tokens(v)))

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, DegenerateDataError, DimensionError
+from ..errors import DegenerateDataError
 from ..kernels import gelu, linear, sigmoid, softmax
-from ..tensor import Tensor, as_tensor, clamp, log, mul, neg, reshape, tmean, tsum
+from ..tensor import Tensor, clamp, log, mul, neg, reshape, tmean, tsum
 
 PROB_CLAMP = 1e-7
 
@@ -18,7 +18,6 @@ PROB_CLAMP = 1e-7
 class ClassifierHead:
     def __init__(self, d_model: int, hidden: int, rng: np.random.Generator):
         s = 1.0 / math.sqrt(d_model)
-        self.d_model = d_model
         self.params = {
             "attn.w": Tensor(rng.normal(0.0, s, (1, d_model)), requires_grad=True),
             "attn.b": Tensor(np.zeros(1), requires_grad=True),
@@ -36,14 +35,11 @@ def classify_forward(h_classify, params: ClassifierHead) -> tuple[Tensor, Tensor
     T, then the weighted temporal sum. Zero score weights reduce it to the
     plain temporal mean.
     """
-    h = as_tensor(h_classify)
-    if h.ndim != 3 or h.shape[2] != params.d_model:
-        raise DimensionError(f"expected (B, T, {params.d_model}), got {h.shape}")
-    b, t, d = h.shape
+    b, t, _ = h_classify.shape
     p = params.params
-    scores = reshape(linear(h, p["attn.w"], p["attn.b"]), (b, t))
+    scores = reshape(linear(h_classify, p["attn.w"], p["attn.b"]), (b, t))
     weights = softmax(scores)
-    pooled = tsum(mul(h, reshape(weights, (b, t, 1))), axis=1)
+    pooled = tsum(mul(h_classify, reshape(weights, (b, t, 1))), axis=1)
     logits = linear(gelu(linear(pooled, p["head.w1"], p["head.b1"])), p["head.w2"], p["head.b2"])
     return logits, sigmoid(logits)
 
@@ -56,10 +52,7 @@ class ClassWeights:
 
 def class_weights(labels) -> ClassWeights:
     """Per-dimension positive frequency f_c and weight w_c = 1/sqrt(f_c)."""
-    arr = np.asarray(labels, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-        raise DimensionError(f"labels must be (N, 2), got {arr.shape}")
-    f = arr.mean(axis=0)
+    f = np.asarray(labels, dtype=np.float64).mean(axis=0)
     if (f <= 0.0).any() or (f >= 1.0).any():
         raise DegenerateDataError(
             f"label frequencies {f.tolist()} degenerate; need both classes per dimension"
@@ -70,12 +63,7 @@ def class_weights(labels) -> ClassWeights:
 def weighted_bce(p, y, w: ClassWeights) -> Tensor:
     """Mean over the batch of the weighted per-dimension binary cross
     entropy; probabilities clamped to [1e-7, 1 - 1e-7]."""
-    p = as_tensor(p)
     y_arr = np.asarray(y, dtype=np.float64)
-    if p.shape != y_arr.shape:
-        raise DimensionError(f"shape mismatch: p {p.shape} vs y {y_arr.shape}")
-    if (p.data < 0.0).any() or (p.data > 1.0).any():
-        raise ContractError("probabilities outside [0, 1] before clamping")
     pc = clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     per = neg(mul(log(pc), y_arr) + mul(log(1.0 - pc), 1.0 - y_arr))
     return tmean(tsum(mul(per, w.w.reshape(1, -1)), axis=1))
@@ -83,10 +71,6 @@ def weighted_bce(p, y, w: ClassWeights) -> Tensor:
 
 def accuracy_4class(p, y) -> float:
     """Exact-quadrant match rate of (valence, arousal) pairs thresholded at 0.5."""
-    p_arr = np.asarray(p, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
-    if p_arr.shape != y_arr.shape or p_arr.ndim != 2 or p_arr.shape[1] != 2:
-        raise DimensionError(f"expected matching (B, 2) arrays, got {p_arr.shape} and {y_arr.shape}")
-    pred = p_arr > 0.5
-    true = y_arr > 0.5
+    pred = np.asarray(p) > 0.5
+    true = np.asarray(y) > 0.5
     return float(np.mean(np.all(pred == true, axis=1)))

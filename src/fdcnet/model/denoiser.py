@@ -6,9 +6,8 @@ import math
 
 import numpy as np
 
-from ..errors import DimensionError
 from ..kernels import batch_norm, conv1d, conv1d_transposed, gelu
-from ..tensor import Tensor, add, as_tensor, reshape, swapaxes, tmean, mul, sub
+from ..tensor import Tensor, add, reshape, swapaxes, tmean, mul, sub
 
 
 class ConvStem:
@@ -59,18 +58,10 @@ class Decoder:
 
 def denoise_forward(x_noisy, h_denoise, decoder: Decoder, training: bool = False) -> Tensor:
     """x_hat = decoder(h_denoise) + x_noisy; h_denoise is (B, T, d_model)."""
-    x_noisy = as_tensor(x_noisy)
-    dec = decoder.forward(swapaxes(h_denoise, 1, 2), training)
-    if dec.shape != x_noisy.shape:
-        raise DimensionError(f"decoder output {dec.shape} does not match input {x_noisy.shape}")
-    return add(dec, x_noisy)
+    return add(decoder.forward(swapaxes(h_denoise, 1, 2), training), x_noisy)
 
 
 def denoise_loss(x_clean, x_hat) -> Tensor:
     """Mean squared reconstruction error (mean over batch and elements)."""
-    x_clean = as_tensor(x_clean)
-    x_hat = as_tensor(x_hat)
-    if x_clean.shape != x_hat.shape:
-        raise DimensionError(f"shape mismatch: {x_clean.shape} vs {x_hat.shape}")
     diff = sub(x_hat, x_clean)
     return tmean(mul(diff, diff))

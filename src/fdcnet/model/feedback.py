@@ -19,9 +19,8 @@ import math
 
 import numpy as np
 
-from ..errors import DimensionError
 from ..kernels import linear, relu, sigmoid
-from ..tensor import Tensor, as_tensor, mul
+from ..tensor import Tensor, mul
 from .classifier import weighted_bce
 from .denoiser import denoise_loss
 
@@ -50,18 +49,11 @@ def feedback_embed(x, params: FeedbackModule) -> Tensor:
 
 def feature_enhance(x, f, params: FeedbackModule) -> Tensor:
     """x * (1 + sigmoid(W f + b)); the multiplier is strictly inside (1, 2)."""
-    x = as_tensor(x)
-    f = as_tensor(f)
-    if x.shape != f.shape or x.shape[-1] != params.d:
-        raise DimensionError(f"expected matching (B, {params.d}) inputs, got {x.shape} and {f.shape}")
     return mul(x, 1.0 + sigmoid(linear(f, params.params["enhance.w"], params.params["enhance.b"])))
 
 
 def feedback_project(y_pred, params: FeedbackModule) -> Tensor:
     """sigmoid(W_f y + b_f): (B, 2) probabilities -> (B, d_model) gate in (0,1)."""
-    y_pred = as_tensor(y_pred)
-    if y_pred.ndim != 2 or y_pred.shape[1] != 2:
-        raise DimensionError(f"expected (B, 2) predictions, got {y_pred.shape}")
     return sigmoid(linear(y_pred, params.params["project.w"], params.params["project.b"]))
 
 

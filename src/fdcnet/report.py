@@ -23,8 +23,9 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def render_line_chart(
@@ -32,10 +33,10 @@ def render_line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
-    """One polyline per (label, xs, ys) series, with axes, ticks, and legend."""
+    """One polyline per (label, xs, ys) series, with axes, ticks, and legend,
+    on a 640 x 420 canvas."""
+    width, height = 640, 420
     ml, mr, mt, mb = 64, 24, 40, 48
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]

@@ -313,20 +313,19 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 
 # -- reductions --------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     shape = a.shape
 
     def bw(g):
         if axis is None:
             return [np.broadcast_to(g, shape).copy()]
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [np.broadcast_to(gg, shape).copy()]
+        return [np.broadcast_to(np.expand_dims(g, axis), shape).copy()]
 
-    return make_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw, "sum")
+    return make_op(a.data.sum(axis=axis), (a,), bw, "sum")
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     shape = a.shape
     if axis is None:
@@ -340,10 +339,9 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     def bw(g):
         if axis is None:
             return [np.broadcast_to(g / n, shape).copy()]
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [np.broadcast_to(gg / n, shape).copy()]
+        return [np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy()]
 
-    return make_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw, "mean")
+    return make_op(a.data.mean(axis=axis), (a,), bw, "mean")
 
 
 # -- linear algebra ----------------------------------------------------------

@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .dataset import derive_seed, split_indices
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateDataError,
-    FileFormatError,
-    NonFiniteError,
-)
+from .errors import ConfigError, DegenerateDataError, FileFormatError, NonFiniteError
 from .fileio import atomic_writer
 from .metrics import metric_cc, metric_mse, metric_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
@@ -88,10 +82,9 @@ class TrainConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-def desk_preset(**overrides) -> TrainConfig:
+def desk_preset() -> TrainConfig:
     """Desk-scale model: trains on 2000 C=8 segments in minutes on CPU."""
-    base = TrainConfig(d_model=32, n_layers=1, n_heads=4, ff_dim=64)
-    return replace(base, **overrides)
+    return TrainConfig(d_model=32, n_layers=1, n_heads=4, ff_dim=64)
 
 
 def model_config_from(cfg: TrainConfig, n_channels: int) -> ModelConfig:
@@ -111,8 +104,6 @@ def model_config_from(cfg: TrainConfig, n_channels: int) -> ModelConfig:
 
 def curriculum_snr(epoch: int, total_epochs: int, cfg: TrainConfig) -> float:
     """Linear ramp from snr_start to snr_end, endpoints exact."""
-    if not 0 <= epoch < max(total_epochs, 1):
-        raise ContractError(f"epoch {epoch} outside [0, {total_epochs})")
     if total_epochs < 2:
         return cfg.snr_start
     frac = epoch / (total_epochs - 1)
@@ -267,10 +258,12 @@ def _level_metrics(model, segments, indices, labels, snr_db, cfg, label, *key) -
 
 
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:
-    if len(test_idx) == 0:
-        return float("nan"), float("nan")
     _, _, cc, _, acc = _level_metrics(model, dataset, test_idx, labels, snr, cfg, "val-noise", epoch)
     return acc, cc
+
+
+# segments per eval-mode forward pass of the SNR sweep
+EVAL_BATCH_SIZE = 64
 
 
 def evaluate(
@@ -282,19 +275,16 @@ def evaluate(
     gaussian_sigma: float = 0.01,
     emg_eog_ratio: float = 1.0,
     sample_rate_hz: float = 128.0,
-    batch_size: int = 64,
 ) -> EvalReport:
     """Sweep the SNR grid: re-inject noise into the clean segments at every
     grid level (fixed eval seed), denoise/classify in eval mode, and report
     per-level mean metrics plus the arithmetic average row."""
-    if not snr_grid:
-        raise ConfigError("snr_grid must be nonempty")
     if len(segments) == 0:
         raise DegenerateDataError("empty evaluation set")
     if eval_seed < 0:
         raise ConfigError(f"eval seed must be >= 0, got {eval_seed}")
     noise_cfg = TrainConfig(
-        batch_size=batch_size,
+        batch_size=EVAL_BATCH_SIZE,
         seed=eval_seed,
         emg_eog_ratio=emg_eog_ratio,
         gaussian_sigma=gaussian_sigma,

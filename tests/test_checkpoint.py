@@ -149,6 +149,17 @@ class TestCorruption:
         with pytest.raises(FileFormatError, match="'a' does not sort after 'b'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        # the model copies loaded arrays into its parameters in place, so no
+        # Tensor construction would catch the value before a forward pass
+        path = tmp_path / "m.fdcn"
+        state = _sample_state()
+        state["classifier.head.b2"][1] = value
+        save_checkpoint(path, state)
+        with pytest.raises(FileFormatError, match=r"m\.fdcn: tensor 'classifier\.head\.b2' holds non-finite"):
+            load_checkpoint(path)
+
     def test_records_in_increasing_order_load(self, tmp_path):
         path = tmp_path / "m.fdcn"
         write_records(path, [("", np.zeros(1)), ("a", np.ones(2)), ("a.b", np.full(3, 2.0))])

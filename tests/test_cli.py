@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,56 @@ class TestSizesRejected:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "batch_size" in err
         assert list(tmp_path.iterdir()) == []
+
+    SHAPES = [(4, 1), (4, 2), (4, 3), (4, 513), (1, 128), (4, 0)]
+
+    @pytest.fixture(scope="class")
+    def shaped(self, tmp_path_factory):
+        """An untrained 4-channel desk model and an 8-record file of each
+        segment shape in SHAPES."""
+        from fdcnet.configfile import write_config
+        from fdcnet.dataset import new_dataset, save_dataset
+        from fdcnet.model import FdcNet
+        from fdcnet.trainer import model_config_from
+
+        root = tmp_path_factory.mktemp("shapes")
+        model = FdcNet(model_config_from(desk_preset(), 4), seed=0)
+        model.save(root / "model.fdcn")
+        split = {"split": 0.8, "seed": 0, "split_by_subject": False}
+        write_config(root / "model.cfg", {"model": model.cfg.to_dict(), "split": split})
+        r = np.random.default_rng(6)
+        for c, t in self.SHAPES:
+            ds = new_dataset(8, c, t)
+            ds.clean = r.normal(size=ds.clean.shape)
+            ds.noisy = ds.clean + r.normal(size=ds.clean.shape)
+            # any 6 of the 8 records hold both classes of each label
+            ds.valence, ds.arousal = [0, 1] * 4, [0, 0, 1, 1] * 2
+            save_dataset(root / f"{c}x{t}.fdcd", ds)
+        return root
+
+    @pytest.mark.parametrize("command", ["train", "eval", "denoise"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_segment_shape_exits_cleanly(self, shaped, tmp_path, capsys, command, shape):
+        # shapes the model never checks itself: they reach the readers, the
+        # entry checks and the kernels, which exit 0 or 2 with one error line
+        data = str(shaped / f"{shape[0]}x{shape[1]}.fdcd")
+        model = ["--model", str(shaped / "model.fdcn")]
+        argv = {
+            "train": ["train", "--desk", "--epochs", "1", "--data", data, "--out-dir", str(tmp_path / "run")],
+            "eval": ["eval", *model, "--data", data, "--out", str(tmp_path / "e.csv")],
+            "denoise": ["denoise", *model, "--data", data, "--out", str(tmp_path / "d.fdcd")],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2) and "Traceback" not in out + err
+        if code == 2:
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert err == ""
 
 
 def test_synth_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -532,6 +583,26 @@ class TestDeskPreset:
         cfg_text = (run / "run_config.txt").read_text()
         assert "d_model = 32" in cfg_text
         assert "epochs = 1" in cfg_text
+
+
+class TestOneSubjectSplitRejected:
+    @pytest.fixture(scope="class")
+    def one_subject(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("one") / "d.fdcd"
+        assert main(["synth", "--subjects", "1", "--trials", "4", "--channels", "4",
+                     "--out", str(data)]) == 0
+        return data
+
+    # --split 0.4 puts the one subject on the test side, the default 0.8 on
+    # the training side
+    @pytest.mark.parametrize("flags", [["--split", "0.4"], []], ids=["empty-train", "empty-test"])
+    def test_train_exits_2_and_writes_nothing(self, one_subject, tmp_path, capsys, flags):
+        run = tmp_path / "run"
+        code = main(["train", "--desk", "--epochs", "1", "--split-by-subject", *flags,
+                     "--data", str(one_subject), "--out-dir", str(run)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: a train/test split needs at least 2 subjects, got 1\n"
+        assert not run.exists()
 
 
 class TestEvalSplit:

@@ -21,7 +21,7 @@ from fdcnet.dataset import (
     save_dataset,
     split_indices,
 )
-from fdcnet.errors import ConfigError, DimensionError, FileFormatError
+from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError, FileFormatError
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.synth import SynthSpec, synth_clean_eeg
 
@@ -211,6 +211,14 @@ class TestFileFormat:
         with pytest.raises(FileFormatError, match="too large"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("c, t", [(4, 0), (0, 128), (0, 0)])
+    def test_records_of_empty_shape_rejected(self, tmp_path, c, t):
+        # 8 records of 14 bytes each: the size check alone passes the file
+        path = tmp_path / "d.fdcd"
+        path.write_bytes(struct.pack("<4sIIIQ", MAGIC, VERSION, c, t, 8) + bytes(8 * 14))
+        with pytest.raises(FileFormatError, match=rf"8 segments of empty shape \({c}, {t}\)"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("n, c, t", [(0, 2, 128), (1, 2, 128), (5, 3, 7), (40, 32, 128)])
     def test_bytes_equal_joined_writer(self, tmp_path, n, c, t):
         segs = _segments(n, c, t, seed=n)
@@ -352,19 +360,28 @@ class TestSplit:
         with pytest.raises(ConfigError, match="seed"):
             split_indices(10, 0.8, seed=-1)
 
+    @pytest.mark.parametrize("split", [0.2, 0.4, 0.5, 0.8, 0.95])
+    def test_one_subject_cannot_fill_both_sides(self, split):
+        # round(split) puts the one subject on one side and leaves the other empty
+        with pytest.raises(DegenerateDataError, match="at least 2 subjects, got 1"):
+            split_indices(20, split, seed=0, subjects=[7] * 20)
+
     @staticmethod
     def _per_segment_oracle(n, split, seed):
         """The per-segment split as a separate algorithm: the first k of one
         permutation of the n segments train."""
         perm = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117))).permutation(n)
-        k = int(round(n * split))
-        k = min(max(k, 1), n - 1) if n >= 2 else k
+        k = min(max(int(round(n * split)), 1), n - 1)
         return np.sort(perm[:k]), np.sort(perm[k:])
 
     @pytest.mark.parametrize("n", [*range(40), 100, 400, 1999, 2000])
     def test_without_subjects_each_segment_is_its_own_group(self, n):
         for split in (0.1, 0.25, 0.5, 0.8, 0.95):
             for seed in (0, 1, 2, 3, 7, 2**32 + 5):
+                if n < 2:
+                    with pytest.raises(DegenerateDataError, match=f"at least 2 segments, got {n}"):
+                        split_indices(n, split, seed)
+                    continue
                 got = split_indices(n, split, seed)
                 want = self._per_segment_oracle(n, split, seed)
                 for g, w in zip(got, want):

@@ -1,10 +1,8 @@
 """Denoising path: residual identity, shape preservation, loss gradient."""
 
 import numpy as np
-import pytest
 
 from conftest import check_grad, rng
-from fdcnet.errors import DimensionError
 from fdcnet.model.denoiser import ConvStem, Decoder, denoise_forward, denoise_loss
 from fdcnet.tensor import Tensor, tsum
 
@@ -43,13 +41,6 @@ class TestShapes:
         stem = ConvStem(n_channels=4, d_model=16, kernel_size=7, rng=rng(12))
         x = Tensor(rng(13).normal(size=(2, 4, 64)))
         assert stem.forward(x).shape == (2, 16, 64)
-
-    def test_latent_time_mismatch(self):
-        dec = Decoder(d_model=8, n_channels=2, kernel_size=3, rng=rng(14))
-        x = Tensor(rng(15).normal(size=(1, 2, 16)))
-        h = Tensor(rng(16).normal(size=(1, 10, 8)))
-        with pytest.raises(DimensionError):
-            denoise_forward(x, h, dec, training=False)
 
 
 class TestLoss:

@@ -35,7 +35,7 @@ class TestLineChart:
         assert polylines[1].get("stroke") == PALETTE[1]
 
     def test_points_in_canvas(self):
-        svg = render_line_chart([("s", [-3, 3], [10.0, -10.0])], "t", "x", "y", 640, 420)
+        svg = render_line_chart([("s", [-3, 3], [10.0, -10.0])], "t", "x", "y")
         root = ET.fromstring(svg)
         for poly in root.findall(f".//{SVG_NS}polyline"):
             for pair in poly.get("points").split():

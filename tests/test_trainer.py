@@ -1,6 +1,7 @@
 """Curriculum schedule, the training loop, and the SNR-sweep evaluator."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fdcnet import trainer
 from fdcnet.dataset import build_dataset, derive_seed, split_indices
-from fdcnet.errors import ConfigError, ContractError, DegenerateDataError
+from fdcnet.errors import ConfigError, DegenerateDataError
 from fdcnet.model import FdcNet, ModelConfig
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.synth import SynthSpec
@@ -66,12 +67,6 @@ class TestCurriculum:
         cfg = TrainConfig(snr_start=3.0, snr_end=-3.0)
         assert curriculum_snr(5, 11, cfg) == pytest.approx(0.0, abs=1e-12)
 
-    def test_out_of_range_epoch(self):
-        with pytest.raises(ContractError):
-            curriculum_snr(20, 20, TrainConfig())
-        with pytest.raises(ContractError):
-            curriculum_snr(-1, 20, TrainConfig())
-
     @given(
         total=st.integers(min_value=2, max_value=200),
         data=st.data(),
@@ -113,7 +108,7 @@ class TestTrainConfig:
     def test_desk_preset_shrinks_model(self):
         cfg = desk_preset()
         assert cfg.d_model == 32 and cfg.n_layers == 1 and cfg.n_heads == 4
-        assert desk_preset(epochs=3).epochs == 3
+        assert replace(desk_preset(), epochs=3).epochs == 3
 
     def test_model_config_propagates_ablations(self):
         cfg = tiny_cfg(no_feedback=True)
@@ -206,8 +201,6 @@ class TestEvaluate:
         model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
         with pytest.raises(DegenerateDataError):
             evaluate(model, [], [0.0])
-        with pytest.raises(ConfigError):
-            evaluate(model, tiny_segments()[:2], [])
 
 
 class TestReinject:
@@ -239,8 +232,9 @@ class TestReinject:
             return _reinject(segments, indices, snr_db, cfg, label, *key)
 
         monkeypatch.setattr(trainer, "_reinject", recording)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
         model, _ = train(segs, tiny_cfg(batch_size=3))
-        evaluate(model, segs, [0.0, 1.0], batch_size=4)
+        evaluate(model, segs, [0.0, 1.0])
         labels = {label for label, _, _ in calls}
         assert labels == {"train-noise", "val-noise", "eval-noise"}
         assert max(len(ids) for label, _, ids in calls if label != "eval-noise") <= 3
@@ -272,8 +266,9 @@ class TestBatches:
 
         monkeypatch.setattr(FdcNet, "forward", recording_forward)
         monkeypatch.setattr(trainer, "inject_noise", recording_inject)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
         model, _ = train(segs, tiny_cfg(batch_size=3))
-        evaluate(model, segs, [0.0], batch_size=4)
+        evaluate(model, segs, [0.0])
         assert len(seen) > 10
         for x in seen:
             assert x.flags.c_contiguous and x.flags.aligned and x.flags.owndata
