@@ -25,12 +25,12 @@ from pathlib import Path
 
 from .configfile import format_value, read_config, write_config
 from .dataset import DatasetReader, build_dataset, load_dataset, save_dataset, split_indices, write_header
-from .errors import ConfigError, FdcnetError, FileFormatError
+from .errors import ConfigError, DegenerateDataError, FdcnetError, FileFormatError
 from .fileio import atomic_writer
 from .model import FdcNet, ModelConfig
 from .noise import MAX_ABS_SNR_DB
 from .report import write_report
-from .synth import SynthSpec
+from .synth import SynthSpec, min_artifact_length
 from .trainer import (
     READ_FIELDS,
     TrainConfig,
@@ -234,9 +234,23 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**values)
 
 
+def _check_segment_length(path: str, sample_rate: float) -> None:
+    """Reject a dataset whose segments are too short to take artifact
+    noise at sample_rate, from its header alone."""
+    need = min_artifact_length(sample_rate)
+    with DatasetReader(path) as reader:
+        t = reader.shape[1]
+    if t < need:
+        raise DegenerateDataError(
+            f"{path}: segments of length T = {t} are too short for noise injection, "
+            f"which needs T >= {need} at {sample_rate:g} Hz"
+        )
+
+
 def _run_train(args, parser) -> int:
     _require(args, parser, "data", "out_dir")
     cfg = _train_config(args)
+    _check_segment_length(args.data, cfg.sample_rate_hz)
     # nothing is written until training has succeeded
     model, log = train(load_dataset(args.data, READ_FIELDS), cfg)
     for f in fields(TrainConfig):
@@ -337,6 +351,7 @@ def _resolve_split(args, recorded: dict | None, parser) -> bool:
 
 def _run_eval(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
+    _check_segment_length(args.data, args.sample_rate)
     model, sections = _load_model(args.model, args.model_config)
     by_subject = _resolve_split(args, sections.get("split"), parser)
     segments = _select_segments(

@@ -49,14 +49,35 @@ def relu(x) -> Tensor:
 def gelu(x) -> Tensor:
     x = as_tensor(x)
     d = x.data
-    # d * d * d, not d**3: NumPy sends integer powers other than 2 to libm pow
-    u = _GELU_C * (d + 0.044715 * (d * d * d))
-    t = np.tanh(u)
-    y = 0.5 * d * (1.0 + t)
+    # u = C * (d + 0.044715 * (d * d * d)), then t = tanh(u), built in one
+    # buffer; d * d * d, not d**3: NumPy sends integer powers other than 2
+    # to libm pow
+    t = d * d
+    t *= d
+    t *= 0.044715
+    t += d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * d
+    y *= t + 1.0
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * d**2)
-        return [g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t**2) * du)]
+        # g * (0.5 * (1 + t) + 0.5 * d * (1 - t**2) * du) on three buffers,
+        # with du = C * (1 + 3 * 0.044715 * d**2)
+        du = d * d
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        gx = 0.5 * d
+        dt *= gx
+        dt *= du
+        np.add(t, 1.0, out=gx)
+        gx *= 0.5
+        gx += dt
+        gx *= g
+        return [gx]
 
     return make_op(y, (x,), bw, "gelu")
 
@@ -146,12 +167,13 @@ def _scatter(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
     the adjoint of _correlate in x."""
     b, _, t = x.shape
     k = w.shape[2]
-    full = np.zeros((b, w.shape[1], t + k - 1))
+    xt = x.transpose(0, 2, 1)
+    # built as (B, T + K - 1, D), so that each tap adds one contiguous slab
+    full = np.zeros((b, t + k - 1, w.shape[1]))
     for kk in range(k):
         # (B, T, A) @ (A, D) -> (B, T, D), added at offset kk
-        part = np.matmul(x.transpose(0, 2, 1), w[:, :, kk])
-        full[:, :, kk : kk + t] += part.transpose(0, 2, 1)
-    return full[:, :, padding : full.shape[2] - padding] if padding else full
+        full[:, kk : kk + t] += np.matmul(xt, w[:, :, kk])
+    return np.ascontiguousarray(full[:, padding : full.shape[1] - padding].transpose(0, 2, 1))
 
 
 def conv1d(x, w, padding: int = 0) -> Tensor:

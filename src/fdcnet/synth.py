@@ -166,6 +166,24 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
 _EMG_BANDS = ((20.0, 45.0), (0.0, 1.0))
 
 
+def _emg_masks(f: np.ndarray) -> np.ndarray:
+    """One row per EMG band: which of the frequencies f lie in it."""
+    return np.array([(f >= lo) & (f <= hi) for lo, hi in _EMG_BANDS])
+
+
+def min_artifact_length(sample_rate: float) -> int:
+    """The fewest samples synth_artifact can shape at sample_rate: every
+    EMG band must hold a frequency bin of the length's rfft."""
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ConfigError(f"sample rate must be finite and > 0, got {sample_rate}")
+    # a band above the Nyquist frequency holds no bin at any length
+    if max(lo for lo, _ in _EMG_BANDS) <= sample_rate / 2:
+        for length in range(1, 1 << 16):
+            if _emg_masks(np.fft.rfftfreq(length, 1.0 / sample_rate)).any(axis=1).all():
+                return length
+    raise ConfigError(f"no segment length shapes the EMG bands {_EMG_BANDS} Hz at {sample_rate} Hz")
+
+
 def synth_artifact(kind: str, length: int, rngs: list[np.random.Generator],
                    sample_rate: float = 128.0, rows: int = 1) -> np.ndarray:
     """Unit-RMS artifact surrogate.
@@ -186,7 +204,7 @@ def synth_artifact(kind: str, length: int, rngs: list[np.random.Generator],
     f = np.fft.rfftfreq(length, 1.0 / fs)
     if kind == "emg":
         # white noise hard-masked in the frequency domain to each band
-        masks = np.array([(f >= lo) & (f <= hi) for lo, hi in _EMG_BANDS])
+        masks = _emg_masks(f)
         for (lo, hi), mask in zip(_EMG_BANDS, masks):
             if not mask.any():
                 raise DegenerateDataError(

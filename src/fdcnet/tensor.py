@@ -14,7 +14,10 @@ off the tape as it replays it, releasing what its closure kept once its
 gradient has flowed.
 
 All values are float64 and must be finite; constructing a tensor with NaN
-or Inf raises ``NonFiniteError``.
+or Inf raises ``NonFiniteError``. The outputs of reshape, transpose,
+swapaxes, getitem and concat skip that scan: their values are copies of
+inputs that were scanned when they were made. A value written in place
+into a tensor's data is caught by the next arithmetic op it reaches.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ _ACTIVE_TAPE: Optional["GradTape"] = None
 # passes, so a tensor left over from an earlier pass names no node of the
 # current one
 _NEXT_NODE = 0
+# ops whose values are copies of their inputs' values
+_COPY_OPS = frozenset({"reshape", "transpose", "swapaxes", "getitem", "concat"})
 
 
 class GradTape:
@@ -82,7 +87,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, op: Optional[str] = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if op not in _COPY_OPS and not np.isfinite(arr).all():
             raise NonFiniteError(
                 f"non-finite values in tensor{'' if op is None else ' produced by ' + op}"
                 f" (shape {arr.shape})"

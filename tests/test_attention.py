@@ -117,6 +117,13 @@ def unfused_head_freq(q, k, v):
     return _idct_tokens(unfused_head_time(_dct_tokens(q), _dct_tokens(k), _dct_tokens(v)))
 
 
+def assert_close(got, want):
+    """Within 1e-13 of the largest magnitude of want: the fused node scales Q
+    and normalises after P V, which moves the chain's values by rounding."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _run(head, q, k, v, w, shared=False):
     """Output and the Q, K, V gradients of sum(head(Q, K, V) * w)."""
     if shared:
@@ -131,29 +138,30 @@ def _run(head, q, k, v, w, shared=False):
 
 
 class TestFusedHead:
-    SHAPES = [(2, 3, 4), (2, 4, 5, 3), (32, 2, 128, 8)]
+    # the last two: a desk and a paper-scale head group (B, H, T, d_h)
+    SHAPES = [(2, 3, 4), (2, 4, 5, 3), (32, 2, 128, 8), (2, 8, 128, 16)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("fused, unfused", [
         (attention_head_time, unfused_head_time),
         (attention_head_freq, unfused_head_freq),
     ])
-    def test_bytes_equal_unfused_chain(self, shape, fused, unfused):
+    def test_matches_unfused_chain(self, shape, fused, unfused):
         r = rng(11)
         q, k, v, w = (r.normal(size=shape) for _ in range(4))
         out, grads, _ = _run(fused, q, k, v, w)
         expect, expect_grads, _ = _run(unfused, q, k, v, w)
-        assert np.array_equal(out, expect)
+        assert_close(out, expect)
         for got, want in zip(grads, expect_grads):
-            assert np.array_equal(got, want)
+            assert_close(got, want)
 
     def test_shared_qkv_accumulates_like_unfused_chain(self):
         r = rng(12)
         x, w = r.normal(size=(2, 4, 5, 3)), r.normal(size=(2, 4, 5, 3))
         out, (grad, _, _), _ = _run(attention_head_time, x, x, x, w, shared=True)
         expect, (expect_grad, _, _), _ = _run(unfused_head_time, x, x, x, w, shared=True)
-        assert np.array_equal(out, expect)
-        assert np.array_equal(grad, expect_grad)
+        assert_close(out, expect)
+        assert_close(grad, expect_grad)
 
     def test_one_tape_node(self):
         r = rng(13)
@@ -178,30 +186,34 @@ class TestFusedHead:
 
 
 class TestBlockedHead:
-    """The fused head walks the leading axis in blocks of weights and keeps
-    no weights on the tape."""
+    """The fused head walks the leading axis in blocks of scores and keeps
+    no scores on the tape."""
 
-    @pytest.mark.parametrize("block_bytes", [1, 1 << 30])
     @pytest.mark.parametrize("shape", TestFusedHead.SHAPES)
     @pytest.mark.parametrize("fused, unfused", [
         (attention_head_time, unfused_head_time),
         (attention_head_freq, unfused_head_freq),
     ])
-    def test_block_size_keeps_bytes(self, monkeypatch, block_bytes, shape, fused, unfused):
+    def test_block_size_keeps_bytes(self, monkeypatch, shape, fused, unfused):
         r = rng(17)
         q, k, v, w = (r.normal(size=shape) for _ in range(4))
         expect, expect_grads, _ = _run(unfused, q, k, v, w)
-        monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes)
-        out, grads, _ = _run(fused, q, k, v, w)
-        assert np.array_equal(out, expect)
-        for got, want in zip(grads, expect_grads):
-            assert np.array_equal(got, want)
+        runs = []
+        for block_bytes in (1, 1 << 30):
+            monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes)
+            runs.append(_run(fused, q, k, v, w)[:2])
+        (out, grads), (whole_out, whole_grads) = runs
+        assert np.array_equal(out, whole_out)
+        assert_close(out, expect)
+        for got, whole, want in zip(grads, whole_grads, expect_grads):
+            assert np.array_equal(got, whole)
+            assert_close(got, want)
 
     def test_tracked_forward_keeps_no_weights(self):
         shape = (32, 2, 128, 8)
         r = rng(18)
         q, k, v = (Tensor(r.normal(size=shape), requires_grad=True) for _ in range(3))
-        weights_bytes = 32 * 2 * 128 * 128 * 8
+        q_bytes = q.data.nbytes
         tracemalloc.start()
         try:
             with GradTape() as tape:
@@ -212,7 +224,9 @@ class TestBlockedHead:
         finally:
             tracemalloc.stop()
         assert out.shape == shape
-        assert retained < weights_bytes
+        # the output and a row max and sum per query row: 1 + 2 / d_h times
+        # Q. A copy of the output or one block of (T, T) scores breaks this.
+        assert retained < 2 * q_bytes
 
     @pytest.mark.parametrize("shape", [(2, 0, 5, 3), (0, 2, 5, 3)])
     def test_empty_inputs_match_unfused_chain(self, shape):

@@ -319,6 +319,24 @@ class TestSizesRejected:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_short_segments_are_rejected_before_any_work(self, shaped, tmp_path, capsys, command, t):
+        # noise injection needs a frequency bin in the 20-45 Hz EMG band:
+        # 3 samples at 128 Hz
+        data = str(shaped / f"4x{t}.fdcd")
+        argv = {
+            "train": ["train", "--desk", "--epochs", "1", "--data", data, "--out-dir", str(tmp_path / "run")],
+            "eval": ["eval", "--model", str(shaped / "model.fdcn"), "--data", data,
+                     "--out", str(tmp_path / "e.csv")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: segments of length T = {t} are too short for noise injection, "
+            "which needs T >= 3 at 128 Hz\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_synth_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 200 s trials make each channel's sinusoid product (160, 88) @ (88, 160),

@@ -94,6 +94,29 @@ class TestActivations:
         check_grad(lambda t: sq_sum(fn(t)), x, tol=1e-5)
 
 
+def gelu_reference(x, g):
+    """GELU's value and input gradient by the formula of the
+    temporary-per-operation version, which the in-place kernel keeps to the
+    byte."""
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    du = c * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
+@pytest.mark.parametrize("shape", [(64, 128, 32), (32, 32, 128), (3, 5)])
+def test_gelu_bytes_equal_reference(shape):
+    r = rng(3)
+    x, g = r.normal(scale=3.0, size=shape), r.normal(size=shape)
+    want_y, want_gx = gelu_reference(x, g)
+    with GradTape() as tape:
+        y = gelu(Tensor(x, requires_grad=True)).numpy()
+        ((_, bw),) = tape.nodes
+        (gx,) = bw(g)
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(gx, want_gx)
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
@@ -182,6 +205,34 @@ def _input_grad(op, x, w, g, padding):
         op(Tensor(x, requires_grad=True), Tensor(w), padding=padding)
         ((_, bw),) = tape.nodes
         return bw(g)[0]
+
+
+def scatter_reference(x, w, padding):
+    """x (B, A, T) scattered through w (A, D, K) by the (B, D, T + K - 1)
+    tap loop that _scatter's (B, T + K - 1, D) layout keeps to the byte."""
+    b, _, t = x.shape
+    k = w.shape[2]
+    full = np.zeros((b, w.shape[1], t + k - 1))
+    for kk in range(k):
+        full[:, :, kk : kk + t] += np.matmul(x.transpose(0, 2, 1), w[:, :, kk]).transpose(0, 2, 1)
+    return full[:, :, padding : full.shape[2] - padding] if padding else full
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("b", [1, 5])
+def test_scatter_bytes_equal_tap_loop(k, same, b):
+    padding = k // 2 if same else 0
+    r = rng(80 + k)
+    w = r.normal(size=(4, 3, k))
+    # conv1d's input gradient scatters g (B, 4, T_out) through its (4, 3, K) weights
+    g = r.normal(size=(b, 4, 16 + 2 * padding - k + 1))
+    assert np.array_equal(_input_grad(conv1d, r.normal(size=(b, 3, 16)), w, g, padding),
+                          scatter_reference(g, w, padding))
+    # conv1d_transposed's forward scatters x (B, 4, T) through its (4, 3, K) weights
+    x = r.normal(size=(b, 4, 16))
+    assert np.array_equal(conv1d_transposed(Tensor(x), Tensor(w), padding=padding).numpy(),
+                          scatter_reference(x, w, padding))
 
 
 class TestConvDirectionsWrittenOnce:

@@ -12,6 +12,7 @@ from fdcnet.synth import (
     PINK_POWER,
     SynthSpec,
     _sinusoid_sums,
+    min_artifact_length,
     segment_windows,
     synth_artifact,
     synth_clean_eeg,
@@ -276,6 +277,20 @@ class TestArtifacts:
         for n in (1, 2):
             with pytest.raises(DegenerateDataError, match="emg"):
                 synth_artifact("emg", 2, [np.random.default_rng(s) for s in range(n)])
+
+    @pytest.mark.parametrize("fs", [40.0, 41.0, 90.0, 128.0, 129.0, 256.0, 1000.0])
+    def test_min_artifact_length_is_the_shortest_that_shapes(self, fs):
+        n = min_artifact_length(fs)
+        for kind in ("emg", "eog"):
+            assert synth_artifact(kind, n, [np.random.default_rng(0)], fs).shape == (1, n)
+        for length in range(1, n):
+            with pytest.raises(DegenerateDataError, match="emg"):
+                synth_artifact("emg", length, [np.random.default_rng(0)], fs)
+
+    @pytest.mark.parametrize("fs", [39.0, 0.0, -128.0, np.nan, np.inf])
+    def test_min_artifact_length_rejects_rates_no_length_serves(self, fs):
+        with pytest.raises(ConfigError):
+            min_artifact_length(fs)
 
     def test_determinism(self):
         np.testing.assert_array_equal(_artifact("emg", 512, 12), _artifact("emg", 512, 12))

@@ -1,12 +1,15 @@
 """Autodiff core: tape semantics, broadcasting, and gradient oracles."""
 
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdcnet
 from conftest import check_grad, rng, sq_sum
 from fdcnet.errors import ContractError, DimensionError, NonFiniteError
 from fdcnet.model import FdcNet
@@ -45,6 +48,43 @@ class TestConstruction:
             Tensor(np.array([1.0, np.inf]))
         with pytest.raises(NonFiniteError):
             Tensor(np.array([np.nan]))
+        with pytest.raises(NonFiniteError):
+            Tensor(np.nan)
+
+    # the ops whose values are copies of their inputs' skip the scan
+    COPY_OPS = {"reshape", "transpose", "swapaxes", "getitem", "concat"}
+
+    def test_every_other_op_scans_its_output(self):
+        # every op name the package records
+        names = {
+            name
+            for path in Path(fdcnet.__file__).parent.rglob("*.py")
+            for name in re.findall(r'make_op\(.*, "(\w+)"\)$', path.read_text(), re.M)
+        }
+        assert self.COPY_OPS < names
+        for name in sorted(names - self.COPY_OPS):
+            with pytest.raises(NonFiniteError, match=f"produced by {name} "):
+                Tensor(np.array([1.0, np.nan]), op=name)
+        for name in self.COPY_OPS:
+            Tensor(np.array([1.0, np.nan]), op=name)
+
+    def test_nan_written_into_a_parameter_stops_the_next_forward(self):
+        # as an optimizer step could write it: the copy ops skip their scan,
+        # but the first arithmetic op downstream of every parameter has one
+        model = FdcNet(model_config_from(desk_preset(), 4), seed=0)
+        x = rng(9).normal(size=(2, 4, 16))
+        missed = []
+        for name, param in model.named_parameters().items():
+            kept = param.data.flat[0]
+            param.data.flat[0] = np.nan
+            try:
+                model.forward(x, mode="eval")
+                missed.append(name)
+            except NonFiniteError:
+                pass
+            param.data.flat[0] = kept
+        assert missed == []
+        model.forward(x, mode="eval")
 
     def test_shape_and_ndim(self):
         t = Tensor(np.zeros((2, 3, 4)))
