@@ -20,7 +20,7 @@ import difflib
 import math
 import shlex
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .configfile import format_value, read_config, write_config
@@ -208,30 +208,44 @@ def _run_synth(args, parser) -> int:
 
 # -- train --------------------------------------------------------------------
 
+# train's flags: TrainConfig's own fields, then the numeric ModelConfig fields
+# except n_channels (the dataset's) and t_max (no flag), then the ablation
+# switches, which ModelConfig.with_ablations applies
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "model"]
+_MODEL_FIELDS = [f for f in fields(ModelConfig)
+                 if not isinstance(f.default, bool) and f.name not in ("n_channels", "t_max")]
+_ABLATIONS = ("no_feedback", "no_cross", "no_eegsp")
+
+
 def _build_train(sub):
     p = sub.add_parser("train", help="train a model on a dataset file")
     p.add_argument("--config", help="key=value config file with a [train] section")
     p.add_argument("--data", help="input .fdcd dataset")
     p.add_argument("--out-dir")
-    p.add_argument("--desk", action="store_true", help="desk-scale preset (d_model=32, 1 layer, 4 heads)")
-    # one flag per TrainConfig field; numeric flags default to None so the
-    # desk preset can fill unset ones
-    for f in fields(TrainConfig):
+    p.add_argument("--desk", action="store_true",
+                   help="desk-scale preset (d_model=32, n_layers=1, n_heads=4, ff_dim=64)")
+    # numeric flags default to None so the desk preset can fill unset ones
+    for f in _TRAIN_FIELDS + _MODEL_FIELDS:
         flag = f"--{f.name.replace('_', '-')}"
         if isinstance(f.default, bool):
             p.add_argument(flag, action="store_true")
         else:
             p.add_argument(flag, type=type(f.default), default=None)
+    for name in _ABLATIONS:
+        p.add_argument(f"--{name.replace('_', '-')}", action="store_true")
     return p
+
+
+def _given(args, of) -> dict:
+    """The flags of the fields `of` that the command line or --config set."""
+    return {f.name: getattr(args, f.name) for f in of if getattr(args, f.name) is not None}
 
 
 def _train_config(args) -> TrainConfig:
     base = desk_preset() if args.desk else TrainConfig()
-    values = {}
-    for f in fields(TrainConfig):
-        arg_val = getattr(args, f.name)
-        values[f.name] = getattr(base, f.name) if arg_val is None else arg_val
-    return TrainConfig(**values)
+    model = replace(base.model, **_given(args, _MODEL_FIELDS))
+    model = model.with_ablations(*(getattr(args, name) for name in _ABLATIONS))
+    return replace(base, model=model, **_given(args, _TRAIN_FIELDS))
 
 
 def _check_segment_length(path: str, sample_rate: float) -> None:
@@ -253,8 +267,9 @@ def _run_train(args, parser) -> int:
     _check_segment_length(args.data, cfg.sample_rate_hz)
     # nothing is written until training has succeeded
     model, log = train(load_dataset(args.data, READ_FIELDS), cfg)
-    for f in fields(TrainConfig):
-        setattr(args, f.name, getattr(cfg, f.name))
+    # run_config.txt records the values the run used, the desk preset's included
+    vars(args).update({f.name: getattr(cfg, f.name) for f in _TRAIN_FIELDS},
+                      **{f.name: getattr(cfg.model, f.name) for f in _MODEL_FIELDS})
     out_dir = Path(args.out_dir)
     _write_run_config(str(out_dir / "model.fdcn"), "train", _flag_values(args, parser))
     model.save(out_dir / "model.fdcn")

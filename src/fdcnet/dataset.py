@@ -180,16 +180,16 @@ def build_dataset(
     )
     # every trial has spec.n_samples samples, so the same number of windows
     for i, (trial, valence, arousal, subject) in enumerate(trials):
-        noisy, achieved = inject_noise(trial, nspec, i)
+        noisy, achieved = inject_noise(trial[None], nspec, [i])
         clean = segment_windows(trial, window, overlap)
         if i == 0:
             per_trial = len(clean)
             segments = new_dataset(len(trials) * per_trial, len(trial), window)
         rows = segments[i * per_trial : (i + 1) * per_trial]
         rows.clean = clean
-        rows.noisy = segment_windows(noisy, window, overlap)
+        rows.noisy = segment_windows(noisy[0], window, overlap)
         rows.valence, rows.arousal, rows.subject_id = valence, arousal, subject
-        rows.achieved_snr_db = achieved
+        rows.achieved_snr_db = achieved[0]
     return segments
 
 

@@ -108,10 +108,6 @@ class ForwardResult:
     h_classify: Tensor  # (B, T, d_model)
 
 
-def _broadcast_t(vec, b: int, d: int) -> Tensor:
-    return reshape(vec, (b, 1, d))
-
-
 def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule):
     """One feedback iteration.
 
@@ -124,12 +120,12 @@ def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule):
     if prev_feedback is not None:
         p_prev, f_prev = prev_feedback
         gate = feedback_project(p_prev, fb)
-        h_den = mul(h_den, _broadcast_t(gate, b, d))
+        h_den = mul(h_den, reshape(gate, (b, 1, d)))
         low = feedback_embed(tmean(h_den, axis=1), fb)
         enhanced = feature_enhance(low, f_prev, fb)
-        h_den = add(h_den, _broadcast_t(linear(enhanced, fb.params["inj_den.w"]), b, d))
+        h_den = add(h_den, reshape(linear(enhanced, fb.params["inj_den.w"]), (b, 1, d)))
     phi = feedback_embed(tmean(h_den, axis=1), fb)
-    h_cls = add(h_cls, _broadcast_t(linear(phi, fb.params["inj_cls.w"]), b, d))
+    h_cls = add(h_cls, reshape(linear(phi, fb.params["inj_cls.w"]), (b, 1, d)))
     return h_den, h_cls
 
 

@@ -82,21 +82,18 @@ def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Ge
 def inject_noise(clean, spec: NoiseSpec, ids=None):
     """Returns (noisy, achieved_snr_db).
 
-    `clean` is one (C, T) segment or N segments as an (N, C, T) array. `ids` is
-    the segment id or the N ids (default 0, or 0..N-1); segment k draws from
-    the Philox stream keyed (spec.seed, ids[k]). For N segments noisy is
-    (N, C, T) and achieved_snr_db an (N,) array.
+    `clean` holds N segments as an (N, C, T) array, and `ids` their N segment
+    ids (default 0..N-1); segment k draws from the Philox stream keyed
+    (spec.seed, ids[k]). noisy is (N, C, T) and achieved_snr_db an (N,) array.
 
     noisy = clean + lambda_c * n_c + Gaussian(0, sigma), with
     lambda_c = RMS(clean_c) / (RMS(n_c) * 10^(target/20)) per channel.
     achieved_snr_db is measured against the scaled bio-artifact only.
     """
     spec.validate()
-    single = clean.ndim == 2
-    segments = clean[None] if single else clean
-    if segments.ndim != 3:
-        raise DimensionError(f"inject_noise expects (C, T) or (N, C, T), got shape {clean.shape}")
-    n, c, t = segments.shape
+    if clean.ndim != 3:
+        raise DimensionError(f"inject_noise expects (N, C, T), got shape {clean.shape}")
+    n, c, t = clean.shape
     ids = np.arange(n) if ids is None else np.asarray(ids).reshape(-1)
     if ids.shape != (n,):
         raise DimensionError(f"inject_noise got {ids.size} segment ids for {n} segments")
@@ -111,7 +108,7 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
     pool = [np.random.Generator(np.random.Philox(0)) for _ in range(min(step, n))]
     for lo in range(0, n, step):
         # C order keeps each row's reductions the same pairwise sums as a 1-D row
-        x = np.ascontiguousarray(segments[lo : lo + step], dtype=np.float64)
+        x = np.ascontiguousarray(clean[lo : lo + step], dtype=np.float64)
         k = len(x)
         clean_power = np.sum(np.square(x.reshape(k, c * t)), axis=-1)
         if not clean_power.all():
@@ -134,6 +131,4 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
         scaled_power = np.sum(np.square(scaled.reshape(k, c * t)), axis=-1)
         # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
         achieved[lo : lo + k] = [10.0 * math.log10(p / q) for p, q in zip(clean_power, scaled_power)]
-    if single:
-        return noisy[0], float(achieved[0])
     return noisy, achieved

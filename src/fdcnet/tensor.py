@@ -83,7 +83,7 @@ class Tensor:
     """A dense row-major float64 array, optionally tracked on the active tape."""
 
     # _node: index of the tape node that produced this tensor, None for a leaf
-    __slots__ = ("data", "requires_grad", "grad", "op", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, op: Optional[str] = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -95,7 +95,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.op = op
         self._node: Optional[int] = None
 
     # -- basic introspection -------------------------------------------------

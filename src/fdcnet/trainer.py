@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -37,24 +37,14 @@ class TrainConfig:
     alpha: float = 0.6
     snr_start: float = 3.0
     snr_end: float = -3.0
-    d_model: int = 128
-    n_layers: int = 2
-    n_heads: int = 8
-    ff_dim: int = 256
-    dropout: float = 0.1
-    t_fb: int = 2
-    head_hidden: int = 64
-    gate_reduction: int = 4
-    kernel_size: int = 7
     seed: int = 0
     split: float = 0.8
     split_by_subject: bool = False
-    no_feedback: bool = False
-    no_cross: bool = False
-    no_eegsp: bool = False
     emg_eog_ratio: float = 1.0
     gaussian_sigma: float = 0.01
     sample_rate_hz: float = 128.0
+    # the model trained; train() sets n_channels to the dataset's C
+    model: ModelConfig = ModelConfig()
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -84,22 +74,7 @@ class TrainConfig:
 
 def desk_preset() -> TrainConfig:
     """Desk-scale model: trains on 2000 C=8 segments in minutes on CPU."""
-    return TrainConfig(d_model=32, n_layers=1, n_heads=4, ff_dim=64)
-
-
-def model_config_from(cfg: TrainConfig, n_channels: int) -> ModelConfig:
-    return ModelConfig(
-        n_channels=n_channels,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        ff_dim=cfg.ff_dim,
-        dropout=cfg.dropout,
-        t_fb=cfg.t_fb,
-        head_hidden=cfg.head_hidden,
-        gate_reduction=cfg.gate_reduction,
-        kernel_size=cfg.kernel_size,
-    ).with_ablations(cfg.no_feedback, cfg.no_cross, cfg.no_eegsp)
+    return TrainConfig(model=ModelConfig(d_model=32, n_layers=1, n_heads=4, ff_dim=64))
 
 
 def curriculum_snr(epoch: int, total_epochs: int, cfg: TrainConfig) -> float:
@@ -183,7 +158,7 @@ def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]
     labels = _labels(dataset)
     weights = class_weights(labels[train_idx])
 
-    model = FdcNet(model_config_from(cfg, dataset.clean.shape[1]), seed=cfg.seed)
+    model = FdcNet(replace(cfg.model, n_channels=dataset.clean.shape[1]), seed=cfg.seed)
     optimizer = AdamW(
         model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
     )

@@ -195,7 +195,7 @@ def test_noise_injection_oracle():
     r = rng(30)
     targets = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     for sig in range(100):
-        clean = r.normal(scale=r.uniform(0.5, 2.0), size=(2, 256))
+        clean = r.normal(scale=r.uniform(0.5, 2.0), size=(1, 2, 256))
         p_clean = float(np.mean(clean**2))
         target = targets[sig % len(targets)]
         seed = 1000 + sig
@@ -205,14 +205,14 @@ def test_noise_injection_oracle():
         resid = noisy0 - clean
         snr = 10.0 * np.log10(p_clean / np.mean(resid**2))
         assert abs(snr - target) < 0.05
-        assert abs(achieved0 - target) < 0.05
+        assert abs(achieved0[0] - target) < 0.05
 
         # same seed with the Gaussian floor on: the bio component is the
         # sigma=0 residual, and must still meet the target on its own
         spec1 = NoiseSpec(target_snr_db=target, gaussian_sigma=0.01, seed=seed)
         noisy1, achieved1 = inject_noise(clean, spec1)
         floor = (noisy1 - clean) - resid
-        assert abs(achieved1 - target) < 0.05
+        assert abs(achieved1[0] - target) < 0.05
         assert 0.005 < float(floor.std()) < 0.02
         bio_snr = 10.0 * np.log10(p_clean / np.mean(resid**2))
         assert abs(bio_snr - target) < 0.05

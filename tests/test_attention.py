@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fdcnet.model.attention import (
 )
 from fdcnet.model.feedback import joint_loss
 from fdcnet.tensor import GradTape, Tensor, backward, matmul, mul, swapaxes, tsum
-from fdcnet.trainer import desk_preset, model_config_from
+from fdcnet.trainer import desk_preset
 
 
 def attention_oracle(q, k, v):
@@ -255,7 +256,7 @@ class TestBlockedHead:
 
 def test_desk_training_step_records_135_tape_nodes():
     r = rng(15)
-    model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+    model = FdcNet(replace(desk_preset().model, n_channels=8), seed=0)
     xb, cb = r.normal(size=(32, 8, 128)), r.normal(size=(32, 8, 128))
     yb = np.tile([[0.0, 1.0], [1.0, 0.0]], (16, 1))
     with GradTape() as tape:

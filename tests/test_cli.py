@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -278,10 +279,9 @@ class TestSizesRejected:
         from fdcnet.configfile import write_config
         from fdcnet.dataset import new_dataset, save_dataset
         from fdcnet.model import FdcNet
-        from fdcnet.trainer import model_config_from
 
         root = tmp_path_factory.mktemp("shapes")
-        model = FdcNet(model_config_from(desk_preset(), 4), seed=0)
+        model = FdcNet(replace(desk_preset().model, n_channels=4), seed=0)
         model.save(root / "model.fdcn")
         split = {"split": 0.8, "seed": 0, "split_by_subject": False}
         write_config(root / "model.cfg", {"model": model.cfg.to_dict(), "split": split})
@@ -471,7 +471,10 @@ class TestPipeline:
             "use", "split", "split_seed", "out"]
         assert list(sections["denoise"]) == ["model", "data", "batch_size", "out"]
         train_keys = list(read_config(run / "run_config.txt")["train"])
-        assert train_keys == ["data", "out_dir", "desk", *(f.name for f in fields(TrainConfig))]
+        assert train_keys == [
+            "data", "out_dir", "desk", *(f.name for f in fields(TrainConfig) if f.name != "model"),
+            "d_model", "n_layers", "n_heads", "ff_dim", "dropout", "t_fb", "gate_reduction",
+            "head_hidden", "kernel_size", "no_feedback", "no_cross", "no_eegsp"]
 
     @pytest.mark.parametrize("command, flags, outputs", [
         ("eval", ["--snr-grid", "-1:1:1", "--use", "test"], ["eval.csv"]),
@@ -575,16 +578,109 @@ class TestTrainFlags:
         from dataclasses import fields
 
         from fdcnet import cli
+        from fdcnet.model import ModelConfig
         from fdcnet.trainer import TrainConfig
 
         parser = cli._build_train(cli._Parser(prog="fdcnet").add_subparsers(parser_class=cli._Parser))
-        unset = parser.parse_args([])
-        for f in fields(TrainConfig):
-            assert getattr(unset, f.name) is (False if isinstance(f.default, bool) else None)
-        args = parser.parse_args(["--epochs", "3", "--lr", "0.5", "--split-by-subject", "--no-cross"])
+        unset = vars(parser.parse_args([]))
+        own = [f for f in fields(TrainConfig) if f.name != "model"]
+        sizes = [f for f in fields(ModelConfig)
+                 if not isinstance(f.default, bool) and f.name not in ("n_channels", "t_max")]
+        for f in own + sizes:
+            assert unset.pop(f.name) is (False if isinstance(f.default, bool) else None)
+        assert unset == {"config": None, "data": None, "out_dir": None, "desk": False,
+                         "no_feedback": False, "no_cross": False, "no_eegsp": False}
+        args = parser.parse_args(["--epochs", "3", "--lr", "0.5", "--split-by-subject", "--no-cross",
+                                  "--d-model", "16"])
+        model = replace(ModelConfig(), d_model=16, feedback=False, cross=False)
         assert cli._train_config(args) == TrainConfig(epochs=3, lr=0.5, split_by_subject=True,
-                                                      no_cross=True)
+                                                      model=model)
         assert cli._train_config(parser.parse_args(["--desk"])) == desk_preset()
+        desk = cli._train_config(parser.parse_args(["--desk", "--ff-dim", "48", "--no-eegsp"]))
+        assert desk.model == replace(desk_preset().model, ff_dim=48, eegsp=False)
+
+
+class TestModelSettingsDeclaredOnce:
+    # a value other than the default for each ModelConfig field train has a flag for
+    SIZES = {"d_model": 8, "n_layers": 1, "n_heads": 2, "ff_dim": 16, "dropout": 0.2,
+             "t_fb": 3, "gate_reduction": 2, "head_hidden": 8, "kernel_size": 5}
+
+    def test_each_model_setting_is_declared_once(self, pipeline, tmp_path):
+        from dataclasses import fields
+
+        from fdcnet.configfile import read_config
+        from fdcnet.model import ModelConfig
+        from fdcnet.trainer import TrainConfig
+
+        own = {f.name for f in fields(TrainConfig)}
+        assert own & {f.name for f in fields(ModelConfig)} == set()
+        numeric = [f for f in fields(ModelConfig)
+                   if not isinstance(f.default, bool) and f.name not in ("n_channels", "t_max")]
+        assert [f.name for f in numeric] == list(self.SIZES)
+        assert all(self.SIZES[f.name] != f.default for f in numeric)
+        _, data, _ = pipeline
+        flags = [tok for name, value in self.SIZES.items()
+                 for tok in (f"--{name.replace('_', '-')}", str(value))]
+        assert main(["train", "--data", str(data), "--out-dir", str(tmp_path), "--epochs", "1",
+                     *flags]) == 0
+        written = read_config(tmp_path / "model.cfg")["model"]
+        assert {name: written[name] for name in self.SIZES} == self.SIZES
+
+    # a [train] section in the key order written while TrainConfig mirrored
+    # the model settings: the sizes after snr_end, the switches after
+    # split_by_subject
+    EARLIER_ORDER = """[train]
+data = {data}
+out_dir = {out}
+desk = false
+epochs = 1
+batch_size = 8
+lr = 0.001
+weight_decay = 0.01
+alpha = 0.6
+snr_start = 3.0
+snr_end = -3.0
+d_model = 8
+n_layers = 1
+n_heads = 2
+ff_dim = 16
+dropout = 0.2
+t_fb = 3
+head_hidden = 8
+gate_reduction = 2
+kernel_size = 5
+seed = 2
+split = 0.8
+split_by_subject = false
+no_feedback = false
+no_cross = {no_cross}
+no_eegsp = false
+emg_eog_ratio = 1.0
+gaussian_sigma = 0.01
+sample_rate_hz = 128.0
+"""
+
+    @pytest.mark.parametrize("no_cross", [False, True])
+    def test_earlier_key_order_replays_like_its_flags(self, pipeline, tmp_path, no_cross):
+        from fdcnet.configfile import format_value, read_config
+
+        _, data, _ = pipeline
+        replay, flagged = tmp_path / "replay", tmp_path / "flags"
+        text = self.EARLIER_ORDER.format(data=data, out=replay, no_cross=format_value(no_cross))
+        (tmp_path / "earlier.txt").write_text(text)
+        assert main(["train", "--config", str(tmp_path / "earlier.txt")]) == 0
+        flags = [tok for key, value in read_config(tmp_path / "earlier.txt")["train"].items()
+                 if key not in ("data", "out_dir") and value is not False
+                 for tok in ([f"--{key.replace('_', '-')}"]
+                             + ([] if value is True else [format_value(value)]))]
+        assert main(["train", "--data", str(data), "--out-dir", str(flagged), *flags]) == 0
+        for name in ("model.cfg", "model.fdcn", "training_log.csv"):
+            assert (replay / name).read_bytes() == (flagged / name).read_bytes()
+        # only the order of the keys moved
+        assert (sorted((replay / "run_config.txt").read_text().splitlines())
+                == sorted(text.splitlines()))
+        model = read_config(replay / "model.cfg")["model"]
+        assert (model["feedback"], model["cross"]) == (not no_cross, not no_cross)
 
 
 class TestDeskPreset:
@@ -752,7 +848,6 @@ def desk_corpus(tmp_path_factory):
     from fdcnet.configfile import write_config
     from fdcnet.dataset import new_dataset, save_dataset
     from fdcnet.model import FdcNet
-    from fdcnet.trainer import model_config_from
 
     root = tmp_path_factory.mktemp("desk")
     r = np.random.default_rng(5)
@@ -762,7 +857,7 @@ def desk_corpus(tmp_path_factory):
     ds.subject_id = np.arange(2000) // 500
     ds.valence, ds.arousal = r.integers(0, 2, 2000), r.integers(0, 2, 2000)
     save_dataset(root / "data.fdcd", ds)
-    model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+    model = FdcNet(replace(desk_preset().model, n_channels=8), seed=0)
     model.save(root / "model.fdcn")
     split = {"split": 0.8, "seed": 0, "split_by_subject": False}
     write_config(root / "model.cfg", {"model": model.cfg.to_dict(), "split": split})

@@ -308,10 +308,10 @@ class TestBuildDataset:
         segs = build_dataset(spec, -1.0, gaussian_sigma=0.02)
         nspec = NoiseSpec(-1.0, gaussian_sigma=0.02, seed=derive_seed(8, "noise"))
         for i, (trial, *_) in enumerate(synth_clean_eeg(spec)):
-            noisy, achieved = inject_noise(trial, nspec, i)
+            noisy, achieved = inject_noise(trial[None], nspec, [i])
             first = segs[3 * i]
-            assert first.noisy.tobytes() == noisy[:, :128].tobytes()
-            assert first.achieved_snr_db == achieved
+            assert first.noisy.tobytes() == noisy[0, :, :128].tobytes()
+            assert first.achieved_snr_db == achieved[0]
 
     def test_noise_varies_per_trial(self):
         spec = SynthSpec(n_subjects=1, trials_per_subject=2, n_channels=2,

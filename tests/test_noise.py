@@ -13,7 +13,8 @@ from fdcnet.noise import NoiseSpec, inject_noise
 
 
 def _clean(seed=0, c=4, t=256):
-    return rng(seed).normal(size=(c, t))
+    """One (C, T) segment as a block of one."""
+    return rng(seed).normal(size=(1, c, t))
 
 
 def recomputed_snr(clean, noisy):
@@ -94,9 +95,9 @@ class TestSegmentReference:
         clean = _clean(9)
         spec = NoiseSpec(1.0, seed=2**64 - 1)
         noisy, achieved = inject_noise(clean, spec)
-        want, want_achieved = reference_segment(clean, spec, 0)
-        assert noisy.tobytes() == want.tobytes()
-        assert isinstance(achieved, float) and achieved == want_achieved
+        want, want_achieved = reference_segment(clean[0], spec, 0)
+        assert noisy[0].tobytes() == want.tobytes()
+        assert achieved.shape == (1,) and achieved[0] == want_achieved
 
 
 class TestStreamInvariance:
@@ -148,9 +149,9 @@ class TestStreamInvariance:
         for k, j in enumerate(pick):
             assert got[k].tobytes() == want[j].tobytes()
             assert achieved[k] == want_achieved[j]
-            one, one_achieved = inject_noise(clean[j], spec, int(ids[j]))
-            assert one.tobytes() == want[j].tobytes()
-            assert one_achieved == want_achieved[j]
+            one, one_achieved = inject_noise(clean[j : j + 1], spec, ids[j : j + 1])
+            assert one[0].tobytes() == want[j].tobytes()
+            assert one_achieved[0] == want_achieved[j]
 
     def test_segment_noise_ignores_other_segments_signal(self):
         clean, ids = self._block()
@@ -162,14 +163,14 @@ class TestStreamInvariance:
         assert got[0].tobytes() == want[0].tobytes()
 
     def test_id_and_seed_select_the_stream(self):
-        clean = np.stack([_clean(10)] * 2)
+        clean = np.concatenate([_clean(10)] * 2)
         same_id, _ = inject_noise(clean, NoiseSpec(0.0, seed=81), [4, 4])
         assert same_id[0].tobytes() == same_id[1].tobytes()
         other_id, _ = inject_noise(clean, NoiseSpec(0.0, seed=81), [4, 5])
         assert not np.array_equal(other_id[0], other_id[1])
         # every bit of the 64-bit seed word keys the stream
-        a, _ = inject_noise(clean[0], NoiseSpec(0.0, seed=2**63))
-        b, _ = inject_noise(clean[0], NoiseSpec(0.0, seed=2**63 + 1))
+        a, _ = inject_noise(clean[:1], NoiseSpec(0.0, seed=2**63))
+        b, _ = inject_noise(clean[:1], NoiseSpec(0.0, seed=2**63 + 1))
         assert not np.array_equal(a, b)
 
     def test_empty_block(self):
@@ -185,13 +186,13 @@ class TestTargeting:
         r_clean = np.sqrt((clean ** 2).mean())
         r_noise = np.sqrt((scaled ** 2).mean())
         assert abs(r_noise / r_clean - 1.0) < 1e-3
-        assert abs(achieved) < 0.05
+        assert abs(achieved[0]) < 0.05
 
     def test_plus3_db_recompute(self):
         clean = _clean(2)
         noisy, achieved = inject_noise(clean, NoiseSpec(3.0, gaussian_sigma=0.0, seed=6))
         assert abs(recomputed_snr(clean, noisy) - 3.0) < 0.01
-        assert abs(achieved - 3.0) < 0.01
+        assert abs(achieved[0] - 3.0) < 0.01
 
     def test_lambda_halves_per_6db(self):
         # +6.0206 dB on the target halves the injected amplitude
@@ -206,7 +207,7 @@ class TestTargeting:
         clean = _clean(4)
         _, a0 = inject_noise(clean, NoiseSpec(1.0, gaussian_sigma=0.0, seed=8))
         _, a1 = inject_noise(clean, NoiseSpec(1.0, gaussian_sigma=0.01, seed=8))
-        assert a0 == a1  # same bio-artifact stream, floor not counted
+        assert a0[0] == a1[0]  # same bio-artifact stream, floor not counted
 
     def test_gaussian_floor_present_in_signal(self):
         clean = _clean(5)
@@ -222,12 +223,12 @@ class TestTargeting:
         st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
     )
     def test_targets_within_005_db(self, seed, target):
-        clean = np.random.default_rng(seed).normal(size=(3, 200))
+        clean = np.random.default_rng(seed).normal(size=(1, 3, 200))
         noisy, achieved = inject_noise(
             clean, NoiseSpec(target, gaussian_sigma=0.0, seed=seed)
         )
         assert abs(recomputed_snr(clean, noisy) - target) < 0.05
-        assert abs(achieved - target) < 0.05
+        assert abs(achieved[0] - target) < 0.05
 
 
 class TestMixing:
@@ -241,7 +242,7 @@ class TestMixing:
         def hf_fraction(x):
             spec = np.abs(np.fft.rfft(x, axis=-1)) ** 2
             freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / 128.0)
-            return spec[:, freqs >= 15.0].sum() / spec.sum()
+            return spec[..., freqs >= 15.0].sum() / spec.sum()
 
         assert hf_fraction(only_emg) > 0.9  # EMG lives at 20-45 Hz
         assert hf_fraction(only_eog) < 0.1  # EOG lives below 4 Hz
@@ -262,11 +263,11 @@ class TestMixing:
 class TestContracts:
     def test_zero_clean_rejected(self):
         with pytest.raises(DegenerateDataError):
-            inject_noise(np.zeros((2, 128)), NoiseSpec(0.0, seed=0))
+            inject_noise(np.zeros((1, 2, 128)), NoiseSpec(0.0, seed=0))
 
     def test_empty_artifact_band_names_kind(self):
         with pytest.raises(DegenerateDataError, match="emg"):
-            inject_noise(np.ones((2, 2)), NoiseSpec(0.0, seed=0))
+            inject_noise(np.ones((1, 2, 2)), NoiseSpec(0.0, seed=0))
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
@@ -292,7 +293,7 @@ class TestContracts:
     def test_snr_at_300_db_is_finite(self, target):
         noisy, achieved = inject_noise(_clean(6), NoiseSpec(target, seed=3))
         assert np.isfinite(noisy).all()
-        assert abs(achieved - target) < 1e-6
+        assert abs(achieved[0] - target) < 1e-6
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "3"])
     def test_seed_outside_u64_rejected(self, seed):
@@ -302,8 +303,10 @@ class TestContracts:
     def test_ids_must_match_segments(self):
         with pytest.raises(DimensionError, match="ids"):
             inject_noise(np.ones((3, 2, 128)), NoiseSpec(0.0), [0, 1])
-        with pytest.raises(DimensionError):
-            inject_noise(np.ones(128), NoiseSpec(0.0))
+        # one (C, T) segment is a block of one, not a form of its own
+        for shape in [(128,), (2, 128)]:
+            with pytest.raises(DimensionError):
+                inject_noise(np.ones(shape), NoiseSpec(0.0))
 
     @pytest.mark.parametrize("ids", [[0, -1], [0.0, 1.0]])
     def test_ids_must_be_non_negative_integers(self, ids):
@@ -322,7 +325,7 @@ class TestContracts:
         a, sa = inject_noise(clean, spec)
         b, sb = inject_noise(clean, spec)
         np.testing.assert_array_equal(a, b)
-        assert sa == sb
+        np.testing.assert_array_equal(sa, sb)
 
     def test_seed_changes_noise(self):
         clean = _clean(8)

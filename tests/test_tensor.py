@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from fdcnet.tensor import (
     transpose,
     tsum,
 )
-from fdcnet.trainer import desk_preset, model_config_from
+from fdcnet.trainer import desk_preset
 
 
 class TestConstruction:
@@ -71,7 +72,7 @@ class TestConstruction:
     def test_nan_written_into_a_parameter_stops_the_next_forward(self):
         # as an optimizer step could write it: the copy ops skip their scan,
         # but the first arithmetic op downstream of every parameter has one
-        model = FdcNet(model_config_from(desk_preset(), 4), seed=0)
+        model = FdcNet(replace(desk_preset().model, n_channels=4), seed=0)
         x = rng(9).normal(size=(2, 4, 16))
         missed = []
         for name, param in model.named_parameters().items():
@@ -259,7 +260,7 @@ def keep_everything_backward(loss):
 def desk_step_grads(replay):
     """Every parameter gradient of one desk training step at batch 32."""
     r = rng(21)
-    model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+    model = FdcNet(replace(desk_preset().model, n_channels=8), seed=0)
     xb, cb = r.normal(size=(32, 8, 128)), r.normal(size=(32, 8, 128))
     yb = np.tile([[0.0, 1.0], [1.0, 0.0]], (16, 1))
     with GradTape() as tape:
@@ -313,7 +314,7 @@ class TestTapeRelease:
 
     def test_no_closure_on_a_desk_step_tape_holds_a_tensor(self):
         r = rng(26)
-        model = FdcNet(model_config_from(desk_preset(), 8), seed=0)
+        model = FdcNet(replace(desk_preset().model, n_channels=8), seed=0)
         yb = np.tile([[0.0, 1.0], [1.0, 0.0]], (2, 1))
         with GradTape() as tape:
             out = model.forward(r.normal(size=(4, 8, 128)), mode="train", rng=rng(27))

@@ -22,7 +22,6 @@ from fdcnet.trainer import (
     curriculum_snr,
     desk_preset,
     evaluate,
-    model_config_from,
     train,
     write_eval_csv,
     write_log_csv,
@@ -40,11 +39,13 @@ def tiny_segments(n_subjects=2, trials=3, channels=2, seed=0):
     return build_dataset(spec, target_snr_db=0.0)
 
 
+# a two-channel model small enough to train in a test
+TINY_MODEL = ModelConfig(n_channels=2, d_model=8, n_layers=1, n_heads=2, ff_dim=16,
+                         head_hidden=8, gate_reduction=2, kernel_size=5)
+
+
 def tiny_cfg(**kw):
-    base = dict(
-        epochs=2, batch_size=8, d_model=8, n_layers=1, n_heads=2, ff_dim=16,
-        head_hidden=8, gate_reduction=2, kernel_size=5, seed=0,
-    )
+    base = dict(epochs=2, batch_size=8, seed=0, model=TINY_MODEL)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -107,18 +108,19 @@ class TestTrainConfig:
 
     def test_desk_preset_shrinks_model(self):
         cfg = desk_preset()
-        assert cfg.d_model == 32 and cfg.n_layers == 1 and cfg.n_heads == 4
+        assert cfg.model == replace(ModelConfig(), d_model=32, n_layers=1, n_heads=4, ff_dim=64)
         assert replace(desk_preset(), epochs=3).epochs == 3
 
     def test_model_config_propagates_ablations(self):
-        cfg = tiny_cfg(no_feedback=True)
-        mc = model_config_from(cfg, n_channels=2)
-        assert not mc.feedback and mc.cross
-        mc2 = model_config_from(tiny_cfg(no_cross=True), 2)
-        assert not mc2.feedback and not mc2.cross
-        mc3 = model_config_from(tiny_cfg(no_eegsp=True), 2)
-        assert not mc3.eegsp
-        assert mc.n_channels == 2 and mc.d_model == 8
+        # the model takes the config's ablations and the dataset's channel count
+        segs = tiny_segments()
+        for ablation in ("no_feedback", "no_cross", "no_eegsp"):
+            mc = replace(TINY_MODEL, n_channels=32).with_ablations(**{ablation: True})
+            model, _ = train(segs, tiny_cfg(epochs=1, model=mc))
+            assert model.cfg == replace(mc, n_channels=2)
+            assert model.cfg.feedback == (ablation == "no_eegsp")
+            assert model.cfg.cross == (ablation != "no_cross")
+            assert model.cfg.eegsp == (ablation != "no_eegsp")
 
 
 class TestTrainLoop:
@@ -170,7 +172,7 @@ class TestTrainLoop:
 class TestEvaluate:
     def test_identity_model_keeps_input_snr(self):
         segs = tiny_segments()[:24]
-        model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
+        model = FdcNet(TINY_MODEL, seed=0)
         report = evaluate(model, segs, [-3.0, 0.0, 3.0], eval_seed=7)
         assert report.grid == [-3.0, 0.0, 3.0]
         for target, row in zip(report.grid, report.rows):
@@ -182,7 +184,7 @@ class TestEvaluate:
 
     def test_average_row_is_mean(self):
         segs = tiny_segments()[:16]
-        model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
+        model = FdcNet(TINY_MODEL, seed=0)
         report = evaluate(model, segs, [-2.0, 2.0], eval_seed=3)
         for field in ("input_snr_db", "output_snr_db", "cc_percent", "mse", "acc_4class"):
             vals = [getattr(r, field) for r in report.rows]
@@ -190,7 +192,7 @@ class TestEvaluate:
 
     def test_eval_seed_fixed_noise(self):
         segs = tiny_segments()[:8]
-        model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
+        model = FdcNet(TINY_MODEL, seed=0)
         a = evaluate(model, segs, [0.0], eval_seed=5)
         b = evaluate(model, segs, [0.0], eval_seed=5)
         assert a.rows == b.rows
@@ -198,7 +200,7 @@ class TestEvaluate:
         assert a.rows[0].output_snr_db != c.rows[0].output_snr_db
 
     def test_rejects_empty(self):
-        model = FdcNet(model_config_from(tiny_cfg(), 2), seed=0)
+        model = FdcNet(TINY_MODEL, seed=0)
         with pytest.raises(DegenerateDataError):
             evaluate(model, [], [0.0])
 
@@ -210,8 +212,8 @@ class TestReinject:
         got = _reinject(segs, [5, 0, 11], -1.0, cfg, "val-noise", 3)
         spec = NoiseSpec(-1.0, gaussian_sigma=0.02, seed=derive_seed(4, "val-noise", 3))
         for k, i in enumerate([5, 0, 11]):
-            want, _ = inject_noise(segs[i].clean, spec, i)
-            assert got[k].tobytes() == want.tobytes()
+            want, _ = inject_noise(segs.clean[i : i + 1], spec, [i])
+            assert got[k].tobytes() == want[0].tobytes()
 
     def test_subset_and_order_keep_each_segments_bytes(self):
         segs = tiny_segments()
