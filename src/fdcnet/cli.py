@@ -28,7 +28,7 @@ from .dataset import DatasetReader, build_dataset, load_dataset, save_dataset, s
 from .errors import ConfigError, DegenerateDataError, FdcnetError, FileFormatError
 from .fileio import atomic_writer
 from .model import FdcNet, ModelConfig
-from .noise import MAX_ABS_SNR_DB
+from .noise import MAX_ABS_SNR_DB, NoiseSpec
 from .report import write_report
 from .synth import SynthSpec, min_artifact_length
 from .trainer import (
@@ -208,10 +208,11 @@ def _run_synth(args, parser) -> int:
 
 # -- train --------------------------------------------------------------------
 
-# train's flags: TrainConfig's own fields, then the numeric ModelConfig fields
-# except n_channels (the dataset's) and t_max (no flag), then the ablation
-# switches, which ModelConfig.with_ablations applies
-_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "model"]
+# train's flags: TrainConfig's own fields, then NoiseSpec's fields, then the
+# numeric ModelConfig fields except n_channels (the dataset's) and t_max (no
+# flag), then the ablation switches, which ModelConfig.with_ablations applies
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name not in ("noise", "model")]
+_NOISE_FIELDS = fields(NoiseSpec)
 _MODEL_FIELDS = [f for f in fields(ModelConfig)
                  if not isinstance(f.default, bool) and f.name not in ("n_channels", "t_max")]
 _ABLATIONS = ("no_feedback", "no_cross", "no_eegsp")
@@ -225,7 +226,7 @@ def _build_train(sub):
     p.add_argument("--desk", action="store_true",
                    help="desk-scale preset (d_model=32, n_layers=1, n_heads=4, ff_dim=64)")
     # numeric flags default to None so the desk preset can fill unset ones
-    for f in _TRAIN_FIELDS + _MODEL_FIELDS:
+    for f in (*_TRAIN_FIELDS, *_NOISE_FIELDS, *_MODEL_FIELDS):
         flag = f"--{f.name.replace('_', '-')}"
         if isinstance(f.default, bool):
             p.add_argument(flag, action="store_true")
@@ -245,7 +246,8 @@ def _train_config(args) -> TrainConfig:
     base = desk_preset() if args.desk else TrainConfig()
     model = replace(base.model, **_given(args, _MODEL_FIELDS))
     model = model.with_ablations(*(getattr(args, name) for name in _ABLATIONS))
-    return replace(base, model=model, **_given(args, _TRAIN_FIELDS))
+    noise = replace(base.noise, **_given(args, _NOISE_FIELDS))
+    return replace(base, noise=noise, model=model, **_given(args, _TRAIN_FIELDS))
 
 
 def _check_segment_length(path: str, sample_rate: float) -> None:
@@ -264,12 +266,12 @@ def _check_segment_length(path: str, sample_rate: float) -> None:
 def _run_train(args, parser) -> int:
     _require(args, parser, "data", "out_dir")
     cfg = _train_config(args)
-    _check_segment_length(args.data, cfg.sample_rate_hz)
+    _check_segment_length(args.data, cfg.noise.sample_rate_hz)
     # nothing is written until training has succeeded
     model, log = train(load_dataset(args.data, READ_FIELDS), cfg)
     # run_config.txt records the values the run used, the desk preset's included
-    vars(args).update({f.name: getattr(cfg, f.name) for f in _TRAIN_FIELDS},
-                      **{f.name: getattr(cfg.model, f.name) for f in _MODEL_FIELDS})
+    for obj, of in ((cfg, _TRAIN_FIELDS), (cfg.noise, _NOISE_FIELDS), (cfg.model, _MODEL_FIELDS)):
+        vars(args).update({f.name: getattr(obj, f.name) for f in of})
     out_dir = Path(args.out_dir)
     _write_run_config(str(out_dir / "model.fdcn"), "train", _flag_values(args, parser))
     model.save(out_dir / "model.fdcn")
@@ -366,22 +368,15 @@ def _resolve_split(args, recorded: dict | None, parser) -> bool:
 
 def _run_eval(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
-    _check_segment_length(args.data, args.sample_rate)
+    noise = NoiseSpec(emg_eog_ratio=args.ratio, gaussian_sigma=args.sigma, sample_rate_hz=args.sample_rate)
+    _check_segment_length(args.data, noise.sample_rate_hz)
     model, sections = _load_model(args.model, args.model_config)
     by_subject = _resolve_split(args, sections.get("split"), parser)
     segments = _select_segments(
         load_dataset(args.data, READ_FIELDS), args.use, args.split, args.split_seed, by_subject
     )
     grid = parse_snr_grid(args.snr_grid)
-    report = evaluate(
-        model,
-        segments,
-        grid,
-        eval_seed=args.seed,
-        gaussian_sigma=args.sigma,
-        emg_eog_ratio=args.ratio,
-        sample_rate_hz=args.sample_rate,
-    )
+    report = evaluate(model, segments, grid, eval_seed=args.seed, noise=noise)
     Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
     write_eval_csv(args.out, report)
     _write_run_config(args.out, "eval", _flag_values(args, parser))

@@ -171,16 +171,11 @@ def build_dataset(
     (derive_seed(spec.seed, "noise"), i); see fdcnet.noise.
     """
     trials = synth_clean_eeg(spec)
-    nspec = NoiseSpec(
-        target_snr_db=target_snr_db,
-        emg_eog_ratio=emg_eog_ratio,
-        gaussian_sigma=gaussian_sigma,
-        seed=derive_seed(spec.seed, "noise"),
-        sample_rate_hz=spec.sample_rate_hz,
-    )
+    noise = NoiseSpec(emg_eog_ratio, gaussian_sigma, spec.sample_rate_hz)
+    noise_seed = derive_seed(spec.seed, "noise")
     # every trial has spec.n_samples samples, so the same number of windows
     for i, (trial, valence, arousal, subject) in enumerate(trials):
-        noisy, achieved = inject_noise(trial[None], nspec, [i])
+        noisy, achieved = inject_noise(trial[None], noise, target_snr_db, noise_seed, [i])
         clean = segment_windows(trial, window, overlap)
         if i == 0:
             per_trial = len(clean)

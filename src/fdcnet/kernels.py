@@ -58,8 +58,11 @@ def gelu(x) -> Tensor:
     t += d
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = 0.5 * d
-    y *= t + 1.0
+    # y = 0.5 * d * (1 + t) in one more buffer; halving is exact, so where
+    # it falls in the product changes no bit
+    y = t + 1.0
+    y *= d
+    y *= 0.5
 
     def bw(g):
         # g * (0.5 * (1 + t) + 0.5 * d * (1 - t**2) * du) on three buffers,

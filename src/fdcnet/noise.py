@@ -2,7 +2,7 @@
 
 Every segment draws its noise from one counter-based stream (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11): NumPy's Philox keyed
-by the two 64-bit words (spec.seed, segment id), counter at zero. From it the
+by the two 64-bit words (seed, segment id), counter at zero. From it the
 segment draws, in this order, the EMG white noise (C, 2, T), the EOG step
 levels (C, n_steps), the blink uniforms (C, n_blinks, 3) and last the
 Gaussian floor (C, T), so gaussian_sigma cannot change the bio-artifact
@@ -17,7 +17,7 @@ floor is added afterward and is excluded from the achieved-SNR measurement.
 Artifacts are shaped one chunk of segments at a time, about CHUNK_BYTES of
 EMG white noise per chunk. Each call builds one Generator per segment of a
 chunk and re-keys them for every chunk, which draws the same numbers as
-building a fresh Philox keyed (spec.seed, id) for every segment.
+building a fresh Philox keyed (seed, id) for every segment.
 """
 
 from __future__ import annotations
@@ -41,28 +41,23 @@ CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    target_snr_db: float
+    """The artifact settings: what inject_noise adds, apart from the SNR
+    target and the stream seed of each call."""
+
     emg_eog_ratio: float = 1.0
     gaussian_sigma: float = 0.01
-    seed: int = 0
     sample_rate_hz: float = 128.0
 
     def validate(self) -> None:
-        for name in ("target_snr_db", "emg_eog_ratio", "gaussian_sigma", "sample_rate_hz"):
+        for name in ("emg_eog_ratio", "gaussian_sigma", "sample_rate_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if abs(self.target_snr_db) > MAX_ABS_SNR_DB:
-            raise ConfigError(
-                f"target_snr_db must be within ±{MAX_ABS_SNR_DB:g} dB, got {self.target_snr_db}"
-            )
         if self.sample_rate_hz <= 0:
             raise ConfigError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.gaussian_sigma < 0:
             raise ConfigError(f"gaussian_sigma must be >= 0, got {self.gaussian_sigma}")
         if self.emg_eog_ratio <= 0:
             raise ConfigError(f"emg_eog_ratio must be > 0, got {self.emg_eog_ratio}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Generator:
@@ -79,18 +74,24 @@ def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Ge
     return gen
 
 
-def inject_noise(clean, spec: NoiseSpec, ids=None):
+def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=None):
     """Returns (noisy, achieved_snr_db).
 
     `clean` holds N segments as an (N, C, T) array, and `ids` their N segment
     ids (default 0..N-1); segment k draws from the Philox stream keyed
-    (spec.seed, ids[k]). noisy is (N, C, T) and achieved_snr_db an (N,) array.
+    (seed, ids[k]). noisy is (N, C, T) and achieved_snr_db an (N,) array.
 
     noisy = clean + lambda_c * n_c + Gaussian(0, sigma), with
     lambda_c = RMS(clean_c) / (RMS(n_c) * 10^(target/20)) per channel.
     achieved_snr_db is measured against the scaled bio-artifact only.
     """
     spec.validate()
+    if not math.isfinite(target_snr_db):
+        raise ConfigError(f"target_snr_db must be finite, got {target_snr_db}")
+    if abs(target_snr_db) > MAX_ABS_SNR_DB:
+        raise ConfigError(f"target_snr_db must be within ±{MAX_ABS_SNR_DB:g} dB, got {target_snr_db}")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if clean.ndim != 3:
         raise DimensionError(f"inject_noise expects (N, C, T), got shape {clean.shape}")
     n, c, t = clean.shape
@@ -100,7 +101,7 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
     if n and not (np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0):
         raise ConfigError(f"segment ids must be non-negative integers, got {ids}")
     ratio = spec.emg_eog_ratio
-    amp_ratio = 10.0 ** (spec.target_snr_db / 20.0)
+    amp_ratio = 10.0 ** (target_snr_db / 20.0)
     noisy = np.empty((n, c, t))
     achieved = np.empty(n)
     step = max(1, CHUNK_BYTES // max(1, 16 * c * t))
@@ -116,7 +117,7 @@ def inject_noise(clean, spec: NoiseSpec, ids=None):
                 f"clean signal of segment {lo + int(np.argmin(clean_power))} has zero RMS; "
                 "SNR target undefined"
             )
-        rngs = [_rekey(g, spec.seed, i) for g, i in zip(pool, ids[lo : lo + k])]
+        rngs = [_rekey(g, seed, i) for g, i in zip(pool, ids[lo : lo + k])]
         emg = synth_artifact("emg", t, rngs, spec.sample_rate_hz, rows=c)
         eog = synth_artifact("eog", t, rngs, spec.sample_rate_hz, rows=c)
         mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)

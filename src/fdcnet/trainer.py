@@ -40,9 +40,8 @@ class TrainConfig:
     seed: int = 0
     split: float = 0.8
     split_by_subject: bool = False
-    emg_eog_ratio: float = 1.0
-    gaussian_sigma: float = 0.01
-    sample_rate_hz: float = 128.0
+    # the artifact settings of the training and validation noise
+    noise: NoiseSpec = NoiseSpec()
     # the model trained; train() sets n_channels to the dataset's C
     model: ModelConfig = ModelConfig()
 
@@ -70,6 +69,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        self.noise.validate()
 
 
 def desk_preset() -> TrainConfig:
@@ -134,19 +134,12 @@ def _labels(segments) -> np.ndarray:
     return np.stack([segments.valence, segments.arousal], axis=1).astype(np.float64)
 
 
-def _reinject(segments, indices, snr_db, cfg: TrainConfig, label: str, *key) -> np.ndarray:
+def _reinject(segments, indices, snr_db, noise: NoiseSpec, label: str, *key, seed: int) -> np.ndarray:
     """Fresh noisy realizations of segments[indices] at the given SNR, as an
     (N, C, T) stack in `indices` order. Segment i draws its noise from the
-    stream keyed (derive_seed(cfg.seed, label, *key), i)."""
-    spec = NoiseSpec(
-        target_snr_db=snr_db,
-        emg_eog_ratio=cfg.emg_eog_ratio,
-        gaussian_sigma=cfg.gaussian_sigma,
-        seed=derive_seed(cfg.seed, label, *key),
-        sample_rate_hz=cfg.sample_rate_hz,
-    )
+    stream keyed (derive_seed(seed, label, *key), i)."""
     ids = np.asarray(indices, dtype=np.int64)
-    return inject_noise(segments.clean[ids], spec, ids)[0]
+    return inject_noise(segments.clean[ids], noise, snr_db, derive_seed(seed, label, *key), ids)[0]
 
 
 def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]:
@@ -174,7 +167,7 @@ def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
             batch_ids = train_idx[batch]
-            xb = _reinject(dataset, batch_ids, snr, cfg, "train-noise", epoch)
+            xb = _reinject(dataset, batch_ids, snr, cfg.noise, "train-noise", epoch, seed=cfg.seed)
             cb = dataset.clean[batch_ids]
             yb = labels[batch_ids]
             rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, step))
@@ -211,16 +204,17 @@ def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]
     return model, log
 
 
-def _level_metrics(model, segments, indices, labels, snr_db, cfg, label, *key) -> tuple:
-    """Metrics of segments[indices] at one SNR: each batch of cfg.batch_size
+def _level_metrics(model, segments, indices, labels, snr_db, noise, label, *key,
+                   seed, batch_size) -> tuple:
+    """Metrics of segments[indices] at one SNR: each batch of batch_size
     gets its noise just before its eval-mode pass (see _reinject). Returns
     the means over segments of input SNR, output SNR, CC (as a fraction) and
     MSE, then the 4-class accuracy against labels[indices]."""
     in_snrs, out_snrs, ccs, mses, ps = [], [], [], [], []
     with no_grad():
-        for lo in range(0, len(indices), cfg.batch_size):
-            ids = indices[lo : lo + cfg.batch_size]
-            noisy = _reinject(segments, ids, snr_db, cfg, label, *key)
+        for lo in range(0, len(indices), batch_size):
+            ids = indices[lo : lo + batch_size]
+            noisy = _reinject(segments, ids, snr_db, noise, label, *key, seed=seed)
             out = model.forward(noisy, mode="eval")
             for clean, xn, xh in zip(segments.clean[ids], noisy, out.x_hat.numpy()):
                 in_snrs.append(metric_snr(clean, xn))
@@ -233,7 +227,8 @@ def _level_metrics(model, segments, indices, labels, snr_db, cfg, label, *key) -
 
 
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:
-    _, _, cc, _, acc = _level_metrics(model, dataset, test_idx, labels, snr, cfg, "val-noise", epoch)
+    _, _, cc, _, acc = _level_metrics(model, dataset, test_idx, labels, snr, cfg.noise, "val-noise",
+                                      epoch, seed=cfg.seed, batch_size=cfg.batch_size)
     return acc, cc
 
 
@@ -247,29 +242,22 @@ def evaluate(
     snr_grid: list[float],
     *,
     eval_seed: int = 0,
-    gaussian_sigma: float = 0.01,
-    emg_eog_ratio: float = 1.0,
-    sample_rate_hz: float = 128.0,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> EvalReport:
-    """Sweep the SNR grid: re-inject noise into the clean segments at every
-    grid level (fixed eval seed), denoise/classify in eval mode, and report
-    per-level mean metrics plus the arithmetic average row."""
+    """Sweep the SNR grid: re-inject noise with the artifact settings `noise`
+    into the clean segments at every grid level (fixed eval seed),
+    denoise/classify in eval mode, and report per-level mean metrics plus
+    the arithmetic average row."""
     if len(segments) == 0:
         raise DegenerateDataError("empty evaluation set")
     if eval_seed < 0:
         raise ConfigError(f"eval seed must be >= 0, got {eval_seed}")
-    noise_cfg = TrainConfig(
-        batch_size=EVAL_BATCH_SIZE,
-        seed=eval_seed,
-        emg_eog_ratio=emg_eog_ratio,
-        gaussian_sigma=gaussian_sigma,
-        sample_rate_hz=sample_rate_hz,
-    )
     indices, labels = np.arange(len(segments)), _labels(segments)
     rows: list[EvalRow] = []
     for gi, snr in enumerate(snr_grid):
         in_snr, out_snr, cc, mse, acc = _level_metrics(
-            model, segments, indices, labels, snr, noise_cfg, "eval-noise", gi
+            model, segments, indices, labels, snr, noise, "eval-noise", gi,
+            seed=eval_seed, batch_size=EVAL_BATCH_SIZE,
         )
         rows.append(EvalRow(in_snr, out_snr, cc * 100.0, mse, acc))
     average = EvalRow(*(float(np.mean(column)) for column in zip(*map(astuple, rows))))

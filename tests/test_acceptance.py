@@ -200,8 +200,7 @@ def test_noise_injection_oracle():
         target = targets[sig % len(targets)]
         seed = 1000 + sig
 
-        spec0 = NoiseSpec(target_snr_db=target, gaussian_sigma=0.0, seed=seed)
-        noisy0, achieved0 = inject_noise(clean, spec0)
+        noisy0, achieved0 = inject_noise(clean, NoiseSpec(gaussian_sigma=0.0), target, seed)
         resid = noisy0 - clean
         snr = 10.0 * np.log10(p_clean / np.mean(resid**2))
         assert abs(snr - target) < 0.05
@@ -209,8 +208,7 @@ def test_noise_injection_oracle():
 
         # same seed with the Gaussian floor on: the bio component is the
         # sigma=0 residual, and must still meet the target on its own
-        spec1 = NoiseSpec(target_snr_db=target, gaussian_sigma=0.01, seed=seed)
-        noisy1, achieved1 = inject_noise(clean, spec1)
+        noisy1, achieved1 = inject_noise(clean, NoiseSpec(gaussian_sigma=0.01), target, seed)
         floor = (noisy1 - clean) - resid
         assert abs(achieved1[0] - target) < 0.05
         assert 0.005 < float(floor.std()) < 0.02

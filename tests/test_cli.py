@@ -456,10 +456,7 @@ class TestPipeline:
         assert den.noisy.tobytes() == orig.noisy.tobytes()
 
     def test_run_config_keys_in_flag_order(self, pipeline):
-        from dataclasses import fields
-
         from fdcnet.configfile import read_config
-        from fdcnet.trainer import TrainConfig
 
         root, _, run = pipeline
         sections = read_config(root / "run_config.txt")
@@ -472,7 +469,9 @@ class TestPipeline:
         assert list(sections["denoise"]) == ["model", "data", "batch_size", "out"]
         train_keys = list(read_config(run / "run_config.txt")["train"])
         assert train_keys == [
-            "data", "out_dir", "desk", *(f.name for f in fields(TrainConfig) if f.name != "model"),
+            "data", "out_dir", "desk", "epochs", "batch_size", "lr", "weight_decay", "alpha",
+            "snr_start", "snr_end", "seed", "split", "split_by_subject",
+            "emg_eog_ratio", "gaussian_sigma", "sample_rate_hz",
             "d_model", "n_layers", "n_heads", "ff_dim", "dropout", "t_fb", "gate_reduction",
             "head_hidden", "kernel_size", "no_feedback", "no_cross", "no_eegsp"]
 
@@ -579,52 +578,67 @@ class TestTrainFlags:
 
         from fdcnet import cli
         from fdcnet.model import ModelConfig
+        from fdcnet.noise import NoiseSpec
         from fdcnet.trainer import TrainConfig
 
         parser = cli._build_train(cli._Parser(prog="fdcnet").add_subparsers(parser_class=cli._Parser))
         unset = vars(parser.parse_args([]))
-        own = [f for f in fields(TrainConfig) if f.name != "model"]
+        own = [f for f in fields(TrainConfig) if f.name not in ("noise", "model")]
+        noise = list(fields(NoiseSpec))
         sizes = [f for f in fields(ModelConfig)
                  if not isinstance(f.default, bool) and f.name not in ("n_channels", "t_max")]
-        for f in own + sizes:
+        for f in own + noise + sizes:
             assert unset.pop(f.name) is (False if isinstance(f.default, bool) else None)
         assert unset == {"config": None, "data": None, "out_dir": None, "desk": False,
                          "no_feedback": False, "no_cross": False, "no_eegsp": False}
         args = parser.parse_args(["--epochs", "3", "--lr", "0.5", "--split-by-subject", "--no-cross",
-                                  "--d-model", "16"])
+                                  "--gaussian-sigma", "0.02", "--d-model", "16"])
         model = replace(ModelConfig(), d_model=16, feedback=False, cross=False)
         assert cli._train_config(args) == TrainConfig(epochs=3, lr=0.5, split_by_subject=True,
+                                                      noise=NoiseSpec(gaussian_sigma=0.02),
                                                       model=model)
         assert cli._train_config(parser.parse_args(["--desk"])) == desk_preset()
-        desk = cli._train_config(parser.parse_args(["--desk", "--ff-dim", "48", "--no-eegsp"]))
+        desk = cli._train_config(parser.parse_args(["--desk", "--ff-dim", "48", "--no-eegsp",
+                                                    "--sample-rate-hz", "256"]))
         assert desk.model == replace(desk_preset().model, ff_dim=48, eegsp=False)
+        assert desk.noise == NoiseSpec(sample_rate_hz=256.0)
 
 
 class TestModelSettingsDeclaredOnce:
     # a value other than the default for each ModelConfig field train has a flag for
     SIZES = {"d_model": 8, "n_layers": 1, "n_heads": 2, "ff_dim": 16, "dropout": 0.2,
              "t_fb": 3, "gate_reduction": 2, "head_hidden": 8, "kernel_size": 5}
+    # and for each NoiseSpec field
+    NOISE = {"emg_eog_ratio": 1.5, "gaussian_sigma": 0.02, "sample_rate_hz": 256.0}
 
     def test_each_model_setting_is_declared_once(self, pipeline, tmp_path):
+        import inspect
         from dataclasses import fields
 
         from fdcnet.configfile import read_config
         from fdcnet.model import ModelConfig
-        from fdcnet.trainer import TrainConfig
+        from fdcnet.noise import NoiseSpec
+        from fdcnet.trainer import TrainConfig, evaluate
 
         own = {f.name for f in fields(TrainConfig)}
         assert own & {f.name for f in fields(ModelConfig)} == set()
+        assert [f.name for f in fields(NoiseSpec)] == list(self.NOISE)
+        assert all(self.NOISE[f.name] != f.default for f in fields(NoiseSpec))
+        assert own & set(self.NOISE) == set()
+        assert set(inspect.signature(evaluate).parameters) & set(self.NOISE) == set()
         numeric = [f for f in fields(ModelConfig)
                    if not isinstance(f.default, bool) and f.name not in ("n_channels", "t_max")]
         assert [f.name for f in numeric] == list(self.SIZES)
         assert all(self.SIZES[f.name] != f.default for f in numeric)
         _, data, _ = pipeline
-        flags = [tok for name, value in self.SIZES.items()
+        flags = [tok for name, value in {**self.SIZES, **self.NOISE}.items()
                  for tok in (f"--{name.replace('_', '-')}", str(value))]
         assert main(["train", "--data", str(data), "--out-dir", str(tmp_path), "--epochs", "1",
                      *flags]) == 0
         written = read_config(tmp_path / "model.cfg")["model"]
         assert {name: written[name] for name in self.SIZES} == self.SIZES
+        recorded = read_config(tmp_path / "run_config.txt")["train"]
+        assert {name: recorded[name] for name in self.NOISE} == self.NOISE
 
     # a [train] section in the key order written while TrainConfig mirrored
     # the model settings: the sizes after snr_end, the switches after

@@ -306,9 +306,9 @@ class TestBuildDataset:
         spec = SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=2,
                          trial_length_s=2.0, seed=8)
         segs = build_dataset(spec, -1.0, gaussian_sigma=0.02)
-        nspec = NoiseSpec(-1.0, gaussian_sigma=0.02, seed=derive_seed(8, "noise"))
+        nspec = NoiseSpec(gaussian_sigma=0.02)
         for i, (trial, *_) in enumerate(synth_clean_eeg(spec)):
-            noisy, achieved = inject_noise(trial[None], nspec, [i])
+            noisy, achieved = inject_noise(trial[None], nspec, -1.0, derive_seed(8, "noise"), [i])
             first = segs[3 * i]
             assert first.noisy.tobytes() == noisy[0, :, :128].tobytes()
             assert first.achieved_snr_db == achieved[0]

@@ -1,6 +1,7 @@
 """Curriculum schedule, the training loop, and the SNR-sweep evaluator."""
 
 import csv
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,10 @@ class TestTrainConfig:
             dict(weight_decay=float("inf")),
             dict(weight_decay=-0.01),
             dict(alpha=-0.1),
+            dict(noise=NoiseSpec(gaussian_sigma=-1.0)),
+            dict(noise=NoiseSpec(gaussian_sigma=float("nan"))),
+            dict(noise=NoiseSpec(emg_eog_ratio=0.0)),
+            dict(noise=NoiseSpec(sample_rate_hz=0.0)),
         ],
     )
     def test_validate_rejects(self, kw):
@@ -208,30 +213,36 @@ class TestEvaluate:
 class TestReinject:
     def test_segment_i_draws_from_stream_keyed_by_call_and_index(self):
         segs = tiny_segments()
-        cfg = tiny_cfg(seed=4, gaussian_sigma=0.02)
-        got = _reinject(segs, [5, 0, 11], -1.0, cfg, "val-noise", 3)
-        spec = NoiseSpec(-1.0, gaussian_sigma=0.02, seed=derive_seed(4, "val-noise", 3))
+        spec = NoiseSpec(gaussian_sigma=0.02)
+        got = _reinject(segs, [5, 0, 11], -1.0, spec, "val-noise", 3, seed=4)
         for k, i in enumerate([5, 0, 11]):
-            want, _ = inject_noise(segs.clean[i : i + 1], spec, [i])
+            want, _ = inject_noise(segs.clean[i : i + 1], spec, -1.0, derive_seed(4, "val-noise", 3), [i])
             assert got[k].tobytes() == want[0].tobytes()
 
     def test_subset_and_order_keep_each_segments_bytes(self):
         segs = tiny_segments()
-        cfg = tiny_cfg()
-        full = _reinject(segs, range(len(segs)), 2.0, cfg, "eval-noise", 1)
+        spec = NoiseSpec()
+        full = _reinject(segs, range(len(segs)), 2.0, spec, "eval-noise", 1, seed=0)
         pick = np.array([9, 2, 14, 3])
-        part = _reinject(segs, pick, 2.0, cfg, "eval-noise", 1)
+        part = _reinject(segs, pick, 2.0, spec, "eval-noise", 1, seed=0)
         assert part.tobytes() == full[pick].tobytes()
-        other = _reinject(segs, pick, 2.0, cfg, "eval-noise", 2)
+        other = _reinject(segs, pick, 2.0, spec, "eval-noise", 2, seed=0)
         assert not np.array_equal(other, part)
+
+    def test_label_is_the_fifth_parameter(self):
+        # perfbench/tracing.py reads each call's label as its fifth positional
+        # argument to tell training noise from validation noise; a label moved
+        # elsewhere zeroes the traced trainer phase times without an error
+        label = list(inspect.signature(_reinject).parameters.values())[4]
+        assert label.name == "label" and label.kind is label.POSITIONAL_OR_KEYWORD
 
     def test_callers_inject_one_batch_at_a_time(self, monkeypatch):
         segs = tiny_segments()
         calls = []
 
-        def recording(segments, indices, snr_db, cfg, label, *key):
+        def recording(segments, indices, snr_db, noise, label, *key, seed):
             calls.append((label, key, [int(i) for i in indices]))
-            return _reinject(segments, indices, snr_db, cfg, label, *key)
+            return _reinject(segments, indices, snr_db, noise, label, *key, seed=seed)
 
         monkeypatch.setattr(trainer, "_reinject", recording)
         monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
