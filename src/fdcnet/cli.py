@@ -168,11 +168,11 @@ def _build_synth(sub):
     p.add_argument("--trials", type=int, default=25, help="trials per subject")
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--trial-seconds", type=float, default=10.5)
-    p.add_argument("--sample-rate", type=float, default=128.0)
+    p.add_argument("--sample-rate", type=float, default=SynthSpec.sample_rate_hz)
     p.add_argument("--label-effect", type=float, default=0.5)
     p.add_argument("--snr", type=float, default=0.0, help="stored-noisy target SNR in dB")
-    p.add_argument("--sigma", type=float, default=0.01, help="Gaussian floor std")
-    p.add_argument("--ratio", type=float, default=1.0, help="EMG:EOG mixing ratio")
+    p.add_argument("--sigma", type=float, default=NoiseSpec.gaussian_sigma, help="Gaussian floor std")
+    p.add_argument("--ratio", type=float, default=NoiseSpec.emg_eog_ratio, help="EMG:EOG mixing ratio")
     p.add_argument("--window", type=int, default=128)
     p.add_argument("--overlap", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -322,9 +322,9 @@ def _build_eval(sub):
     p.add_argument("--data")
     p.add_argument("--snr-grid", default="-3:3:1", help="start:end:step in dB")
     p.add_argument("--seed", type=int, default=0, help="evaluation noise seed")
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--sample-rate", type=float, default=128.0)
+    p.add_argument("--sigma", type=float, default=NoiseSpec.gaussian_sigma)
+    p.add_argument("--ratio", type=float, default=NoiseSpec.emg_eog_ratio)
+    p.add_argument("--sample-rate", type=float, default=NoiseSpec.sample_rate_hz)
     p.add_argument("--use", choices=["all", "train", "test"], default="all",
                    help="evaluate on the whole file or one side of a split")
     # default: the training split recorded in the model config, else 0.8 / 0
@@ -369,6 +369,7 @@ def _resolve_split(args, recorded: dict | None, parser) -> bool:
 def _run_eval(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
     noise = NoiseSpec(emg_eog_ratio=args.ratio, gaussian_sigma=args.sigma, sample_rate_hz=args.sample_rate)
+    noise.validate()
     _check_segment_length(args.data, noise.sample_rate_hz)
     model, sections = _load_model(args.model, args.model_config)
     by_subject = _resolve_split(args, sections.get("split"), parser)

@@ -159,8 +159,8 @@ def build_dataset(
     spec: SynthSpec,
     target_snr_db: float,
     *,
-    gaussian_sigma: float = 0.01,
-    emg_eog_ratio: float = 1.0,
+    gaussian_sigma: float = NoiseSpec.gaussian_sigma,
+    emg_eog_ratio: float = NoiseSpec.emg_eog_ratio,
     window: int = 128,
     overlap: float = 0.5,
 ) -> np.recarray:
@@ -170,8 +170,13 @@ def build_dataset(
     context. Trial i draws its noise from the stream keyed
     (derive_seed(spec.seed, "noise"), i); see fdcnet.noise.
     """
-    trials = synth_clean_eeg(spec)
+    # every setting is checked before the trials are synthesised
+    spec.validate()
     noise = NoiseSpec(emg_eog_ratio, gaussian_sigma, spec.sample_rate_hz)
+    noise.validate()
+    if spec.n_samples < window:
+        raise ConfigError(f"trial holds {spec.n_samples} samples; need at least one {window}-sample window")
+    trials = synth_clean_eeg(spec)
     noise_seed = derive_seed(spec.seed, "noise")
     # every trial has spec.n_samples samples, so the same number of windows
     for i, (trial, valence, arousal, subject) in enumerate(trials):

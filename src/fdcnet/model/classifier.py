@@ -4,7 +4,6 @@ frequency-weighted BCE, and quadrant accuracy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,29 +43,24 @@ def classify_forward(h_classify, params: ClassifierHead) -> tuple[Tensor, Tensor
     return logits, sigmoid(logits)
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    w: np.ndarray  # (2,) loss weights 1/sqrt(f)
-    f: np.ndarray  # (2,) positive-label frequencies
-
-
-def class_weights(labels) -> ClassWeights:
-    """Per-dimension positive frequency f_c and weight w_c = 1/sqrt(f_c)."""
+def class_weights(labels) -> np.ndarray:
+    """The (2,) loss weights w_c = 1/sqrt(f_c), f_c the positive-label
+    frequency of dimension c."""
     f = np.asarray(labels, dtype=np.float64).mean(axis=0)
     if (f <= 0.0).any() or (f >= 1.0).any():
         raise DegenerateDataError(
             f"label frequencies {f.tolist()} degenerate; need both classes per dimension"
         )
-    return ClassWeights(w=1.0 / np.sqrt(f), f=f)
+    return 1.0 / np.sqrt(f)
 
 
-def weighted_bce(p, y, w: ClassWeights) -> Tensor:
-    """Mean over the batch of the weighted per-dimension binary cross
-    entropy; probabilities clamped to [1e-7, 1 - 1e-7]."""
+def weighted_bce(p, y, w: np.ndarray) -> Tensor:
+    """Mean over the batch of the per-dimension binary cross entropy
+    weighted by the (2,) array w; probabilities clamped to [1e-7, 1 - 1e-7]."""
     y_arr = np.asarray(y, dtype=np.float64)
     pc = clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     per = neg(mul(log(pc), y_arr) + mul(log(1.0 - pc), 1.0 - y_arr))
-    return tmean(tsum(mul(per, w.w.reshape(1, -1)), axis=1))
+    return tmean(tsum(mul(per, w.reshape(1, -1)), axis=1))
 
 
 def accuracy_4class(p, y) -> float:

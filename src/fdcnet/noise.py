@@ -7,17 +7,15 @@ segment draws, in this order, the EMG white noise (C, 2, T), the EOG step
 levels (C, n_steps), the blink uniforms (C, n_blinks, 3) and last the
 Gaussian floor (C, T), so gaussian_sigma cannot change the bio-artifact
 draws. A segment's noisy bytes depend only on its key and its own clean
-signal, not on the other segments of the call, their order or the chunking.
+signal, not on the other segments of the call or their order.
 
 The mixed bio-artifact for each channel is an independent EMG/EOG realization
 combined at the configured ratio. Its amplitude coefficient is chosen per
 channel so the channel hits the target SNR exactly; the global SNR (signal
 power over scaled-artifact power) then also equals the target. The Gaussian
 floor is added afterward and is excluded from the achieved-SNR measurement.
-Artifacts are shaped one chunk of segments at a time, about CHUNK_BYTES of
-EMG white noise per chunk. Each call builds one Generator per segment of a
-chunk and re-keys them for every chunk, which draws the same numbers as
-building a fresh Philox keyed (seed, id) for every segment.
+Each call shapes the artifacts of all its segments in one pass, one
+synth_artifact call per artifact kind.
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ from .synth import synth_artifact
 # far beyond any useful target, and far inside the range where 10**(snr/20)
 # and the scaled artifact power stay finite and non-zero (±400 dB still works)
 MAX_ABS_SNR_DB = 300.0
-
-# EMG white noise per chunk (16 segments at 8 x 128); the other temporaries
-# are about this size or smaller. 1 MB chunks were no faster and raised peak RSS
-CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -58,20 +52,6 @@ class NoiseSpec:
             raise ConfigError(f"gaussian_sigma must be >= 0, got {self.gaussian_sigma}")
         if self.emg_eog_ratio <= 0:
             raise ConfigError(f"emg_eog_ratio must be > 0, got {self.emg_eog_ratio}")
-
-
-def _rekey(gen: np.random.Generator, seed: int, segment_id: int) -> np.random.Generator:
-    """Put ``gen`` in the state a fresh Philox keyed (seed, segment_id)
-    starts in: the noise stream of one segment."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, segment_id], np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
 
 
 def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=None):
@@ -98,38 +78,34 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     ids = np.arange(n) if ids is None else np.asarray(ids).reshape(-1)
     if ids.shape != (n,):
         raise DimensionError(f"inject_noise got {ids.size} segment ids for {n} segments")
-    if n and not (np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0):
+    if n == 0:  # synth_artifact needs at least one generator
+        return np.empty((0, c, t)), np.empty(0)
+    if not (np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0):
         raise ConfigError(f"segment ids must be non-negative integers, got {ids}")
-    ratio = spec.emg_eog_ratio
-    amp_ratio = 10.0 ** (target_snr_db / 20.0)
+    # allocated before the temporaries, so the space they free stays one
+    # block that the caller's next arrays can reuse (peak RSS)
     noisy = np.empty((n, c, t))
-    achieved = np.empty(n)
-    step = max(1, CHUNK_BYTES // max(1, 16 * c * t))
-    # one Generator per segment of a chunk; _rekey sets each one's key
-    pool = [np.random.Generator(np.random.Philox(0)) for _ in range(min(step, n))]
-    for lo in range(0, n, step):
-        # C order keeps each row's reductions the same pairwise sums as a 1-D row
-        x = np.ascontiguousarray(clean[lo : lo + step], dtype=np.float64)
-        k = len(x)
-        clean_power = np.sum(np.square(x.reshape(k, c * t)), axis=-1)
-        if not clean_power.all():
-            raise DegenerateDataError(
-                f"clean signal of segment {lo + int(np.argmin(clean_power))} has zero RMS; "
-                "SNR target undefined"
-            )
-        rngs = [_rekey(g, seed, i) for g, i in zip(pool, ids[lo : lo + k])]
-        emg = synth_artifact("emg", t, rngs, spec.sample_rate_hz, rows=c)
-        eog = synth_artifact("eog", t, rngs, spec.sample_rate_hz, rows=c)
-        mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
-        rows = x.reshape(k * c, t)
-        rms_n = np.sqrt(np.mean(np.square(mix), axis=-1))
-        rms_c = np.sqrt(np.mean(np.square(rows), axis=-1))
-        scaled = (rms_c / (rms_n * amp_ratio))[:, None] * mix
-        out = rows + scaled
-        if spec.gaussian_sigma > 0:
-            out += spec.gaussian_sigma * np.concatenate([g.standard_normal((c, t)) for g in rngs])
-        noisy[lo : lo + k] = out.reshape(k, c, t)
-        scaled_power = np.sum(np.square(scaled.reshape(k, c * t)), axis=-1)
-        # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
-        achieved[lo : lo + k] = [10.0 * math.log10(p / q) for p, q in zip(clean_power, scaled_power)]
+    # C order keeps each row's reductions the same pairwise sums as a 1-D row
+    x = np.ascontiguousarray(clean, dtype=np.float64)
+    clean_power = np.sum(np.square(x.reshape(n, c * t)), axis=-1)
+    if not clean_power.all():
+        raise DegenerateDataError(
+            f"clean signal of segment {int(np.argmin(clean_power))} has zero RMS; "
+            "SNR target undefined"
+        )
+    # a uint64 array, not a tuple: NumPy rounds a tuple word above 2**63
+    rngs = [np.random.Generator(np.random.Philox(key=np.array([seed, i], np.uint64))) for i in ids]
+    emg = synth_artifact("emg", t, rngs, spec.sample_rate_hz, rows=c)
+    eog = synth_artifact("eog", t, rngs, spec.sample_rate_hz, rows=c)
+    ratio = spec.emg_eog_ratio
+    mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
+    rms_n = np.sqrt(np.mean(np.square(mix), axis=-1))
+    rms_c = np.sqrt(np.mean(np.square(x.reshape(n * c, t)), axis=-1))
+    scaled = (rms_c / (rms_n * 10.0 ** (target_snr_db / 20.0)))[:, None] * mix
+    np.add(x, scaled.reshape(n, c, t), out=noisy)
+    if spec.gaussian_sigma > 0:
+        noisy += spec.gaussian_sigma * np.stack([g.standard_normal((c, t)) for g in rngs])
+    scaled_power = np.sum(np.square(scaled.reshape(n, c * t)), axis=-1)
+    # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
+    achieved = np.array([10.0 * math.log10(p / q) for p, q in zip(clean_power, scaled_power)])
     return noisy, achieved

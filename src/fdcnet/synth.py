@@ -57,12 +57,9 @@ class SynthSpec:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sample_rate_hz <= 0 or self.trial_length_s <= 0:
             raise ConfigError("sample_rate_hz and trial_length_s must be positive")
-        # trials must fit at least one default-length analysis window
-        if self.sample_rate_hz * self.trial_length_s < 128:
-            raise ConfigError(
-                f"trial holds {self.sample_rate_hz * self.trial_length_s:.0f} samples; "
-                "need at least one 128-sample window"
-            )
+        # the pink-noise RMS of a one-sample trial is 0, which makes it NaN
+        if self.n_samples < 2:
+            raise ConfigError(f"trial holds {self.n_samples} samples; synthesis needs at least 2")
         if not 0.0 <= self.label_effect <= 1.0:
             raise ConfigError(f"label_effect must be in [0, 1], got {self.label_effect}")
         if self.seed < 0:

@@ -30,7 +30,7 @@ from fdcnet.kernels import (
     softmax,
 )
 from fdcnet.model import FdcNet, ModelConfig
-from fdcnet.model.classifier import ClassWeights, classify_forward
+from fdcnet.model.classifier import classify_forward
 from fdcnet.model.denoiser import denoise_forward
 from fdcnet.model.feedback import feature_enhance, joint_loss
 from fdcnet.model.gate import ChannelGate, channel_stats, modulate
@@ -85,7 +85,7 @@ def test_gradient_suite():
     x = r.normal(size=(2, 4, 32))
     clean = Tensor(r.normal(size=(2, 4, 32)))
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    w = ClassWeights(w=np.array([1.0, 1.0]), f=np.array([0.5, 0.5]))
+    w = np.array([1.0, 1.0])
 
     def loss_tensor():
         out = model.forward(x, mode="train")

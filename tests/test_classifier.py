@@ -7,7 +7,6 @@ from conftest import numeric_grad, rng
 from fdcnet.errors import DegenerateDataError
 from fdcnet.model.classifier import (
     ClassifierHead,
-    ClassWeights,
     accuracy_4class,
     class_weights,
     classify_forward,
@@ -61,19 +60,19 @@ class TestClassifyForward:
 class TestClassWeights:
     def test_balanced(self):
         labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
-        cw = class_weights(labels)
-        np.testing.assert_allclose(cw.w, [1.4142135623730951] * 2, atol=1e-12)
+        w = class_weights(labels)
+        np.testing.assert_allclose(w, [1.4142135623730951] * 2, atol=1e-12)
 
     def test_quarter_frequency(self):
         labels = np.array([[1, 1]] + [[0, 0]] * 3, dtype=float)
-        cw = class_weights(labels)
-        np.testing.assert_allclose(cw.w, [2.0, 2.0], atol=1e-12)
-        np.testing.assert_allclose(cw.f, [0.25, 0.25], atol=1e-12)
+        w = class_weights(labels)
+        np.testing.assert_allclose(w, [2.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(1 / w**2, [0.25, 0.25], atol=1e-12)
 
     def test_hand_example_three_quarters(self):
         labels = np.array([[1, 1], [1, 1], [1, 1], [0, 0]], dtype=float)
-        cw = class_weights(labels)
-        np.testing.assert_allclose(cw.w, [1.1547005383792517] * 2, atol=1e-12)
+        w = class_weights(labels)
+        np.testing.assert_allclose(w, [1.1547005383792517] * 2, atol=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):
@@ -82,7 +81,7 @@ class TestClassWeights:
 
 class TestWeightedBce:
     def _w(self, w=(1.0, 1.0)):
-        return ClassWeights(w=np.asarray(w, float), f=np.array([0.5, 0.5]))
+        return np.asarray(w, float)
 
     def test_perfect_prediction_near_zero(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -119,14 +118,14 @@ class TestWeightedBce:
 
     def test_gradient_through_sigmoid_matches_fd(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        w = ClassWeights(w=np.array([1.3, 0.8]), f=np.array([0.5, 0.5]))
+        w = np.array([1.3, 0.8])
         logits0 = rng(12).normal(size=(3, 2))
 
         def f_np(logits):
             p = 1.0 / (1.0 + np.exp(-logits))
             pc = np.clip(p, 1e-7, 1.0 - 1e-7)
             per = -(y * np.log(pc) + (1 - y) * np.log(1 - pc))
-            return float((per * w.w).sum(axis=1).mean())
+            return float((per * w).sum(axis=1).mean())
 
         t = Tensor(logits0.copy(), requires_grad=True)
         with GradTape():

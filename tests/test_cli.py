@@ -193,6 +193,40 @@ class TestLargeSnrRejected:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSettingsCheckedFirst:
+    def test_eval_names_a_bad_noise_setting_before_reading_files(self, tmp_path, capsys):
+        # neither the model nor the data exists
+        code = main(["eval", "--model", str(tmp_path / "none.fdcn"), "--data", str(tmp_path / "none.fdcd"),
+                     "--sigma", "-1", "--out", str(tmp_path / "out" / "e.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gaussian_sigma" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_windows_shorter_than_the_default_fit(self, tmp_path):
+        from fdcnet.dataset import load_dataset
+
+        out = tmp_path / "d.fdcd"
+        assert main(["synth", "--subjects", "1", "--trials", "2", "--channels", "2",
+                     "--trial-seconds", "0.75", "--window", "64", "--out", str(out)]) == 0
+        # 96-sample trials: windows of 64 at stride 32 start at samples 0 and 32
+        assert load_dataset(out).clean.shape == (2 * 2, 2, 64)
+
+    def test_synth_trial_shorter_than_window_rejected_before_synthesis(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        import fdcnet.dataset
+
+        monkeypatch.setattr(fdcnet.dataset, "synth_clean_eeg",
+                            lambda spec: pytest.fail("synthesised before the window was checked"))
+        out = tmp_path / "out" / "d.fdcd"
+        code = main(["synth", "--subjects", "1", "--trials", "2", "--channels", "2",
+                     "--trial-seconds", "0.75", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "128-sample window" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCorruptTextInputs:
     @pytest.mark.parametrize("content", [b"\xff\xfe", b"[train]\nlr = nan\n"])
     def test_train_config_exits_2_and_writes_nothing(self, tmp_path, capsys, content):

@@ -313,6 +313,15 @@ class TestBuildDataset:
             assert first.noisy.tobytes() == noisy[0, :, :128].tobytes()
             assert first.achieved_snr_db == achieved[0]
 
+    @pytest.mark.parametrize("name, value", [("gaussian_sigma", -1.0), ("emg_eog_ratio", 0.0)])
+    def test_bad_noise_setting_rejected_before_synthesis(self, monkeypatch, name, value):
+        import fdcnet.dataset
+
+        monkeypatch.setattr(fdcnet.dataset, "synth_clean_eeg",
+                            lambda spec: pytest.fail("synthesised before the noise settings were checked"))
+        with pytest.raises(ConfigError, match=name):
+            build_dataset(SynthSpec(n_subjects=1, trials_per_subject=1, n_channels=2), 0.0, **{name: value})
+
     def test_noise_varies_per_trial(self):
         spec = SynthSpec(n_subjects=1, trials_per_subject=2, n_channels=2,
                          trial_length_s=1.0 + 0.005, seed=6)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import rng
-from fdcnet.model.classifier import ClassWeights
 from fdcnet.model.feedback import (
     FeedbackModule,
     feature_enhance,
@@ -68,7 +67,7 @@ class TestJointLoss:
         x_hat = Tensor(r.normal(size=(4, 2, 8)))
         p = Tensor(r.uniform(0.05, 0.95, size=(4, 2)))
         y = r.integers(0, 2, size=(4, 2)).astype(float)
-        w = ClassWeights(w=np.array([1.2, 0.9]), f=np.array([0.4, 0.6]))
+        w = np.array([1.2, 0.9])
         return clean, x_hat, p, y, w
 
     def test_convex_combination(self):

@@ -38,13 +38,15 @@ ROOT = SRC.parents[1]
 PROGRAM_FILES = sorted(p for d in ("src", "perfbench", "scripts") for p in (ROOT / d).rglob("*.py"))
 
 
-def _named(node) -> set[str]:
+def _named(node, bare: bool = True) -> set[str]:
     """Every identifier a subtree names: variables, attributes, imported
     names and identifier-like strings (the tracer looks functions up by
-    name)."""
+    name). Without `bare`, variables are left out: they name the module's
+    own definitions, and another module reaches a definition only through
+    the other three."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and bare:
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -55,17 +57,37 @@ def _named(node) -> set[str]:
     return names
 
 
+def _defined(stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class or the
+    targets of a module-level assignment, dunder names (__all__) excluded."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def test_every_top_level_definition_is_named_elsewhere():
     # one entry per top-level statement of every program file
     statements = [(path, stmt) for path in PROGRAM_FILES
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     named = [_named(stmt) for _, stmt in statements]
+    reached = [_named(stmt, bare=False) for _, stmt in statements]
     unused = []
     for i, (path, stmt) in enumerate(statements):
-        if path.is_relative_to(SRC) and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not any(stmt.name in names for j, names in enumerate(named) if j != i):
-                unused.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {stmt.name}")
+        if not path.is_relative_to(SRC):
+            continue
+        # a statement of the same file, or another file's import, attribute or string
+        elsewhere = [named[j] if statements[j][0] == path else reached[j]
+                     for j in range(len(statements)) if j != i]
+        for name in _defined(stmt):
+            if not any(name in names for names in elsewhere):
+                unused.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
     assert not unused, f"defined but never named outside their definition: {unused}"
 
 

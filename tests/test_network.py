@@ -108,7 +108,6 @@ class TestRegistry:
         assert any(n.startswith("classifier.stem.") for n in names)
 
     def test_every_registered_parameter_gets_gradient(self):
-        from fdcnet.model.classifier import ClassWeights
         from fdcnet.model.feedback import joint_loss
         from fdcnet.tensor import Tensor
 
@@ -121,7 +120,7 @@ class TestRegistry:
             x = _x(seed=15)
             clean = Tensor(_x(seed=16))
             y = np.array([[1.0, 0.0], [0.0, 1.0]])
-            w = ClassWeights(w=np.array([1.0, 1.0]), f=np.array([0.5, 0.5]))
+            w = np.array([1.0, 1.0])
             with GradTape():
                 out = model.forward(x, mode="train", rng=rng(17))
                 loss = joint_loss(clean, out.x_hat, out.p, y, w, alpha=0.6)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rng
-from fdcnet import noise
 from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
 from fdcnet.noise import NoiseSpec, inject_noise
 
@@ -31,8 +30,8 @@ def reference_segment(clean, spec, target, seed, segment_id):
     """inject_noise for one (C, T) segment, unbatched: a fresh Philox stream
     keyed (seed, segment_id) draws the EMG white noise, the EOG step
     levels, the blink uniforms and the Gaussian floor in that order, then
-    each channel is shaped with 1-D arithmetic. The chunked code must match
-    it bit for bit."""
+    each channel is shaped with 1-D arithmetic. inject_noise must match it
+    bit for bit."""
     c, t = clean.shape
     fs = spec.sample_rate_hz
     hold = max(1, int(round(0.7 * fs)))
@@ -105,31 +104,6 @@ class TestStreamInvariance:
 
     def _block(self):
         return rng(40).normal(size=(self.N, self.C, self.T)), np.arange(100, 100 + self.N)
-
-    @pytest.mark.parametrize("chunk", [1, 7, N])
-    def test_chunk_size_does_not_change_bytes(self, monkeypatch, chunk):
-        clean, ids = self._block()
-        want, want_achieved = inject_noise(clean, NoiseSpec(), -2.0, 77, ids)
-        monkeypatch.setattr(noise, "CHUNK_BYTES", chunk * 16 * self.C * self.T)
-        got, achieved = inject_noise(clean, NoiseSpec(), -2.0, 77, ids)
-        assert got.tobytes() == want.tobytes()
-        assert achieved.tobytes() == want_achieved.tobytes()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_pooled_generators_draw_as_fresh_streams(self, monkeypatch, seed):
-        # chunks of 5 segments, so random ids fall on both sides of a chunk
-        # boundary and the last chunk re-keys only part of the pool
-        r = rng(90 + seed)
-        n = int(r.integers(6, 16))
-        clean, ids = r.normal(size=(n, 2, 64)), r.integers(0, 2**62, n)
-        target, key = float(r.uniform(-3.0, 3.0)), int(r.integers(0, 2**62))
-        monkeypatch.setattr(noise, "CHUNK_BYTES", 5 * 16 * 2 * 64)
-        got, achieved = inject_noise(clean, NoiseSpec(), target, key, ids)
-        # every segment drawing from a fresh stream keyed (key, id)
-        monkeypatch.setattr(noise, "_rekey", lambda gen, key, i: fresh_stream(key, i))
-        want, want_achieved = inject_noise(clean, NoiseSpec(), target, key, ids)
-        assert got.tobytes() == want.tobytes()
-        assert achieved.tobytes() == want_achieved.tobytes()
 
     def test_reversed_order_gives_reversed_bytes(self):
         clean, ids = self._block()

@@ -192,7 +192,7 @@ class TestCleanEeg:
         with pytest.raises(ConfigError):
             SynthSpec(n_subjects=0).validate()
         with pytest.raises(ConfigError):
-            SynthSpec(trial_length_s=0.25).validate()  # shorter than one window
+            SynthSpec(trial_length_s=1 / 128).validate()  # one sample: pink-noise RMS 0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["sample_rate_hz", "trial_length_s"])
