@@ -105,6 +105,29 @@ class TestStreamInvariance:
     def _block(self):
         return rng(40).normal(size=(self.N, self.C, self.T)), np.arange(100, 100 + self.N)
 
+    @pytest.mark.parametrize("chunk", [1, 7, N])
+    def test_chunk_size_does_not_change_bytes(self, chunk):
+        # the block injected as consecutive calls of `chunk` segments each
+        clean, ids = self._block()
+        want, want_achieved = inject_noise(clean, NoiseSpec(), -2.0, 77, ids)
+        parts = [inject_noise(clean[s : s + chunk], NoiseSpec(), -2.0, 77, ids[s : s + chunk])
+                 for s in range(0, self.N, chunk)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == want.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == want_achieved.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_segments_draw_as_fresh_streams(self, seed):
+        r = rng(90 + seed)
+        n = int(r.integers(6, 16))
+        clean, ids = r.normal(size=(n, 2, 64)), r.integers(0, 2**62, n)
+        target, key = float(r.uniform(-3.0, 3.0)), int(r.integers(0, 2**62))
+        spec = NoiseSpec()
+        got, achieved = inject_noise(clean, spec, target, key, ids)
+        for k, i in enumerate(ids):
+            want, want_achieved = reference_segment(clean[k], spec, target, key, int(i))
+            assert got[k].tobytes() == want.tobytes()
+            assert achieved[k] == want_achieved
+
     def test_reversed_order_gives_reversed_bytes(self):
         clean, ids = self._block()
         spec = NoiseSpec()
