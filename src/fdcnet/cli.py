@@ -25,13 +25,14 @@ from pathlib import Path
 
 from .configfile import format_value, read_config, write_config
 from .dataset import DatasetReader, build_dataset, load_dataset, save_dataset, split_indices, write_header
-from .errors import ConfigError, DegenerateDataError, FdcnetError, FileFormatError
+from .errors import ConfigError, DegenerateDataError, DimensionError, FdcnetError, FileFormatError
 from .fileio import atomic_writer
 from .model import FdcNet, ModelConfig
 from .noise import MAX_ABS_SNR_DB, NoiseSpec
 from .report import write_report
 from .synth import SynthSpec, min_artifact_length
 from .trainer import (
+    EVAL_BATCH_SIZE,
     READ_FIELDS,
     TrainConfig,
     desk_preset,
@@ -164,18 +165,19 @@ def _require(args, parser, *keys):
 def _build_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic labelled dataset file")
     p.add_argument("--config", help="key=value config file with a [synth] section")
-    p.add_argument("--subjects", type=int, default=4)
-    p.add_argument("--trials", type=int, default=25, help="trials per subject")
+    p.add_argument("--subjects", type=int, default=SynthSpec.n_subjects)
+    p.add_argument("--trials", type=int, default=SynthSpec.trials_per_subject, help="trials per subject")
+    # 8 channels for desk-scale files; SynthSpec's own default is 32
     p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--trial-seconds", type=float, default=10.5)
+    p.add_argument("--trial-seconds", type=float, default=SynthSpec.trial_length_s)
     p.add_argument("--sample-rate", type=float, default=SynthSpec.sample_rate_hz)
-    p.add_argument("--label-effect", type=float, default=0.5)
+    p.add_argument("--label-effect", type=float, default=SynthSpec.label_effect)
     p.add_argument("--snr", type=float, default=0.0, help="stored-noisy target SNR in dB")
     p.add_argument("--sigma", type=float, default=NoiseSpec.gaussian_sigma, help="Gaussian floor std")
     p.add_argument("--ratio", type=float, default=NoiseSpec.emg_eog_ratio, help="EMG:EOG mixing ratio")
     p.add_argument("--window", type=int, default=128)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", help="output .fdcd path")
     return p
 
@@ -250,9 +252,10 @@ def _train_config(args) -> TrainConfig:
     return replace(base, noise=noise, model=model, **_given(args, _TRAIN_FIELDS))
 
 
-def _check_segment_length(path: str, sample_rate: float) -> None:
+def _check_segment_length(path: str, sample_rate: float, t_max: int) -> None:
     """Reject a dataset whose segments are too short to take artifact
-    noise at sample_rate, from its header alone."""
+    noise at sample_rate, or longer than the model's t_max, from its header
+    alone."""
     need = min_artifact_length(sample_rate)
     with DatasetReader(path) as reader:
         t = reader.shape[1]
@@ -261,12 +264,14 @@ def _check_segment_length(path: str, sample_rate: float) -> None:
             f"{path}: segments of length T = {t} are too short for noise injection, "
             f"which needs T >= {need} at {sample_rate:g} Hz"
         )
+    if t > t_max:
+        raise DimensionError(f"{path}: segments of length T = {t} exceed the model's t_max = {t_max}")
 
 
 def _run_train(args, parser) -> int:
     _require(args, parser, "data", "out_dir")
     cfg = _train_config(args)
-    _check_segment_length(args.data, cfg.noise.sample_rate_hz)
+    _check_segment_length(args.data, cfg.noise.sample_rate_hz, cfg.model.t_max)
     # nothing is written until training has succeeded
     model, log = train(load_dataset(args.data, READ_FIELDS), cfg)
     # run_config.txt records the values the run used, the desk preset's included
@@ -289,9 +294,9 @@ def _run_train(args, parser) -> int:
 
 # -- shared model loading ------------------------------------------------------
 
-def _load_model(model_path: str, config_path: str | None) -> tuple[FdcNet, dict]:
-    """The model and its .cfg sections; [split] is absent in configs written
-    before the training split was recorded."""
+def _model_config(model_path: str, config_path: str | None) -> tuple[ModelConfig, dict]:
+    """The model's config and its .cfg sections; [split] is absent in
+    configs written before the training split was recorded."""
     cfg_path = Path(config_path) if config_path else Path(model_path).with_suffix(".cfg")
     if not cfg_path.exists():
         raise FileFormatError(
@@ -300,8 +305,7 @@ def _load_model(model_path: str, config_path: str | None) -> tuple[FdcNet, dict]
     sections = read_config(cfg_path)
     if "model" not in sections:
         raise FileFormatError(f"{cfg_path}: missing [model] section")
-    cfg = ModelConfig.from_dict(sections["model"])
-    return FdcNet.load(model_path, cfg), sections
+    return ModelConfig.from_dict(sections["model"]), sections
 
 
 def _select_segments(segments, use: str, split: float, split_seed: int, by_subject: bool):
@@ -370,8 +374,9 @@ def _run_eval(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
     noise = NoiseSpec(emg_eog_ratio=args.ratio, gaussian_sigma=args.sigma, sample_rate_hz=args.sample_rate)
     noise.validate()
-    _check_segment_length(args.data, noise.sample_rate_hz)
-    model, sections = _load_model(args.model, args.model_config)
+    cfg, sections = _model_config(args.model, args.model_config)
+    _check_segment_length(args.data, noise.sample_rate_hz, cfg.t_max)
+    model = FdcNet.load(args.model, cfg)
     by_subject = _resolve_split(args, sections.get("split"), parser)
     segments = _select_segments(
         load_dataset(args.data, READ_FIELDS), args.use, args.split, args.split_seed, by_subject
@@ -398,7 +403,7 @@ def _build_denoise(sub):
     p.add_argument("--model")
     p.add_argument("--model-config")
     p.add_argument("--data")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=EVAL_BATCH_SIZE)
     p.add_argument("--out", help="output .fdcd: clean field holds the denoised signal")
     return p
 
@@ -409,7 +414,7 @@ def _run_denoise(args, parser) -> int:
         raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     from .tensor import no_grad
 
-    model, _ = _load_model(args.model, args.model_config)
+    model = FdcNet.load(args.model, _model_config(args.model, args.model_config)[0])
     # one --batch-size chunk of packed records at a time: its noisy field is
     # forwarded, x_hat replaces its clean field, and the chunk is appended
     with DatasetReader(args.data) as reader:

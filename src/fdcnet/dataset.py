@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateDataError, DimensionError, FileFormatError
 from .fileio import atomic_writer
 from .noise import NoiseSpec, inject_noise
-from .synth import SynthSpec, segment_windows, synth_clean_eeg
+from .synth import SynthSpec, min_artifact_length, segment_windows, synth_clean_eeg
 
 MAGIC = b"FDCD"
 VERSION = 1
@@ -176,6 +176,12 @@ def build_dataset(
     noise.validate()
     if spec.n_samples < window:
         raise ConfigError(f"trial holds {spec.n_samples} samples; need at least one {window}-sample window")
+    need = min_artifact_length(spec.sample_rate_hz)
+    if spec.n_samples < need:
+        raise ConfigError(
+            f"trial holds {spec.n_samples} samples; noise injection needs at least {need} "
+            f"at {spec.sample_rate_hz:g} Hz"
+        )
     trials = synth_clean_eeg(spec)
     noise_seed = derive_seed(spec.seed, "noise")
     # every trial has spec.n_samples samples, so the same number of windows

@@ -6,9 +6,8 @@ import math
 
 import numpy as np
 
-from ..errors import DimensionError
 from ..kernels import dropout, gelu, layer_norm, linear
-from ..tensor import Tensor, add, concat, reshape, transpose
+from ..tensor import Tensor, add, concat, mul, reshape, transpose
 from .attention import attention_head_freq, attention_head_time
 from .pe import BandLimitedPE, sinusoid_table
 
@@ -84,11 +83,12 @@ class EncoderLayer:
 
 
 class EegspEncoder:
-    """Positional encoding plus a stack of encoder layers over (B, T, d).
+    """Positional encoding plus a stack of encoder layers over (B, T, d),
+    T <= t_max.
 
-    With ``eegsp`` the encoding is the learnable band-limited one and half
-    of each layer's heads attend in the DCT domain; without it the encoding
-    is the fixed sinusoid table and every head attends in time.
+    Both settings add one sinusoid table: with ``eegsp`` scaled by the
+    learnable band-limited envelope, and half of each layer's heads attend
+    in the DCT domain; without it as it is, and every head attends in time.
     """
 
     def __init__(
@@ -102,24 +102,20 @@ class EegspEncoder:
         t_max: int = 512,
         eegsp: bool = True,
     ):
-        self.pe = BandLimitedPE(d_model, t_max) if eegsp else None
-        self._fixed_table = None if eegsp else sinusoid_table(t_max, d_model)
+        self.pe = BandLimitedPE() if eegsp else None
+        self.table = sinusoid_table(t_max, d_model)
         self.layers = [
             EncoderLayer(d_model, n_heads, ff_dim, dropout_rate, rng, freq_heads=eegsp)
             for _ in range(n_layers)
         ]
-        self.params = {f"pe.{name}": p for name, p in self.pe.named_parameters().items()} if eegsp else {}
+        self.params = {f"pe.{name}": p for name, p in self.pe.params.items()} if eegsp else {}
         for i, layer in enumerate(self.layers):
             self.params.update({f"layers.{i}.{name}": p for name, p in layer.params.items()})
 
     def forward(self, x_emb, training: bool = False, rng=None) -> Tensor:
-        t = x_emb.shape[1]
+        table = self.table[: x_emb.shape[1]]
         if self.pe is not None:
-            table = self.pe.forward(t)
-        elif t <= len(self._fixed_table):
-            table = self._fixed_table[:t]
-        else:
-            raise DimensionError(f"pos_count {t} exceeds table size {len(self._fixed_table)}")
+            table = mul(self.pe.envelope(), table)
         h = add(x_emb, table)
         for layer in self.layers:
             h = layer.forward(h, training, rng)

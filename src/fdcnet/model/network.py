@@ -12,9 +12,9 @@ Data flow (default configuration):
 
 Ablation flags: feedback=False removes the message exchange entirely (the
 paths run independently, bit-exactly equal to standalone path runs);
-cross=False additionally unshares the conv stem; eegsp=False replaces the
-learnable band-limited PE with the fixed classic table, removes the channel
-gate, and runs every attention head in the time domain.
+cross=False additionally unshares the conv stem; eegsp=False adds the
+encoder's sinusoid table without the learnable band-limited envelope,
+removes the channel gate, and runs every attention head in the time domain.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class FdcNet:
         if training and self.cfg.dropout > 0.0 and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
         x = as_tensor(x_noisy)
-        if x.ndim != 3 or x.shape[1] != self.cfg.n_channels:
+        if x.ndim != 3 or x.shape[1] != self.cfg.n_channels or x.shape[2] > self.cfg.t_max:
             raise DimensionError(
-                f"expected (B, {self.cfg.n_channels}, T) input, got {x.shape}"
+                f"expected (B, {self.cfg.n_channels}, T) input with T <= t_max = {self.cfg.t_max}, got {x.shape}"
             )
         if self.gate is not None:
             xg = modulate(x, self.gate.weights(channel_stats(x)))

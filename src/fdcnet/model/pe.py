@@ -1,21 +1,21 @@
-"""Band-limited learnable positional encoding.
+"""Positional encoding: the classic sin/cos table, and the learnable
+band-limited envelope that scales it when ``eegsp`` is on.
 
-The encoding is the classic sin/cos table scaled by a learnable spectral
-envelope: softmax weights alpha over the EEG bands k = 4..45 Hz contribute
-alpha_k / sqrt(k) each, so every table entry is bounded in magnitude by
-sum_k alpha_k / sqrt(k) <= 1/2.
+Softmax weights alpha over the EEG bands k = 4..45 Hz contribute
+alpha_k / sqrt(k) each to the scalar envelope, so every entry of the scaled
+table is bounded in magnitude by sum_k alpha_k / sqrt(k) <= 1/2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionError
 from ..kernels import softmax
 from ..tensor import Tensor, mul, tsum
 
 K_LO = 4
 K_HI = 45
+_INV_SQRT_K = 1.0 / np.sqrt(np.arange(K_LO, K_HI + 1, dtype=np.float64))
 
 
 def sinusoid_table(t_max: int, d_model: int) -> np.ndarray:
@@ -29,21 +29,10 @@ def sinusoid_table(t_max: int, d_model: int) -> np.ndarray:
 
 
 class BandLimitedPE:
-    def __init__(self, d_model: int, t_max: int = 512):
-        self.t_max = t_max
-        self.alpha_logits = Tensor(np.zeros(K_HI - K_LO + 1), requires_grad=True)
-        self._inv_sqrt_k = 1.0 / np.sqrt(np.arange(K_LO, K_HI + 1, dtype=np.float64))
-        self._table = sinusoid_table(t_max, d_model)
+    def __init__(self):
+        self.params = {"alpha_logits": Tensor(np.zeros(K_HI - K_LO + 1), requires_grad=True)}
 
-    def alpha(self) -> Tensor:
-        return softmax(self.alpha_logits)
-
-    def forward(self, pos_count: int) -> Tensor:
-        """(pos_count, d_model) encoding; differentiable in alpha_logits."""
-        if pos_count > self.t_max:
-            raise DimensionError(f"pos_count {pos_count} exceeds table size {self.t_max}")
-        envelope = tsum(mul(self.alpha(), self._inv_sqrt_k))
-        return mul(envelope, self._table[:pos_count])
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"alpha_logits": self.alpha_logits}
+    def envelope(self) -> Tensor:
+        """The scalar sum_k softmax(alpha_logits)_k / sqrt(k); differentiable
+        in alpha_logits."""
+        return tsum(mul(softmax(self.params["alpha_logits"]), _INV_SQRT_K))

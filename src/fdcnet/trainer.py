@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class LogRow:
     val_cc: float
 
 
-LOG_COLUMNS = ["epoch", "snr_db", "loss_total", "loss_mse", "loss_cls", "val_acc", "val_cc"]
+LOG_COLUMNS = [f.name for f in fields(LogRow)]
 
 
 def write_log_csv(path, rows: list[LogRow]) -> None:
@@ -264,7 +264,7 @@ def evaluate(
     return EvalReport(grid=list(snr_grid), rows=rows, average=average)
 
 
-EVAL_COLUMNS = ["input_snr_db", "output_snr_db", "cc_percent", "mse", "acc_4class"]
+EVAL_COLUMNS = [f.name for f in fields(EvalRow)]
 
 
 def write_eval_csv(path, report: EvalReport) -> None:

@@ -34,7 +34,7 @@ from fdcnet.model.classifier import classify_forward
 from fdcnet.model.denoiser import denoise_forward
 from fdcnet.model.feedback import feature_enhance, joint_loss
 from fdcnet.model.gate import ChannelGate, channel_stats, modulate
-from fdcnet.model.pe import BandLimitedPE
+from fdcnet.model.pe import BandLimitedPE, sinusoid_table
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.optim import AdamW
 from fdcnet.synth import SynthSpec
@@ -271,18 +271,19 @@ def test_range_properties():
         wts = gate.weights(channel_stats(x)).numpy()
         assert np.all(wts > 0.0) and np.all(wts < 1.0)
 
-    pe = BandLimitedPE(16, t_max=64)
-    opt = AdamW({"pe.alpha_logits": pe.alpha_logits}, lr=0.01)
+    pe = BandLimitedPE()
+    table = sinusoid_table(64, 16)
+    opt = AdamW({"pe.alpha_logits": pe.params["alpha_logits"]}, lr=0.01)
     target = Tensor(rng(62).normal(size=(32, 16)))
     for _ in range(100):
         with GradTape():
-            diff = sub(pe.forward(32), target)
+            diff = sub(mul(pe.envelope(), table[:32]), target)
             backward(tsum(mul(diff, diff)))
         opt.step()
         opt.zero_grad()
-    weights = softmax(pe.alpha_logits).numpy()
+    weights = softmax(pe.params["alpha_logits"]).numpy()
     assert abs(weights.sum() - 1.0) < 1e-12
-    assert np.ptp(pe.alpha_logits.numpy()) > 0.0  # the steps actually moved them
+    assert np.ptp(pe.params["alpha_logits"].numpy()) > 0.0  # the steps actually moved them
 
 
 # -- criterion: ablation equivalence ------------------------------------------

@@ -226,6 +226,21 @@ class TestSettingsCheckedFirst:
         assert err.startswith("error:") and "128-sample window" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_synth_trial_too_short_for_noise_rejected_before_synthesis(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        import fdcnet.dataset
+
+        monkeypatch.setattr(fdcnet.dataset, "synth_clean_eeg",
+                            lambda spec: pytest.fail("synthesised before the trial length was checked"))
+        # 2 samples at 128 Hz: one 2-sample window, but noise injection needs 3
+        code = main(["synth", "--subjects", "1", "--trials", "2", "--channels", "2",
+                     "--trial-seconds", "0.015625", "--window", "2", "--out", str(tmp_path / "out" / "d.fdcd")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trial holds 2 samples; noise injection needs at least 3 at 128 Hz\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCorruptTextInputs:
     @pytest.mark.parametrize("content", [b"\xff\xfe", b"[train]\nlr = nan\n"])
@@ -368,6 +383,27 @@ class TestSizesRejected:
         assert capsys.readouterr().err == (
             f"error: {data}: segments of length T = {t} are too short for noise injection, "
             "which needs T >= 3 at 128 Hz\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_long_segments_are_rejected_before_loading(self, shaped, tmp_path, capsys, monkeypatch,
+                                                       command):
+        import fdcnet.cli
+
+        # the desk model's t_max is 512, read from its .cfg; the check reads
+        # the data file's header alone
+        for name, obj in (("load_dataset", fdcnet.cli), ("load", fdcnet.cli.FdcNet)):
+            monkeypatch.setattr(obj, name, lambda *a, name=name: pytest.fail(f"{name} ran before the length check"))
+        data = str(shaped / "4x513.fdcd")
+        argv = {
+            "train": ["train", "--desk", "--epochs", "1", "--data", data, "--out-dir", str(tmp_path / "run")],
+            "eval": ["eval", "--model", str(shaped / "model.fdcn"), "--data", data,
+                     "--out", str(tmp_path / "e.csv")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: segments of length T = 513 exceed the model's t_max = 512\n"
         )
         assert list(tmp_path.iterdir()) == []
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from conftest import rng
 from fdcnet.model.encoder import EegspEncoder, EncoderLayer
+from fdcnet.model.pe import sinusoid_table
 from fdcnet.tensor import GradTape, Tensor, backward, tmean
 
 
@@ -47,12 +48,28 @@ class TestPeLearnability:
         with GradTape():
             out = enc.forward(x, training=False)
             backward(tmean(out * out))
-        g = enc.pe.alpha_logits.grad
+        g = enc.pe.params["alpha_logits"].grad
         assert g is not None and np.abs(g).max() > 0.0
 
     def test_fixed_pe_has_no_learnables(self):
         enc = _encoder(eegsp=False)
         assert not any(k.startswith("pe.") for k in enc.params)
+
+
+class TestOneTable:
+    def test_both_settings_hold_the_same_table(self):
+        on, off = _encoder(eegsp=True), _encoder(eegsp=False)
+        np.testing.assert_array_equal(on.table, off.table)
+        np.testing.assert_array_equal(on.table, sinusoid_table(64, 16))
+
+    def test_encoding_is_envelope_times_table(self):
+        # with no layers the encoder returns its input plus the encoding
+        x = Tensor(np.zeros((2, 10, 16)))
+        on = _encoder(layers=0, eegsp=True)
+        on.pe.params["alpha_logits"].data[:] = rng(10).normal(size=42)
+        np.testing.assert_array_equal(on.forward(x).numpy()[0], on.pe.envelope().numpy() * on.table[:10])
+        off = _encoder(layers=0, eegsp=False)
+        np.testing.assert_array_equal(off.forward(x).numpy()[0], off.table[:10])
 
 
 class TestConfig:

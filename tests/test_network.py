@@ -14,6 +14,7 @@ from fdcnet.model.denoiser import ConvStem, Decoder
 from fdcnet.model.encoder import EegspEncoder, EncoderLayer
 from fdcnet.model.feedback import FeedbackModule
 from fdcnet.model.gate import ChannelGate
+from fdcnet.model.pe import BandLimitedPE
 from fdcnet.tensor import GradTape, Tensor, backward, no_grad
 
 
@@ -46,6 +47,13 @@ def _held_tensors(value):
 
 
 class TestForward:
+    @pytest.mark.parametrize("eegsp", [True, False])
+    def test_segment_longer_than_t_max_rejected_at_entry(self, eegsp):
+        model = FdcNet(_cfg(eegsp=eegsp, t_max=16), seed=1)
+        assert model.forward(_x(t=16), mode="eval").x_hat.shape == (2, 4, 16)
+        with pytest.raises(DimensionError, match="T <= t_max = 16, got \\(2, 4, 17\\)"):
+            model.forward(_x(t=17), mode="eval")
+
     def test_output_shapes(self):
         model = FdcNet(_cfg(), seed=1)
         out = model.forward(_x(), mode="eval")
@@ -129,15 +137,15 @@ class TestRegistry:
             assert not missing, f"{flags}: no grad for {missing}"
 
     def test_no_component_keeps_a_second_registry(self):
-        for cls in (EncoderLayer, EegspEncoder, ChannelGate, ConvStem, Decoder, ClassifierHead,
-                    FeedbackModule):
+        for cls in (BandLimitedPE, EncoderLayer, EegspEncoder, ChannelGate, ConvStem, Decoder,
+                    ClassifierHead, FeedbackModule):
             assert not hasattr(cls, "named_parameters") and not hasattr(cls, "named_buffers"), cls
 
     def test_every_held_tensor_is_in_params_and_registered(self):
         model = FdcNet(_cfg(t_fb=2), seed=22)  # every flag on
         registered = {id(t) for t in model.named_parameters().values()}
-        components = [model.gate, model.stem_den, model.encoder, *model.encoder.layers,
-                      model.decoder, model.head, model.fb]
+        components = [model.gate, model.stem_den, model.encoder, model.encoder.pe,
+                      *model.encoder.layers, model.decoder, model.head, model.fb]
         for part in components:
             held = {id(t) for t in _held_tensors(vars(part))}
             assert held == {id(t) for t in part.params.values()}, type(part).__name__
