@@ -47,7 +47,6 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = out / "data.fdcd"
     cli = [sys.executable, "-m", "fdcnet.cli"]
 

@@ -31,6 +31,7 @@ from .model import FdcNet, ModelConfig
 from .noise import MAX_ABS_SNR_DB, NoiseSpec
 from .report import write_report
 from .synth import SynthSpec, min_artifact_length
+from .tensor import no_grad
 from .trainer import (
     EVAL_BATCH_SIZE,
     READ_FIELDS,
@@ -136,14 +137,10 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str], sec
                                for key, value in body.items()})
 
 
-def _write_run_config(primary_output: str, section: str, values: dict) -> None:
-    out_dir = Path(primary_output).resolve().parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "run_config.txt"
-    # keep sections written by other stages sharing this directory
-    sections = read_config(path) if path.exists() else {}
-    sections[section] = values
-    write_config(path, sections)
+def _read_run_config(primary_output) -> tuple[Path, dict]:
+    """The run_config.txt beside ``primary_output`` and the sections other stages put there."""
+    path = Path(primary_output).resolve().parent / "run_config.txt"
+    return path, read_config(path) if path.exists() else {}
 
 
 def _flag_values(args, parser) -> dict:
@@ -184,6 +181,7 @@ def _build_synth(sub):
 
 def _run_synth(args, parser) -> int:
     _require(args, parser, "out")
+    run_config, sections = _read_run_config(args.out)
     spec = SynthSpec(
         n_subjects=args.subjects,
         trials_per_subject=args.trials,
@@ -201,9 +199,8 @@ def _run_synth(args, parser) -> int:
         window=args.window,
         overlap=args.overlap,
     )
-    Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
     save_dataset(args.out, segments)
-    _write_run_config(args.out, "synth", _flag_values(args, parser))
+    write_config(run_config, {**sections, "synth": _flag_values(args, parser)})
     print(f"wrote {len(segments)} segments to {args.out}")
     return 0
 
@@ -270,6 +267,8 @@ def _check_segment_length(path: str, sample_rate: float, t_max: int) -> None:
 
 def _run_train(args, parser) -> int:
     _require(args, parser, "data", "out_dir")
+    out_dir = Path(args.out_dir)
+    run_config, sections = _read_run_config(out_dir / "model.fdcn")
     cfg = _train_config(args)
     _check_segment_length(args.data, cfg.noise.sample_rate_hz, cfg.model.t_max)
     # nothing is written until training has succeeded
@@ -277,12 +276,11 @@ def _run_train(args, parser) -> int:
     # run_config.txt records the values the run used, the desk preset's included
     for obj, of in ((cfg, _TRAIN_FIELDS), (cfg.noise, _NOISE_FIELDS), (cfg.model, _MODEL_FIELDS)):
         vars(args).update({f.name: getattr(obj, f.name) for f in of})
-    out_dir = Path(args.out_dir)
-    _write_run_config(str(out_dir / "model.fdcn"), "train", _flag_values(args, parser))
     model.save(out_dir / "model.fdcn")
     write_log_csv(out_dir / "training_log.csv", log)
     split = {"split": cfg.split, "seed": cfg.seed, "split_by_subject": cfg.split_by_subject}
     write_config(out_dir / "model.cfg", {"model": model.cfg.to_dict(), "split": split})
+    write_config(run_config, {**sections, "train": _flag_values(args, parser)})
     final = log[-1]
     print(
         f"trained {cfg.epochs} epochs; final loss {final.loss_total:.6f}, "
@@ -372,20 +370,20 @@ def _resolve_split(args, recorded: dict | None, parser) -> bool:
 
 def _run_eval(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
+    run_config, sections = _read_run_config(args.out)
     noise = NoiseSpec(emg_eog_ratio=args.ratio, gaussian_sigma=args.sigma, sample_rate_hz=args.sample_rate)
     noise.validate()
-    cfg, sections = _model_config(args.model, args.model_config)
+    cfg, cfg_sections = _model_config(args.model, args.model_config)
     _check_segment_length(args.data, noise.sample_rate_hz, cfg.t_max)
     model = FdcNet.load(args.model, cfg)
-    by_subject = _resolve_split(args, sections.get("split"), parser)
+    by_subject = _resolve_split(args, cfg_sections.get("split"), parser)
     segments = _select_segments(
         load_dataset(args.data, READ_FIELDS), args.use, args.split, args.split_seed, by_subject
     )
     grid = parse_snr_grid(args.snr_grid)
     report = evaluate(model, segments, grid, eval_seed=args.seed, noise=noise)
-    Path(args.out).resolve().parent.mkdir(parents=True, exist_ok=True)
     write_eval_csv(args.out, report)
-    _write_run_config(args.out, "eval", _flag_values(args, parser))
+    write_config(run_config, {**sections, "eval": _flag_values(args, parser)})
     a = report.average
     print(
         f"evaluated {len(segments)} segments over {len(grid)} SNR levels: "
@@ -410,30 +408,18 @@ def _build_denoise(sub):
 
 def _run_denoise(args, parser) -> int:
     _require(args, parser, "model", "data", "out")
+    run_config, sections = _read_run_config(args.out)
     if args.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
-    from .tensor import no_grad
-
     model = FdcNet.load(args.model, _model_config(args.model, args.model_config)[0])
     # one --batch-size chunk of packed records at a time: its noisy field is
     # forwarded, x_hat replaces its clean field, and the chunk is appended
-    with DatasetReader(args.data) as reader:
-        out_dir = Path(args.out).resolve().parent
-        # the directories made here, innermost first: a run that fails part
-        # way (a record the model rejects) removes them with its temporary file
-        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            with atomic_writer(args.out) as fh, no_grad():
-                write_header(fh, *reader.shape, reader.count)
-                for _, chunk in reader.chunks(args.batch_size):
-                    chunk["clean"] = model.forward(chunk["noisy"].copy(), mode="eval").x_hat.numpy()
-                    fh.write(chunk)
-        except BaseException:
-            for d in made:
-                d.rmdir()
-            raise
-    _write_run_config(args.out, "denoise", _flag_values(args, parser))
+    with DatasetReader(args.data) as reader, atomic_writer(args.out) as fh, no_grad():
+        write_header(fh, *reader.shape, reader.count)
+        for _, chunk in reader.chunks(args.batch_size):
+            chunk["clean"] = model.forward(chunk["noisy"].copy(), mode="eval").x_hat.numpy()
+            fh.write(chunk)
+    write_config(run_config, {**sections, "denoise": _flag_values(args, parser)})
     print(f"denoised {reader.count} segments into {args.out}")
     return 0
 
@@ -456,10 +442,10 @@ def _run_report(args, parser) -> int:
         except ValueError as exc:
             raise UsageError(f"config key [report] csv: {exc}", parser) from None
     _require(args, parser, "out_dir", "csv")
+    run_config, sections = _read_run_config(Path(args.out_dir) / "summary.txt")
     named = [(Path(path).stem, read_eval_csv(path)) for path in args.csv]
     written = write_report(args.out_dir, named)
-    _write_run_config(str(Path(args.out_dir) / "summary.txt"), "report",
-                      {"out_dir": args.out_dir, "csv": shlex.join(args.csv)})
+    write_config(run_config, {**sections, "report": {"out_dir": args.out_dir, "csv": shlex.join(args.csv)}})
     for path in written:
         print(f"wrote {path}")
     return 0

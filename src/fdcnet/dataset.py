@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DimensionError, FileFormatError
 from .fileio import atomic_writer
-from .noise import NoiseSpec, inject_noise
+from .noise import NoiseSpec, check_snr_db, inject_noise
 from .synth import SynthSpec, min_artifact_length, segment_windows, synth_clean_eeg
 
 MAGIC = b"FDCD"
@@ -159,10 +159,10 @@ def build_dataset(
     spec: SynthSpec,
     target_snr_db: float,
     *,
-    gaussian_sigma: float = NoiseSpec.gaussian_sigma,
-    emg_eog_ratio: float = NoiseSpec.emg_eog_ratio,
-    window: int = 128,
-    overlap: float = 0.5,
+    gaussian_sigma: float,
+    emg_eog_ratio: float,
+    window: int,
+    overlap: float,
 ) -> np.recarray:
     """Full pipeline: synthesize trials, inject noise per trial, then window.
 
@@ -174,8 +174,13 @@ def build_dataset(
     spec.validate()
     noise = NoiseSpec(emg_eog_ratio, gaussian_sigma, spec.sample_rate_hz)
     noise.validate()
+    check_snr_db("target_snr_db", target_snr_db)
     if spec.n_samples < window:
         raise ConfigError(f"trial holds {spec.n_samples} samples; need at least one {window}-sample window")
+    if not 0.0 <= overlap < 1.0:
+        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
+    if int(round(window * (1.0 - overlap))) < 1:
+        raise ConfigError(f"window {window} with overlap {overlap} gives stride < 1")
     need = min_artifact_length(spec.sample_rate_hz)
     if spec.n_samples < need:
         raise ConfigError(

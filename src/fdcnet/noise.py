@@ -54,6 +54,14 @@ class NoiseSpec:
             raise ConfigError(f"emg_eog_ratio must be > 0, got {self.emg_eog_ratio}")
 
 
+def check_snr_db(name: str, value: float) -> None:
+    """Reject an SNR target, named ``name`` in the message, that inject_noise cannot meet."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if abs(value) > MAX_ABS_SNR_DB:
+        raise ConfigError(f"{name} must be within ±{MAX_ABS_SNR_DB:g} dB, got {value}")
+
+
 def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=None):
     """Returns (noisy, achieved_snr_db).
 
@@ -66,10 +74,7 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     achieved_snr_db is measured against the scaled bio-artifact only.
     """
     spec.validate()
-    if not math.isfinite(target_snr_db):
-        raise ConfigError(f"target_snr_db must be finite, got {target_snr_db}")
-    if abs(target_snr_db) > MAX_ABS_SNR_DB:
-        raise ConfigError(f"target_snr_db must be within ±{MAX_ABS_SNR_DB:g} dB, got {target_snr_db}")
+    check_snr_db("target_snr_db", target_snr_db)
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if clean.ndim != 3:

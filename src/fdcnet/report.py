@@ -115,7 +115,6 @@ def write_report(out_dir, named_reports: list[tuple[str, EvalReport]]) -> list[s
     """Emit one SVG per metric (series ordered as the inputs) plus
     summary.txt; returns the written paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for key, label in _METRICS:
         series = [

@@ -241,17 +241,14 @@ def synth_artifact(kind: str, length: int, rngs: list[np.random.Generator],
     return x / r
 
 
-def segment_windows(trial: np.ndarray, window: int = 128, overlap: float = 0.5) -> np.ndarray:
+def segment_windows(trial: np.ndarray, window: int, overlap: float) -> np.ndarray:
     """Sliding windows along the last axis as a read-only (count, ..., window)
-    view of the trial; stride = window*(1-overlap), trailing remainder dropped."""
+    view of the trial; stride = window*(1-overlap), trailing remainder dropped.
+    build_dataset checks that the stride is at least 1."""
     trial = np.asarray(trial, dtype=np.float64)
     t = trial.shape[-1]
     if t < window:
         raise DimensionError(f"trial length {t} shorter than window {window}")
-    if not 0.0 <= overlap < 1.0:
-        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
     stride = int(round(window * (1.0 - overlap)))
-    if stride < 1:
-        raise ConfigError(f"window {window} with overlap {overlap} gives stride < 1")
     wins = np.lib.stride_tricks.sliding_window_view(trial, window, axis=-1)[..., ::stride, :]
     return np.moveaxis(wins, -2, 0)

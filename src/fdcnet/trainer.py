@@ -23,7 +23,7 @@ from .errors import ConfigError, DegenerateDataError, FileFormatError, NonFinite
 from .fileio import atomic_writer
 from .metrics import metric_cc, metric_mse, metric_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
-from .noise import MAX_ABS_SNR_DB, NoiseSpec, inject_noise
+from .noise import NoiseSpec, check_snr_db, inject_noise
 from .optim import AdamW
 from .tensor import GradTape, backward, no_grad
 
@@ -55,10 +55,7 @@ class TrainConfig:
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         for name in ("snr_start", "snr_end"):
-            if not abs(getattr(self, name)) <= MAX_ABS_SNR_DB:
-                raise ConfigError(
-                    f"{name} must be within ±{MAX_ABS_SNR_DB:g} dB, got {getattr(self, name)}"
-                )
+            check_snr_db(name, getattr(self, name))
         if self.snr_start < self.snr_end:
             raise ConfigError(
                 f"snr_start {self.snr_start} must be >= snr_end {self.snr_end}"

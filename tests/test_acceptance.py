@@ -238,6 +238,10 @@ def test_residual_identity():
     segs = build_dataset(
         SynthSpec(n_subjects=2, trials_per_subject=3, n_channels=2, trial_length_s=2.0, seed=51),
         target_snr_db=0.0,
+        gaussian_sigma=0.01,
+        emg_eog_ratio=1.0,
+        window=128,
+        overlap=0.5,
     )[:24]
     report = evaluate(_identity_model(), segs, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], eval_seed=52)
     for row in report.rows:

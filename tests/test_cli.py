@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_past_size_limit
 from fdcnet.cli import main, parse_snr_grid
 from fdcnet.errors import ConfigError
 from fdcnet.trainer import desk_preset
@@ -240,6 +241,72 @@ class TestSettingsCheckedFirst:
             "error: trial holds 2 samples; noise injection needs at least 3 at 128 Hz\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--overlap=1.5", "overlap must be in [0, 1), got 1.5"),
+        ("--overlap=-0.5", "overlap must be in [0, 1), got -0.5"),
+        ("--window=0", "window 0 with overlap 0.5 gives stride < 1"),
+        ("--window=-3", "window -3 with overlap 0.5 gives stride < 1"),
+        ("--snr=500", "target_snr_db must be within ±300 dB, got 500.0"),
+    ])
+    def test_synth_stride_and_snr_rejected_before_synthesis(self, tmp_path, capsys, monkeypatch,
+                                                           flag, message):
+        import fdcnet.dataset
+
+        monkeypatch.setattr(fdcnet.dataset, "synth_clean_eeg",
+                            lambda spec: pytest.fail("synthesised before the settings were checked"))
+        code = main(["synth", "--subjects", "1", "--trials", "1", "--channels", "2",
+                     "--trial-seconds", "1", flag, "--out", str(tmp_path / "out" / "d.fdcd")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunConfigReadFirst:
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "denoise", "report"])
+    def test_corrupt_run_config_exits_2_before_any_work(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                        command):
+        import fdcnet.cli
+        import fdcnet.dataset
+        from fdcnet.model import FdcNet
+        from fdcnet.trainer import EvalReport, EvalRow, write_eval_csv
+
+        _, data, run = pipeline
+        out = tmp_path / "out"
+        csv_path = tmp_path / "e.csv"
+        row = EvalRow(0.0, 1.0, 80.0, 0.5, 0.5)
+        write_eval_csv(csv_path, EvalReport(grid=[0.0], rows=[row], average=row))
+        model = ["--model", str(run / "model.fdcn"), "--data", str(data)]
+        argv, owner, step = {
+            "synth": (["--subjects", "1", "--trials", "1", "--channels", "2", "--trial-seconds", "1",
+                       "--out", str(out / "d.fdcd")], fdcnet.dataset, "synth_clean_eeg"),
+            "train": (["--data", str(data), "--out-dir", str(out)], fdcnet.cli, "train"),
+            "eval": ([*model, "--out", str(out / "e.csv")], fdcnet.cli, "evaluate"),
+            "denoise": ([*model, "--out", str(out / "d.fdcd")], FdcNet, "forward"),
+            "report": (["--out-dir", str(out), str(csv_path)], fdcnet.cli, "write_report"),
+        }[command]
+        monkeypatch.setattr(owner, step, lambda *a, **k: pytest.fail(f"{step} ran before run_config.txt was read"))
+        out.mkdir()
+        (out / "run_config.txt").write_text("junk\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run_config.txt" in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (out / "run_config.txt").read_text() == "junk\n"
+
+
+def test_synth_past_the_size_limit_leaves_no_directory(tmp_path):
+    out = tmp_path / "new" / "sub" / "x.fdcd"
+    code = (
+        "import sys\n"
+        "from fdcnet.cli import main\n"
+        "sys.exit(main(['synth', '--subjects', '1', '--trials', '2', '--channels', '2',\n"
+        f"               '--trial-seconds', '2', '--out', {str(out)!r}]))\n"
+    )
+    assert write_past_size_limit(code, 4096) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCorruptTextInputs:

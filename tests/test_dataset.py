@@ -25,6 +25,9 @@ from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError, File
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.synth import SynthSpec, synth_clean_eeg
 
+# the synth command's default noise and windowing settings
+SETTINGS = {"gaussian_sigma": 0.01, "emg_eog_ratio": 1.0, "window": 128, "overlap": 0.5}
+
 
 def _segments(n=3, c=2, t=128, seed=0):
     r = rng(seed)
@@ -286,7 +289,7 @@ class TestBuildDataset:
     def test_counts_and_snr(self):
         spec = SynthSpec(n_subjects=2, trials_per_subject=2, n_channels=3,
                          trial_length_s=2.0, seed=3)
-        segs = build_dataset(spec, target_snr_db=1.0)
+        segs = build_dataset(spec, target_snr_db=1.0, **SETTINGS)
         # 256-sample trials, window 128 stride 64: 3 windows per trial
         assert len(segs) == 2 * 2 * 3
         for s in segs:
@@ -297,15 +300,15 @@ class TestBuildDataset:
     def test_determinism(self, tmp_path):
         spec = SynthSpec(n_subjects=1, trials_per_subject=2, n_channels=2,
                          trial_length_s=1.5, seed=5)
-        a = build_dataset(spec, 0.0)
-        b = build_dataset(spec, 0.0)
+        a = build_dataset(spec, 0.0, **SETTINGS)
+        b = build_dataset(spec, 0.0, **SETTINGS)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.noisy, sb.noisy)
 
     def test_trial_i_draws_from_stream_keyed_by_file_and_index(self):
         spec = SynthSpec(n_subjects=1, trials_per_subject=3, n_channels=2,
                          trial_length_s=2.0, seed=8)
-        segs = build_dataset(spec, -1.0, gaussian_sigma=0.02)
+        segs = build_dataset(spec, -1.0, **{**SETTINGS, "gaussian_sigma": 0.02})
         nspec = NoiseSpec(gaussian_sigma=0.02)
         for i, (trial, *_) in enumerate(synth_clean_eeg(spec)):
             noisy, achieved = inject_noise(trial[None], nspec, -1.0, derive_seed(8, "noise"), [i])
@@ -320,12 +323,13 @@ class TestBuildDataset:
         monkeypatch.setattr(fdcnet.dataset, "synth_clean_eeg",
                             lambda spec: pytest.fail("synthesised before the noise settings were checked"))
         with pytest.raises(ConfigError, match=name):
-            build_dataset(SynthSpec(n_subjects=1, trials_per_subject=1, n_channels=2), 0.0, **{name: value})
+            build_dataset(SynthSpec(n_subjects=1, trials_per_subject=1, n_channels=2), 0.0,
+                          **{**SETTINGS, name: value})
 
     def test_noise_varies_per_trial(self):
         spec = SynthSpec(n_subjects=1, trials_per_subject=2, n_channels=2,
                          trial_length_s=1.0 + 0.005, seed=6)
-        segs = build_dataset(spec, 0.0)
+        segs = build_dataset(spec, 0.0, **SETTINGS)
         n0 = segs[0].noisy - segs[0].clean
         n1 = segs[1].noisy - segs[1].clean
         assert not np.array_equal(n0, n1)

@@ -1,6 +1,8 @@
 """Atomic writers: text mode bytes, and the text outputs a cut-short write
 must leave as they were."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import write_past_size_limit
@@ -35,6 +37,41 @@ class TestTextMode:
                 raise RuntimeError("stop")
         assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestDirectories:
+    def test_write_makes_missing_directories(self, tmp_path):
+        write_text(tmp_path / "a" / "b" / "f", "x")
+        assert (tmp_path / "a" / "b" / "f").read_text() == "x"
+
+    def test_error_removes_the_directories_it_made(self, tmp_path):
+        (tmp_path / "kept").mkdir()
+        with pytest.raises(RuntimeError):
+            with atomic_writer(tmp_path / "kept" / "a" / "b" / "f") as fh:
+                assert (tmp_path / "kept" / "a" / "b").is_dir()
+                fh.write(b"new")
+                raise RuntimeError("stop")
+        assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_error_keeps_a_file_another_writer_put_there(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_writer(tmp_path / "a" / "f"):
+                write_text(tmp_path / "a" / "g", "other")
+                raise RuntimeError("stop")
+        assert list((tmp_path / "a").iterdir()) == [tmp_path / "a" / "g"]
+
+    def test_a_directory_another_writer_makes_meanwhile_is_used_and_kept(self, tmp_path, monkeypatch):
+        (tmp_path / "a").mkdir()
+        is_dir = Path.is_dir
+        # "a" appears between each writer's check and its mkdir
+        monkeypatch.setattr(Path, "is_dir", lambda p: p.name != "a" and is_dir(p))
+        with pytest.raises(RuntimeError):
+            with atomic_writer(tmp_path / "a" / "f"):
+                raise RuntimeError("stop")
+        assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+        write_text(tmp_path / "a" / "f", "x")
+        assert (tmp_path / "a" / "f").read_text() == "x"
 
 
 def _report(n: int) -> EvalReport:

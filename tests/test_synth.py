@@ -306,21 +306,21 @@ class TestSegmentation:
             np.testing.assert_array_equal(wins[k], trial[:, off : off + 128])
 
     def test_single_window(self):
-        wins = segment_windows(np.zeros((3, 128)))
+        wins = segment_windows(np.zeros((3, 128)), 128, 0.5)
         assert len(wins) == 1
 
     def test_count_at_1000(self):
-        wins = segment_windows(np.zeros((1, 1000)))
+        wins = segment_windows(np.zeros((1, 1000)), 128, 0.5)
         assert len(wins) == (1000 - 128) // 64 + 1 == 14
 
     def test_too_short(self):
         with pytest.raises(DimensionError):
-            segment_windows(np.zeros((2, 100)))
+            segment_windows(np.zeros((2, 100)), 128, 0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(128, 2048))
     def test_count_matches_enumeration(self, t_trial):
-        wins = segment_windows(np.zeros((1, t_trial)))
+        wins = segment_windows(np.zeros((1, t_trial)), 128, 0.5)
         count = 0
         off = 0
         while off + 128 <= t_trial:

@@ -37,7 +37,8 @@ def tiny_segments(n_subjects=2, trials=3, channels=2, seed=0):
         trial_length_s=2.0,
         seed=seed,
     )
-    return build_dataset(spec, target_snr_db=0.0)
+    return build_dataset(spec, target_snr_db=0.0, gaussian_sigma=0.01, emg_eog_ratio=1.0,
+                         window=128, overlap=0.5)
 
 
 # a two-channel model small enough to train in a test
