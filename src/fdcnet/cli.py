@@ -33,6 +33,7 @@ from .report import write_report
 from .synth import SynthSpec, min_artifact_length
 from .tensor import no_grad
 from .trainer import (
+    COMPUTE_DTYPE,
     EVAL_BATCH_SIZE,
     READ_FIELDS,
     TrainConfig,
@@ -373,6 +374,7 @@ def _run_eval(args, parser) -> int:
     run_config, sections = _read_run_config(args.out)
     noise = NoiseSpec(emg_eog_ratio=args.ratio, gaussian_sigma=args.sigma, sample_rate_hz=args.sample_rate)
     noise.validate()
+    grid = parse_snr_grid(args.snr_grid)
     cfg, cfg_sections = _model_config(args.model, args.model_config)
     _check_segment_length(args.data, noise.sample_rate_hz, cfg.t_max)
     model = FdcNet.load(args.model, cfg)
@@ -380,7 +382,6 @@ def _run_eval(args, parser) -> int:
     segments = _select_segments(
         load_dataset(args.data, READ_FIELDS), args.use, args.split, args.split_seed, by_subject
     )
-    grid = parse_snr_grid(args.snr_grid)
     report = evaluate(model, segments, grid, eval_seed=args.seed, noise=noise)
     write_eval_csv(args.out, report)
     write_config(run_config, {**sections, "eval": _flag_values(args, parser)})
@@ -417,7 +418,7 @@ def _run_denoise(args, parser) -> int:
     with DatasetReader(args.data) as reader, atomic_writer(args.out) as fh, no_grad():
         write_header(fh, *reader.shape, reader.count)
         for _, chunk in reader.chunks(args.batch_size):
-            chunk["clean"] = model.forward(chunk["noisy"].copy(), mode="eval").x_hat.numpy()
+            chunk["clean"] = model.forward(chunk["noisy"].astype(COMPUTE_DTYPE), mode="eval").x_hat.numpy()
             fh.write(chunk)
     write_config(run_config, {**sections, "denoise": _flag_values(args, parser)})
     print(f"denoised {reader.count} segments into {args.out}")

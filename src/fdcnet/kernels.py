@@ -9,6 +9,9 @@ Conventions:
   * DCT-II / DCT-III use orthonormal scaling, so the inverse is the
     transpose and Parseval holds exactly.
   * GELU is the tanh approximation, differentiated analytically.
+  * A kernel with weights computes in its input's dtype: float32 input
+    runs on float32 copies of float64 weights, and the weights' gradients
+    reach their float64 ``.grad`` through ``backward``.
 """
 
 from __future__ import annotations
@@ -105,12 +108,12 @@ def linear(x, w, b=None) -> Tensor:
     x, w = as_tensor(x), as_tensor(w)
     if x.shape[-1] != w.shape[1]:
         raise DimensionError(f"linear: x {x.shape} incompatible with w {w.shape}")
-    xd, wd = x.data, w.data
+    xd, wd = x.data, w.data.astype(x.dtype, copy=False)
     y = xd @ wd.T
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
-        y = y + b.data
+        y = y + b.data.astype(xd.dtype, copy=False)
         parents.append(b)
     has_bias = b is not None
 
@@ -131,13 +134,17 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     if not training or rate <= 0.0:
         return x
     # the tape keeps the boolean keep-mask (1 byte an element, not 8); forward
-    # and backward rebuild the same float64 scale from it
+    # and backward rebuild the same scale, in x's dtype, from it
     keep = rng.random(x.shape) >= rate
+    dtype = x.dtype
+
+    def scale():
+        return (keep / (1.0 - rate)).astype(dtype, copy=False)
 
     def bw(g):
-        return [g * (keep / (1.0 - rate))]
+        return [g * scale()]
 
-    return make_op(x.data * (keep / (1.0 - rate)), (x,), bw, "dropout")
+    return make_op(x.data * scale(), (x,), bw, "dropout")
 
 
 # -- 1-D convolution ---------------------------------------------------------
@@ -172,7 +179,7 @@ def _scatter(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
     k = w.shape[2]
     xt = x.transpose(0, 2, 1)
     # built as (B, T + K - 1, D), so that each tap adds one contiguous slab
-    full = np.zeros((b, t + k - 1, w.shape[1]))
+    full = np.zeros((b, t + k - 1, w.shape[1]), dtype=x.dtype)
     for kk in range(k):
         # (B, T, A) @ (A, D) -> (B, T, D), added at offset kk
         full[:, kk : kk + t] += np.matmul(xt, w[:, :, kk])
@@ -192,7 +199,7 @@ def conv1d(x, w, padding: int = 0) -> Tensor:
         raise DimensionError(
             f"kernel size {k} exceeds padded length {t_pad} (T={x.shape[2]}, padding={padding})"
         )
-    xd, wd = x.data, w.data
+    xd, wd = x.data, w.data.astype(x.dtype, copy=False)
     y, _ = _correlate(xd, wd, padding)
 
     def bw(g):
@@ -219,7 +226,7 @@ def conv1d_transposed(x, w, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv1d_transposed output length {t_up} < 1 "
                              f"(T={x.shape[2]}, K={w.shape[2]}, padding={padding})")
 
-    xd, wd = x.data, w.data
+    xd, wd = x.data, w.data.astype(x.dtype, copy=False)
 
     def bw(g):
         # the weights are (C_in, C_out, K): the correlation's (D, A, K) layout
@@ -249,7 +256,7 @@ def batch_norm(
 
     Training mode standardizes with biased batch statistics and folds them
     into the running buffers with momentum BN_MOMENTUM; eval mode uses the
-    running buffers.
+    running buffers. The buffers keep their own dtype.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 3:
@@ -257,8 +264,9 @@ def batch_norm(
     b, c, t = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"batch_norm gamma/beta must be ({c},)")
-    gm = gamma.data.reshape(1, c, 1)
-    bt = beta.data.reshape(1, c, 1)
+    dtype = x.dtype
+    gm = gamma.data.astype(dtype, copy=False).reshape(1, c, 1)
+    bt = beta.data.astype(dtype, copy=False).reshape(1, c, 1)
     if training:
         n = b * t
         if n < 2:
@@ -277,8 +285,8 @@ def batch_norm(
             return [gx, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))]
 
     else:
-        ivar = 1.0 / np.sqrt(running_var + NORM_EPS)
-        xhat = (x.data - running_mean.reshape(1, c, 1)) * ivar.reshape(1, c, 1)
+        ivar = (1.0 / np.sqrt(running_var + NORM_EPS)).astype(dtype, copy=False)
+        xhat = (x.data - running_mean.astype(dtype, copy=False).reshape(1, c, 1)) * ivar.reshape(1, c, 1)
 
         def bw(g):
             return [g * gm * ivar.reshape(1, c, 1), (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))]
@@ -294,7 +302,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     ivar = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * ivar
-    gd = gamma.data
+    gd = gamma.data.astype(xhat.dtype, copy=False)
 
     def bw(g):
         gh = g * gd
@@ -302,31 +310,33 @@ def layer_norm(x, gamma, beta) -> Tensor:
         lead = tuple(range(xhat.ndim - 1))
         return [gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
 
-    return make_op(xhat * gd + beta.data, (x, gamma, beta), bw, "layer_norm")
+    return make_op(xhat * gd + beta.data.astype(xhat.dtype, copy=False), (x, gamma, beta), bw, "layer_norm")
 
 
 # -- orthonormal DCT ---------------------------------------------------------
 
-_DCT_CACHE: dict[int, np.ndarray] = {}
+_DCT_CACHE: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix C: y = C @ x; C @ C.T == I."""
-    mat = _DCT_CACHE.get(n)
+def dct_matrix(n: int, dtype=np.float64) -> np.ndarray:
+    """Orthonormal DCT-II matrix C: y = C @ x; C @ C.T == I. Built in
+    float64, then rounded once to dtype."""
+    key = (n, np.dtype(dtype))
+    mat = _DCT_CACHE.get(key)
     if mat is None:
         t = np.arange(n)
         k = t.reshape(-1, 1)
         mat = np.cos(np.pi * (2 * t + 1) * k / (2.0 * n))
         mat *= np.sqrt(2.0 / n)
         mat[0] *= np.sqrt(0.5)
-        _DCT_CACHE[n] = mat
+        mat = _DCT_CACHE[key] = mat.astype(dtype, copy=False)
     return mat
 
 
 def dct_forward(x) -> Tensor:
     """Orthonormal DCT-II along the last dimension."""
     x = as_tensor(x)
-    c = dct_matrix(x.shape[-1])
+    c = dct_matrix(x.shape[-1], x.dtype)
 
     def bw(g):
         return [g @ c]
@@ -337,7 +347,7 @@ def dct_forward(x) -> Tensor:
 def dct_inverse(x) -> Tensor:
     """Orthonormal DCT-III (inverse of dct_forward) along the last dimension."""
     x = as_tensor(x)
-    c = dct_matrix(x.shape[-1])
+    c = dct_matrix(x.shape[-1], x.dtype)
 
     def bw(g):
         return [g @ c.T]

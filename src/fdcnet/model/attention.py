@@ -19,14 +19,15 @@ from ..tensor import Tensor, as_tensor, make_op, swapaxes
 BLOCK_BYTES = 1 << 20
 
 
-def _blocks(shape) -> list:
-    """Slices of the leading axis whose (..., T, T) scores take about
-    BLOCK_BYTES each; one block when there is no leading axis."""
+def _blocks(shape, itemsize: int) -> list:
+    """Slices of the leading axis whose (..., T, T) scores, of itemsize
+    bytes each, take about BLOCK_BYTES; one block when there is no leading
+    axis."""
     if len(shape) == 2:
         return [slice(None)]
     # an empty head group (one head, split into time and frequency) has
     # no scores at all
-    per_row = max(1, math.prod(shape[1:-1]) * shape[-2] * 8)
+    per_row = max(1, math.prod(shape[1:-1]) * shape[-2] * itemsize)
     step = max(1, BLOCK_BYTES // per_row)
     return [slice(i, i + step) for i in range(0, shape[0], step)]
 
@@ -53,9 +54,9 @@ def attention_head_time(q, k, v) -> Tensor:
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     scale = 1.0 / math.sqrt(qd.shape[-1])
-    blocks = _blocks(qd.shape)
-    out = np.empty(qd.shape)
-    m, s = np.empty(qd.shape[:-1] + (1,)), np.empty(qd.shape[:-1] + (1,))
+    blocks = _blocks(qd.shape, qd.itemsize)
+    out = np.empty(qd.shape, qd.dtype)
+    m, s = np.empty(qd.shape[:-1] + (1,), qd.dtype), np.empty(qd.shape[:-1] + (1,), qd.dtype)
     for b in blocks:
         e = np.matmul(qd[b] * scale, np.swapaxes(kd[b], -1, -2))
         e.max(axis=-1, keepdims=True, out=m[b])
@@ -66,10 +67,10 @@ def attention_head_time(q, k, v) -> Tensor:
         out[b] /= s[b]
 
     def bw(g):
-        gv, gq = np.empty(qd.shape), np.empty(qd.shape)
+        gv, gq = np.empty(qd.shape, qd.dtype), np.empty(qd.shape, qd.dtype)
         # K's gradient is built as (..., d_h, T) and returned transposed,
         # the layout the unfused chain handed on
-        gkt = np.empty(qd.shape[:-2] + (qd.shape[-1], qd.shape[-2]))
+        gkt = np.empty(qd.shape[:-2] + (qd.shape[-1], qd.shape[-2]), qd.dtype)
         for b in blocks:
             qs = qd[b] * scale
             e = np.matmul(qs, np.swapaxes(kd[b], -1, -2))

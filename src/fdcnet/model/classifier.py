@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DegenerateDataError
 from ..kernels import gelu, linear, sigmoid, softmax
-from ..tensor import Tensor, clamp, log, mul, neg, reshape, tmean, tsum
+from ..tensor import Tensor, cast, clamp, log, mul, neg, reshape, tmean, tsum
 
 PROB_CLAMP = 1e-7
 
@@ -32,13 +32,14 @@ def classify_forward(h_classify, params: ClassifierHead) -> tuple[Tensor, Tensor
 
     Pooling is attention-weighted: a scalar score per time step, softmax over
     T, then the weighted temporal sum. Zero score weights reduce it to the
-    plain temporal mean.
+    plain temporal mean. The pooled features and everything after them are
+    float64.
     """
     b, t, _ = h_classify.shape
     p = params.params
     scores = reshape(linear(h_classify, p["attn.w"], p["attn.b"]), (b, t))
     weights = softmax(scores)
-    pooled = tsum(mul(h_classify, reshape(weights, (b, t, 1))), axis=1)
+    pooled = cast(tsum(mul(h_classify, reshape(weights, (b, t, 1))), axis=1), np.float64)
     logits = linear(gelu(linear(pooled, p["head.w1"], p["head.b1"])), p["head.w2"], p["head.b2"])
     return logits, sigmoid(logits)
 

@@ -7,7 +7,12 @@ import math
 import numpy as np
 
 from ..kernels import batch_norm, conv1d, conv1d_transposed, gelu
-from ..tensor import Tensor, add, reshape, swapaxes, tmean, mul, sub
+from ..tensor import Tensor, add, cast, reshape, swapaxes, tmean, mul, sub
+
+
+def _add_bias(y, b) -> Tensor:
+    """y (B, C, T) plus the (C,) bias b, in y's dtype."""
+    return add(y, cast(reshape(b, (1, b.shape[0], 1)), y.dtype))
 
 
 class ConvStem:
@@ -22,8 +27,7 @@ class ConvStem:
         }
 
     def forward(self, x) -> Tensor:
-        w, b = self.params["w"], self.params["b"]
-        return add(conv1d(x, w, padding=self.padding), reshape(b, (1, b.shape[0], 1)))
+        return _add_bias(conv1d(x, self.params["w"], padding=self.padding), self.params["b"])
 
 
 class Decoder:
@@ -48,12 +52,12 @@ class Decoder:
     def forward(self, h, training: bool = False) -> Tensor:
         p, buf = self.params, self.buffers
         y = conv1d_transposed(h, p["conv1.w"], padding=self.padding)
-        y = add(y, reshape(p["conv1.b"], (1, p["conv1.b"].shape[0], 1)))
+        y = _add_bias(y, p["conv1.b"])
         y = batch_norm(y, p["bn.gamma"], p["bn.beta"], buf["bn.running_mean"], buf["bn.running_var"],
                        training=training)
         y = gelu(y)
         y = conv1d_transposed(y, p["conv2.w"], padding=self.padding)
-        return add(y, reshape(p["conv2.b"], (1, p["conv2.b"].shape[0], 1)))
+        return _add_bias(y, p["conv2.b"])
 
 
 def denoise_forward(x_noisy, h_denoise, decoder: Decoder, training: bool = False) -> Tensor:

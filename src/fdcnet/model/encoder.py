@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..kernels import dropout, gelu, layer_norm, linear
-from ..tensor import Tensor, add, concat, mul, reshape, transpose
+from ..tensor import Tensor, add, cast, concat, mul, reshape, transpose
 from .attention import attention_head_freq, attention_head_time
 from .pe import BandLimitedPE, sinusoid_table
 
@@ -89,6 +89,7 @@ class EegspEncoder:
     Both settings add one sinusoid table: with ``eegsp`` scaled by the
     learnable band-limited envelope, and half of each layer's heads attend
     in the DCT domain; without it as it is, and every head attends in time.
+    The table and the envelope are cast to the input's dtype.
     """
 
     def __init__(
@@ -113,9 +114,10 @@ class EegspEncoder:
             self.params.update({f"layers.{i}.{name}": p for name, p in layer.params.items()})
 
     def forward(self, x_emb, training: bool = False, rng=None) -> Tensor:
-        table = self.table[: x_emb.shape[1]]
+        dtype = x_emb.dtype
+        table = self.table[: x_emb.shape[1]].astype(dtype, copy=False)
         if self.pe is not None:
-            table = mul(self.pe.envelope(), table)
+            table = mul(cast(self.pe.envelope(), dtype), table)
         h = add(x_emb, table)
         for layer in self.layers:
             h = layer.forward(h, training, rng)

@@ -8,12 +8,12 @@ import math
 import numpy as np
 
 from ..kernels import linear, relu, sigmoid
-from ..tensor import Tensor, mul, reshape, tmean
+from ..tensor import Tensor, cast, mul, reshape, tmean
 
 
 def channel_stats(x) -> Tensor:
-    """Temporal mean per channel: (B, C, T) -> (B, C)."""
-    return tmean(x, axis=2)
+    """Temporal mean per channel: (B, C, T) -> (B, C), in float64."""
+    return cast(tmean(x, axis=2), np.float64)
 
 
 class ChannelGate:
@@ -33,5 +33,5 @@ class ChannelGate:
 
 
 def modulate(x, alpha) -> Tensor:
-    """Scale each channel of (B, C, T) by its (B, C) gate."""
-    return mul(x, reshape(alpha, alpha.shape + (1,)))
+    """Scale each channel of (B, C, T) by its (B, C) gate, in x's dtype."""
+    return mul(x, cast(reshape(alpha, alpha.shape + (1,)), x.dtype))

@@ -26,7 +26,7 @@ import numpy as np
 from ..checkpoint import load_checkpoint, save_checkpoint
 from ..errors import ConfigError, ContractError, DimensionError
 from ..kernels import gelu, linear
-from ..tensor import Tensor, add, as_tensor, mul, reshape, swapaxes, tmean
+from ..tensor import Tensor, add, as_tensor, cast, mul, reshape, swapaxes, tmean
 from .classifier import ClassifierHead, classify_forward
 from .denoiser import ConvStem, Decoder, denoise_forward
 from .encoder import EegspEncoder
@@ -108,24 +108,36 @@ class ForwardResult:
     h_classify: Tensor  # (B, T, d_model)
 
 
+def _pool(h) -> Tensor:
+    """The float64 (B, d) mean over the tokens of h (B, T, d)."""
+    return cast(tmean(h, axis=1), np.float64)
+
+
+def _per_token(v, h) -> Tensor:
+    """The (B, d) value v as (B, 1, d) in h's dtype, to broadcast over the
+    tokens of h (B, T, d)."""
+    return cast(reshape(v, (h.shape[0], 1, h.shape[2])), h.dtype)
+
+
 def dual_path_step(h_den, h_cls, prev_feedback, fb: FeedbackModule):
     """One feedback iteration.
 
     prev_feedback is None (no message yet, first iteration) or a tuple
     (p_prev, f_prev) of the previous classification probabilities and the
     embedded classifier summary. Returns (h_den', h_cls'); the classifier
-    path receives the denoiser-to-classifier message phi.
+    path receives the denoiser-to-classifier message phi. The messages,
+    the gate and the enhancement are float64 (B, d) values, cast to the
+    latents' dtype where they meet them.
     """
-    b, _, d = h_den.shape
     if prev_feedback is not None:
         p_prev, f_prev = prev_feedback
         gate = feedback_project(p_prev, fb)
-        h_den = mul(h_den, reshape(gate, (b, 1, d)))
-        low = feedback_embed(tmean(h_den, axis=1), fb)
+        h_den = mul(h_den, _per_token(gate, h_den))
+        low = feedback_embed(_pool(h_den), fb)
         enhanced = feature_enhance(low, f_prev, fb)
-        h_den = add(h_den, reshape(linear(enhanced, fb.params["inj_den.w"]), (b, 1, d)))
-    phi = feedback_embed(tmean(h_den, axis=1), fb)
-    h_cls = add(h_cls, reshape(linear(phi, fb.params["inj_cls.w"]), (b, 1, d)))
+        h_den = add(h_den, _per_token(linear(enhanced, fb.params["inj_den.w"]), h_den))
+    phi = feedback_embed(_pool(h_den), fb)
+    h_cls = add(h_cls, _per_token(linear(phi, fb.params["inj_cls.w"]), h_cls))
     return h_den, h_cls
 
 
@@ -150,6 +162,14 @@ class FdcNet:
     # -- forward --------------------------------------------------------------
 
     def forward(self, x_noisy, mode: str = "eval", rng=None) -> ForwardResult:
+        """Denoise and classify x_noisy (B, C, T).
+
+        The input's dtype sets the precision of every value with a time
+        axis: float32 input runs the stem, encoder, attention, decoder and
+        residual in float32, and float64 input runs them in float64. The
+        channel gate, the feedback messages and the classifier head after
+        pooling are float64 either way, and so are the parameters.
+        """
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         training = mode == "train"
@@ -175,7 +195,7 @@ class FdcNet:
                 h_den, h_cls = dual_path_step(h_den, h_cls, message, self.fb)
                 logits, p = classify_forward(h_cls, self.head)
                 if t < self.cfg.t_fb:
-                    message = (p, feedback_embed(tmean(h_cls, axis=1), self.fb))
+                    message = (p, feedback_embed(_pool(h_cls), self.fb))
         else:
             logits, p = classify_forward(h_cls, self.head)
 

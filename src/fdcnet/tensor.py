@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode autodiff.
+"""Dense float32 or float64 tensors with tape-based reverse-mode autodiff.
 
 A ``GradTape`` records every differentiable operation whose inputs require
 gradients. ``backward(loss)`` replays the tape in reverse recording order
@@ -13,8 +13,14 @@ is freed as soon as the forward pass drops it. ``backward`` pops each node
 off the tape as it replays it, releasing what its closure kept once its
 gradient has flowed.
 
-All values are float64 and must be finite; constructing a tensor with NaN
-or Inf raises ``NonFiniteError``. The outputs of reshape, transpose,
+A tensor holds float32 or float64 values; any other input is converted to
+float64. An op computes in the dtype its inputs promote to, and ``cast``
+moves a value between the two on the tape. ``backward`` hands each node
+its gradient in the dtype of the node's value, and accumulates a leaf's
+gradient in the leaf's dtype.
+
+Every value must be finite; constructing a tensor with NaN or Inf raises
+``NonFiniteError``. The outputs of reshape, transpose,
 swapaxes, getitem and concat skip that scan: their values are copies of
 inputs that were scanned when they were made. A value written in place
 into a tensor's data is caught by the next arithmetic op it reaches.
@@ -45,6 +51,7 @@ class GradTape:
         # that requires grad, the index of the parent's node, or None for a
         # parent that takes no gradient
         self.nodes: list[tuple[tuple, Callable[[np.ndarray], Sequence]]] = []
+        self.dtypes: list[np.dtype] = []  # the dtype of each node's value
         self.first = 0  # the index of nodes[0]
 
     def __enter__(self) -> "GradTape":
@@ -79,14 +86,20 @@ def active_tape() -> Optional[GradTape]:
     return _ACTIVE_TAPE
 
 
+_FLOATS = (np.float32, np.float64)
+
+
 class Tensor:
-    """A dense row-major float64 array, optionally tracked on the active tape."""
+    """A dense row-major float32 or float64 array, optionally tracked on
+    the active tape. Input of any other dtype is converted to float64."""
 
     # _node: index of the tape node that produced this tensor, None for a leaf
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, op: Optional[str] = None):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype not in _FLOATS:
+            arr = arr.astype(np.float64)
         if op not in _COPY_OPS and not np.isfinite(arr).all():
             raise NonFiniteError(
                 f"non-finite values in tensor{'' if op is None else ' produced by ' + op}"
@@ -101,6 +114,10 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def ndim(self) -> int:
@@ -168,17 +185,43 @@ def make_op(
     its formula reads: the tape keeps the closure until ``backward`` has
     replayed it.
     """
-    global _NEXT_NODE
     tape = _ACTIVE_TAPE
     track = tape is not None and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track, op=op)
     if track:
-        if not tape.nodes:
-            tape.first = _NEXT_NODE
-        handles = tuple(_handle(p, tape.first) for p in parents)
-        out._node = _NEXT_NODE
-        _NEXT_NODE += 1
-        tape.nodes.append((handles, backward_fn))
+        _record(tape, out, parents, backward_fn)
+    return out
+
+
+def _record(tape: GradTape, out: Tensor, parents: Sequence[Tensor], backward_fn) -> None:
+    """Append out's node to the tape."""
+    global _NEXT_NODE
+    if not tape.nodes:
+        tape.first = _NEXT_NODE
+    handles = tuple(_handle(p, tape.first) for p in parents)
+    out._node = _NEXT_NODE
+    _NEXT_NODE += 1
+    tape.nodes.append((handles, backward_fn))
+    tape.dtypes.append(out.dtype)
+
+
+def cast(a, dtype) -> Tensor:
+    """a's values as dtype. A tensor that already has that dtype is
+    returned as it is, with no tape node; otherwise one node casts the
+    gradient back to a's dtype.
+
+    The node is recorded without make_op: the per-op profiler in
+    perfbench wraps make_op and keys its metrics on the op names it
+    declares, which do not include this one."""
+    a = as_tensor(a)
+    if a.dtype == dtype:
+        return a
+    src = a.dtype
+    out = Tensor(a.data.astype(dtype), op="cast")
+    tape = _ACTIVE_TAPE
+    if tape is not None and a.requires_grad:
+        out.requires_grad = True
+        _record(tape, out, (a,), lambda g: [g.astype(src)])
     return out
 
 
@@ -194,7 +237,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
     The loss must be a scalar recorded on the active tape. Pending gradients
-    are keyed by node index. Each node is popped off the tape as it is
+    are keyed by node index, and each is cast to its node's dtype before
+    the node's closure reads it. Each node is popped off the tape as it is
     replayed, so the arrays its closure saved are freed once their gradient
     has flowed. The tape is empty afterwards, also when a closure raises; a
     fresh forward pass is needed before the next call.
@@ -204,7 +248,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward() requires an active GradTape")
     if loss.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    nodes = tape.nodes
+    nodes, dtypes = tape.nodes, tape.dtypes
     seed = np.ones_like(loss.data)
     try:
         if loss._node is None:
@@ -214,10 +258,11 @@ def backward(loss: Tensor) -> None:
         pending: dict[int, np.ndarray] = {loss._node: seed}
         while nodes:
             handles, fn = nodes.pop()
+            dtype = dtypes.pop()
             g = pending.pop(tape.first + len(nodes), None)
             if g is None:
                 continue
-            for handle, pg in zip(handles, fn(g), strict=True):
+            for handle, pg in zip(handles, fn(g.astype(dtype, copy=False)), strict=True):
                 if pg is None or handle is None:
                     continue
                 if isinstance(handle, int):
@@ -227,6 +272,7 @@ def backward(loss: Tensor) -> None:
                     _accumulate(handle, pg)
     finally:
         nodes.clear()
+        dtypes.clear()
 
 
 def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
@@ -411,7 +457,7 @@ def getitem(a, key) -> Tensor:
     order = sorted(range(a.ndim), key=lambda i: -abs(a.data.strides[i]))
 
     def bw(g):
-        full = np.zeros([shape[i] for i in order]).transpose(np.argsort(order))
+        full = np.zeros([shape[i] for i in order], dtype=g.dtype).transpose(np.argsort(order))
         full[key] = g
         return [full]
 

@@ -170,7 +170,7 @@ def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]
             rng = np.random.default_rng(derive_seed(cfg.seed, "dropout", epoch, step))
             try:
                 with GradTape():
-                    out = model.forward(xb, mode="train", rng=rng)
+                    out = model.forward(xb.astype(COMPUTE_DTYPE), mode="train", rng=rng)
                     loss, l_mse, l_cls = joint_loss(
                         cb, out.x_hat, out.p, yb, weights, cfg.alpha, return_parts=True
                     )
@@ -212,7 +212,7 @@ def _level_metrics(model, segments, indices, labels, snr_db, noise, label, *key,
         for lo in range(0, len(indices), batch_size):
             ids = indices[lo : lo + batch_size]
             noisy = _reinject(segments, ids, snr_db, noise, label, *key, seed=seed)
-            out = model.forward(noisy, mode="eval")
+            out = model.forward(noisy.astype(COMPUTE_DTYPE), mode="eval")
             for clean, xn, xh in zip(segments.clean[ids], noisy, out.x_hat.numpy()):
                 in_snrs.append(metric_snr(clean, xn))
                 out_snrs.append(metric_snr(clean, xh))
@@ -231,6 +231,10 @@ def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float,
 
 # segments per eval-mode forward pass of the SNR sweep
 EVAL_BATCH_SIZE = 64
+# the dtype of the noisy batches train, evaluate and denoise pass to the
+# model: it runs every value with a time axis in this precision (see
+# FdcNet.forward). Noise, losses, metrics and parameters stay float64
+COMPUTE_DTYPE = np.float32
 
 
 def evaluate(

@@ -38,7 +38,7 @@ from fdcnet.model.pe import BandLimitedPE, sinusoid_table
 from fdcnet.noise import NoiseSpec, inject_noise
 from fdcnet.optim import AdamW
 from fdcnet.synth import SynthSpec
-from fdcnet.tensor import GradTape, Tensor, backward, mul, no_grad, sub, swapaxes, tsum
+from fdcnet.tensor import GradTape, Tensor, backward, cast, mul, no_grad, sub, swapaxes, tsum
 from fdcnet.trainer import TrainConfig, curriculum_snr, evaluate, read_eval_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -153,6 +153,10 @@ def test_gradient_suite():
         )),
         r.normal(size=(4, 3, 6)), tol=1e-5,
     )
+    # cast round trips, float64 -> float32 -> float64, on values float32
+    # holds exactly, stepped by a power of two that keeps x +- h exact
+    check_grad(lambda t: tsum(mul(sigmoid(cast(cast(t, np.float32), np.float64)), pv)),
+               r.integers(-128, 128, size=(4, 5)) / 64.0, tol=1e-5, h=2.0**-17)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"

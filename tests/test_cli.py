@@ -204,6 +204,21 @@ class TestSettingsCheckedFirst:
         assert err.startswith("error:") and "gaussian_sigma" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_eval_rejects_a_bad_grid_before_reading_files(self, pipeline, tmp_path, capsys, monkeypatch):
+        import fdcnet.cli as cli
+
+        _, data, run = pipeline
+        calls = []
+        for owner, name in ((cli.FdcNet, "load"), (cli, "load_dataset")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        code = main(["eval", "--model", str(run / "model.fdcn"), "--data", str(data),
+                     "--snr-grid", "-3:3:0", "--out", str(tmp_path / "out" / "e.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: inconsistent snr grid '-3:3:0'\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_windows_shorter_than_the_default_fit(self, tmp_path):
         from fdcnet.dataset import load_dataset
 
@@ -553,6 +568,39 @@ class TestPipeline:
         svgs = list(report_dir.glob("*.svg"))
         assert svgs
 
+    def test_float64_trained_checkpoint_serves_eval_and_denoise(self, pipeline, tmp_path, monkeypatch):
+        from fdcnet import trainer
+        from fdcnet.checkpoint import load_checkpoint, save_checkpoint
+        from fdcnet.configfile import read_config
+        from fdcnet.dataset import load_dataset
+        from fdcnet.model import FdcNet, ModelConfig
+
+        _, data, run = pipeline
+        run64 = tmp_path / "run64"
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "COMPUTE_DTYPE", np.float64)
+            assert main(["train", "--data", str(data), "--out-dir", str(run64),
+                         "--epochs", "2", "--batch-size", "8", "--d-model", "8",
+                         "--n-layers", "1", "--n-heads", "2", "--ff-dim", "16",
+                         "--head-hidden", "8", "--gate-reduction", "2", "--kernel-size", "5"]) == 0
+        ckpt = run64 / "model.fdcn"
+        assert ckpt.read_bytes() != (run / "model.fdcn").read_bytes()
+        # either precision writes float64 arrays in the one .fdcn layout
+        for path in (ckpt, run / "model.fdcn"):
+            arrays = load_checkpoint(path)
+            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+            save_checkpoint(tmp_path / "again.fdcn", arrays)
+            assert (tmp_path / "again.fdcn").read_bytes() == path.read_bytes()
+        assert main(["eval", "--model", str(ckpt), "--data", str(data), "--snr-grid", "-3:3:3",
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert main(["denoise", "--model", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "d.fdcd")]) == 0
+        orig, den = load_dataset(data), load_dataset(tmp_path / "d.fdcd")
+        model = FdcNet.load(ckpt, ModelConfig.from_dict(read_config(run64 / "model.cfg")["model"]))
+        want = model.forward(orig.noisy.astype(np.float32), mode="eval").x_hat.numpy()
+        assert len(orig) <= 64  # one denoise batch
+        np.testing.assert_array_equal(den.clean, want)
+
     def test_denoise_round_trip(self, pipeline):
         from fdcnet.dataset import load_dataset
 
@@ -589,7 +637,8 @@ class TestPipeline:
         assert max(len(x) for x in seen) == 5
         for x in seen:
             assert x.flags.c_contiguous and x.flags.aligned and x.flags.owndata
-        np.testing.assert_array_equal(np.concatenate(seen), orig.noisy)
+            assert x.dtype == np.float32
+        np.testing.assert_array_equal(np.concatenate(seen), orig.noisy.astype(np.float32))
         assert den.noisy.tobytes() == orig.noisy.tobytes()
 
     def test_run_config_keys_in_flag_order(self, pipeline):

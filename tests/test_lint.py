@@ -120,3 +120,26 @@ def test_every_name_the_tracer_binds_resolves():
         if not callable(getattr(cls, meth, None)):
             missing.append(f"{mod_name}.{cls_name}.{meth}")
     assert not missing, f"names the tracer binds that src/ does not define: {missing}"
+
+
+# the modules whose scratch buffers hold activations or their gradients;
+# parameter initialisation elsewhere in model/ is float64 on purpose
+BUFFER_MODULES = ("tensor.py", "kernels.py", "model/attention.py")
+# allocators and the position of their dtype argument
+ALLOCATORS = {"empty": 1, "zeros": 1, "ones": 1, "full": 2}
+
+
+@pytest.mark.parametrize("rel", BUFFER_MODULES)
+def test_every_scratch_buffer_names_its_dtype(rel):
+    # a buffer without a dtype is float64, which silently turns a float32
+    # pass back into float64; np.*_like takes its input's dtype
+    path = SRC / rel
+    bare = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.func.attr in ALLOCATORS):
+            continue
+        if len(node.args) <= ALLOCATORS[node.func.attr] and not any(k.arg == "dtype" for k in node.keywords):
+            bare.append(f"{rel}:{node.lineno} np.{node.func.attr}")
+    assert not bare, f"allocations without a dtype: {bare}"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdcnet.tensor as tensor_module
 from conftest import rng
 from fdcnet.errors import ConfigError, ContractError, DimensionError
-from fdcnet.model import FdcNet, ModelConfig
+from fdcnet.model import FdcNet, ModelConfig, class_weights, joint_loss
+from fdcnet.model import feedback as feedback_module
 from fdcnet.model.classifier import ClassifierHead
 from fdcnet.model.denoiser import ConvStem, Decoder
 from fdcnet.model.encoder import EegspEncoder, EncoderLayer
@@ -89,6 +91,87 @@ class TestForward:
         model = FdcNet(_cfg(), seed=8)
         p = model.forward(_x(seed=9), mode="eval").p.numpy()
         assert p.min() > 0.0 and p.max() < 1.0
+
+
+# a segment length that no other axis of the _cfg model has
+T_ODD = 13
+
+
+def _is_cast(fn) -> bool:
+    return fn.__qualname__.startswith("cast.")
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(value, parents, backward closure) of every node recorded on a tape."""
+    seen = []
+    record = tensor_module._record
+
+    def spy(tape, out, parents, fn):
+        seen.append((out, tuple(parents), fn))
+        record(tape, out, parents, fn)
+
+    monkeypatch.setattr(tensor_module, "_record", spy)
+    return seen
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("flags", [{}, {"eegsp": False}, {"feedback": False},
+                                       {"feedback": False, "cross": False}],
+                             ids=["full", "no-eegsp", "no-feedback", "no-cross"])
+    def test_float32_input_runs_every_time_axis_value_in_float32(self, recorded, flags):
+        model = FdcNet(_cfg(**flags), seed=7)
+        y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with GradTape():
+            out = model.forward(_x(b=3, t=T_ODD, seed=8).astype(np.float32), mode="train", rng=rng(9))
+            values = list(recorded)
+            backward(joint_loss(_x(b=3, t=T_ODD, seed=10), out.x_hat, out.p, y, class_weights(y), 0.6))
+        # a cast's input and output sit on the boundary between the precisions
+        edge = {id(t) for v, parents, fn in values if _is_cast(fn) for t in (v, *parents)}
+        wrong = [(v.shape, str(v.dtype)) for v, _, _ in values
+                 if id(v) not in edge and (T_ODD in v.shape) != (v.dtype == np.float32)]
+        assert len(values) > len(edge) > 0
+        assert wrong == []
+        assert out.x_hat.dtype == np.float32
+        assert out.logits.dtype == out.p.dtype == np.float64
+        for name, p in model.named_parameters().items():
+            assert p.data.dtype == p.grad.dtype == np.float64, name
+
+    def test_float64_input_records_no_cast(self):
+        model = FdcNet(_cfg(), seed=7)
+        with GradTape() as tape:
+            out = model.forward(_x(b=3, t=T_ODD, seed=8), mode="train", rng=rng(9))
+            assert len(tape.nodes) > 100
+            assert not any(_is_cast(fn) for _, fn in tape.nodes)
+        assert out.x_hat.numpy().dtype == out.p.numpy().dtype == np.float64
+
+    def test_fresh_model_is_identity_denoiser_in_float32(self):
+        x = _x(seed=3).astype(np.float32)
+        out = FdcNet(_cfg(), seed=2).forward(x, mode="eval")
+        assert out.x_hat.dtype == np.float32
+        np.testing.assert_array_equal(out.x_hat.numpy(), x)
+
+    def test_enhancement_multiplier_stays_below_two_in_float32_mode(self, monkeypatch):
+        model = FdcNet(_cfg(), seed=7)
+        # W f + b near 25: there float32 1 + sigmoid rounds to 2.0, float64 does not
+        model.fb.params["enhance.b"].data[:] = 25.0
+        d = model.fb.d
+        calls = []
+        sigmoid = feedback_module.sigmoid
+
+        def recording(z):
+            calls.append(sigmoid(z))
+            return calls[-1]
+
+        monkeypatch.setattr(feedback_module, "sigmoid", recording)
+        out = model.forward(_x(b=3, t=T_ODD, seed=8).astype(np.float32), mode="eval")
+        assert out.x_hat.dtype == np.float32
+        # the feedback gate is (B, d_model), the enhancement (B, d_model / 4)
+        (s,) = [c.numpy() for c in calls if c.shape == (3, d)]
+        assert s.dtype == np.float64
+        assert (np.float32(1.0) + s.astype(np.float32) == 2.0).any()
+        multiplier = 1.0 + s
+        assert ((multiplier > 1.0) & (multiplier < 2.0)).all()
 
 
 class TestRegistry:

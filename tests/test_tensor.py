@@ -22,6 +22,7 @@ from fdcnet.tensor import (
     active_tape,
     add,
     backward,
+    cast,
     clamp,
     concat,
     make_op,
@@ -43,6 +44,11 @@ class TestConstruction:
     def test_float64_always(self):
         t = Tensor(np.array([1, 2, 3], dtype=np.int32))
         assert t.data.dtype == np.float64
+
+    def test_float32_kept(self):
+        data = np.array([1.5, 2.5], dtype=np.float32)
+        t = Tensor(data)
+        assert t.data is data and t.dtype == np.float32
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -223,6 +229,45 @@ class TestShapeOps:
         with GradTape():
             backward(tsum(clamp(x, 0.0, 1.0)))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+class TestCast:
+    def test_same_dtype_is_the_input_and_records_nothing(self):
+        x = Tensor(rng(40).normal(size=(2, 3)), requires_grad=True)
+        with GradTape() as tape:
+            assert cast(x, np.float64) is x
+            assert tape.nodes == []
+
+    def test_one_node_casts_the_gradient_back(self):
+        data = rng(41).normal(size=(2, 3))
+        x = Tensor(data, requires_grad=True)
+        with GradTape() as tape:
+            c = cast(x, np.float32)
+            assert c.dtype == np.float32 and len(tape.nodes) == 1
+            np.testing.assert_array_equal(c.numpy(), data.astype(np.float32))
+            backward(cast(tsum(mul(c, c)), np.float64))
+        assert x.grad.dtype == np.float64
+        np.testing.assert_array_equal(x.grad, 2.0 * data.astype(np.float32))
+
+    def test_each_node_gets_its_gradient_in_its_dtype(self):
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        seen = []
+
+        def probe(g):
+            seen.append(g.dtype)
+            return [g]
+
+        with GradTape():
+            p = make_op(x.data * 2.0, (x,), probe, "probe")
+            # float64 weights promote the product, and so its gradient
+            backward(tsum(mul(p, np.arange(3.0))))
+        assert seen == [np.float32]
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 2.0])
+
+    def test_overflow_to_float32_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="produced by cast"):
+            cast(Tensor([1e39]), np.float32)
 
 
 class TestReductions:

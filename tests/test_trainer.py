@@ -182,8 +182,10 @@ class TestEvaluate:
         report = evaluate(model, segs, [-3.0, 0.0, 3.0], eval_seed=7)
         assert report.grid == [-3.0, 0.0, 3.0]
         for target, row in zip(report.grid, report.rows):
-            # fresh model reconstructs the input exactly, so no SNR change
-            assert row.output_snr_db == pytest.approx(row.input_snr_db, abs=1e-9)
+            # a fresh model returns its float32 input exactly: each sample is
+            # the noisy one rounded to float32 (2**-24 relative), which moves
+            # the SNR by far less than 1e-5 dB
+            assert row.output_snr_db == pytest.approx(row.input_snr_db, abs=1e-5)
             assert row.input_snr_db == pytest.approx(target, abs=0.2)
             assert row.mse > 0.0
             assert 0.0 <= row.acc_4class <= 1.0
@@ -287,6 +289,27 @@ class TestBatches:
         for x in seen:
             assert x.flags.c_contiguous and x.flags.aligned and x.flags.owndata
             assert not np.shares_memory(x, segs)
+
+    def test_forward_gets_float32_and_noise_float64(self, monkeypatch):
+        segs = tiny_segments()
+        dtypes = {"forward": set(), "noise": set()}
+        forward, inject = FdcNet.forward, trainer.inject_noise
+
+        def recording_forward(self, x, *args, **kwargs):
+            dtypes["forward"].add(x.dtype)
+            return forward(self, x, *args, **kwargs)
+
+        def recording_inject(clean, *args, **kwargs):
+            noisy = inject(clean, *args, **kwargs)
+            dtypes["noise"].update((clean.dtype, noisy[0].dtype))
+            return noisy
+
+        monkeypatch.setattr(FdcNet, "forward", recording_forward)
+        monkeypatch.setattr(trainer, "inject_noise", recording_inject)
+        model, _ = train(segs, tiny_cfg(batch_size=3))
+        evaluate(model, segs, [0.0])
+        assert dtypes == {"forward": {np.dtype(np.float32)}, "noise": {np.dtype(np.float64)}}
+        assert all(p.data.dtype == np.float64 for p in model.named_parameters().values())
 
 
 class TestCsvRoundTrips:
