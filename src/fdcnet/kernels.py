@@ -272,11 +272,12 @@ def batch_norm(
         if n < 2:
             raise DegenerateDataError(f"batch_norm needs B*T >= 2 in train mode, got {n}")
         mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        xhat = x.data - mu.reshape(1, c, 1)
+        var = np.square(xhat).sum(axis=(0, 2)) / n  # np.var's arithmetic, as in layer_norm
         running_mean += BN_MOMENTUM * (mu - running_mean)
         running_var += BN_MOMENTUM * (var - running_var)
         ivar = 1.0 / np.sqrt(var + NORM_EPS)
-        xhat = (x.data - mu.reshape(1, c, 1)) * ivar.reshape(1, c, 1)
+        xhat *= ivar.reshape(1, c, 1)
 
         def bw(g):
             gsum = g.sum(axis=(0, 2), keepdims=True)
@@ -298,10 +299,10 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Layer norm over the last dimension."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mu) * ivar
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's arithmetic, on the centred values it would form again
+    ivar = 1.0 / np.sqrt(np.square(xhat).sum(axis=-1, keepdims=True) / d + NORM_EPS)
+    xhat *= ivar
     gd = gamma.data.astype(xhat.dtype, copy=False)
 
     def bw(g):

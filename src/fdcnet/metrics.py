@@ -1,4 +1,5 @@
-"""Signal-quality metrics: SNR (dB), Pearson correlation, MSE."""
+"""Signal-quality metrics: SNR (dB), Pearson correlation, MSE. The segment_*
+forms give, for each segment of an (N, ...) stack, its metric_* value."""
 
 from __future__ import annotations
 
@@ -11,41 +12,52 @@ from .errors import DegenerateDataError, DimensionError
 SNR_CLAMP_DB = 100.0
 
 
-def _pair(clean, denoised) -> tuple[np.ndarray, np.ndarray]:
+def _rows(clean, denoised, one: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Both as float64 (segments, samples) rows in C order; one row if `one`."""
     clean = np.asarray(clean, dtype=np.float64)
     denoised = np.asarray(denoised, dtype=np.float64)
     if clean.shape != denoised.shape:
         raise DimensionError(f"shape mismatch: {clean.shape} vs {denoised.shape}")
-    return clean, denoised
+    shape = (1, clean.size) if one else (len(clean), math.prod(clean.shape[1:]))
+    return clean.reshape(shape), denoised.reshape(shape)
+
+
+def segment_snr(clean, denoised) -> np.ndarray:
+    """10*log10(sum(clean^2) / sum((clean-denoised)^2)), clamped at +100 dB."""
+    clean, denoised = _rows(clean, denoised)
+    sig = np.sum(np.square(clean), axis=-1)
+    if not sig.all():
+        raise DegenerateDataError(f"segment {int(np.argmin(sig))}: clean signal has zero power; SNR undefined")
+    res = np.sum(np.square(clean - denoised), axis=-1)
+    # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
+    return np.array([SNR_CLAMP_DB if r == 0.0 else min(10.0 * math.log10(s / r), SNR_CLAMP_DB)
+                     for s, r in zip(sig.tolist(), res.tolist())])
+
+
+def segment_cc(clean, denoised) -> np.ndarray:
+    """Pearson correlation over the flattened samples, in [-1, 1]."""
+    a, b = _rows(clean, denoised)
+    a = a - a.mean(axis=-1, keepdims=True)
+    b = b - b.mean(axis=-1, keepdims=True)
+    # vecdot takes each row's product as `a @ b` takes one row's
+    va, vb = np.vecdot(a, a), np.vecdot(b, b)
+    if not (va.all() and vb.all()):
+        raise DegenerateDataError(f"segment {int(np.argmin(np.minimum(va, vb)))}: zero variance; CC undefined")
+    return np.clip(np.vecdot(a, b) / np.sqrt(va * vb), -1.0, 1.0)
+
+
+def segment_mse(clean, denoised) -> np.ndarray:
+    clean, denoised = _rows(clean, denoised)
+    return np.mean(np.square(clean - denoised), axis=-1)
 
 
 def metric_snr(clean, denoised) -> float:
-    """10*log10(sum(clean^2) / sum((clean-denoised)^2)), clamped at +100 dB
-    when the residual is numerically zero."""
-    clean, denoised = _pair(clean, denoised)
-    sig = float(np.sum(np.square(clean)))
-    if sig == 0.0:
-        raise DegenerateDataError("clean signal has zero power; SNR undefined")
-    res = float(np.sum(np.square(clean - denoised)))
-    if res == 0.0:
-        return SNR_CLAMP_DB
-    return min(10.0 * math.log10(sig / res), SNR_CLAMP_DB)
+    return float(segment_snr(*_rows(clean, denoised, one=True))[0])
 
 
 def metric_cc(clean, denoised) -> float:
-    """Pearson correlation over flattened samples, in [-1, 1]."""
-    clean, denoised = _pair(clean, denoised)
-    a = clean.ravel()
-    b = denoised.ravel()
-    a = a - a.mean()
-    b = b - b.mean()
-    va = float(a @ a)
-    vb = float(b @ b)
-    if va == 0.0 or vb == 0.0:
-        raise DegenerateDataError("zero-variance input; correlation undefined")
-    return float(np.clip((a @ b) / math.sqrt(va * vb), -1.0, 1.0))
+    return float(segment_cc(*_rows(clean, denoised, one=True))[0])
 
 
 def metric_mse(clean, denoised) -> float:
-    clean, denoised = _pair(clean, denoised)
-    return float(np.mean(np.square(clean - denoised)))
+    return float(segment_mse(*_rows(clean, denoised, one=True))[0])

@@ -59,7 +59,8 @@ def attention_head_time(q, k, v) -> Tensor:
     m, s = np.empty(qd.shape[:-1] + (1,), qd.dtype), np.empty(qd.shape[:-1] + (1,), qd.dtype)
     for b in blocks:
         e = np.matmul(qd[b] * scale, np.swapaxes(kd[b], -1, -2))
-        e.max(axis=-1, keepdims=True, out=m[b])
+        # fmax skips max's NaN propagation; on finite scores it is the same max
+        np.fmax.reduce(e, axis=-1, keepdims=True, out=m[b])
         e -= m[b]
         np.exp(e, out=e)
         e.sum(axis=-1, keepdims=True, out=s[b])

@@ -14,8 +14,8 @@ combined at the configured ratio. Its amplitude coefficient is chosen per
 channel so the channel hits the target SNR exactly; the global SNR (signal
 power over scaled-artifact power) then also equals the target. The Gaussian
 floor is added afterward and is excluded from the achieved-SNR measurement.
-Each call shapes the artifacts of all its segments in one pass, one
-synth_artifact call per artifact kind.
+Each call draws segment after segment from one re-keyed generator, then
+shapes all its artifacts in one synth_artifact call per artifact kind.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DimensionError
-from .synth import synth_artifact
+from .synth import artifact_draws, synth_artifact
 
 # far beyond any useful target, and far inside the range where 10**(snr/20)
 # and the scaled artifact power stay finite and non-zero (±400 dB still works)
@@ -83,7 +83,7 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     ids = np.arange(n) if ids is None else np.asarray(ids).reshape(-1)
     if ids.shape != (n,):
         raise DimensionError(f"inject_noise got {ids.size} segment ids for {n} segments")
-    if n == 0:  # synth_artifact needs at least one generator
+    if n == 0:  # synth_artifact needs at least one segment's draws
         return np.empty((0, c, t)), np.empty(0)
     if not (np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0):
         raise ConfigError(f"segment ids must be non-negative integers, got {ids}")
@@ -98,10 +98,20 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
             f"clean signal of segment {int(np.argmin(clean_power))} has zero RMS; "
             "SNR target undefined"
         )
-    # a uint64 array, not a tuple: NumPy rounds a tuple word above 2**63
-    rngs = [np.random.Generator(np.random.Philox(key=np.array([seed, i], np.uint64))) for i in ids]
-    emg = synth_artifact("emg", t, rngs, spec.sample_rate_hz, rows=c)
-    eog = synth_artifact("eog", t, rngs, spec.sample_rate_hz, rows=c)
+    # one Philox re-keyed (seed, id) per segment: a fresh Philox(key=[seed, id])'s draws
+    bits = np.random.Philox(key=np.zeros(2, np.uint64))
+    g, state = np.random.Generator(bits), bits.state
+    state["state"]["counter"] = state["buffer"] = [0] * 4  # ints set fastest
+    fs, emg, eog, floor = spec.sample_rate_hz, [], [], []
+    for i in ids.tolist():
+        state["state"]["key"] = [seed, i]
+        bits.state = state
+        emg.append(artifact_draws("emg", t, g, fs, rows=c))
+        eog.append(artifact_draws("eog", t, g, fs, rows=c))
+        if spec.gaussian_sigma > 0:
+            floor.append(g.standard_normal((c, t)))
+    emg = synth_artifact("emg", t, emg, fs)
+    eog = synth_artifact("eog", t, eog, fs)
     ratio = spec.emg_eog_ratio
     mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
     rms_n = np.sqrt(np.mean(np.square(mix), axis=-1))
@@ -109,7 +119,7 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     scaled = (rms_c / (rms_n * 10.0 ** (target_snr_db / 20.0)))[:, None] * mix
     np.add(x, scaled.reshape(n, c, t), out=noisy)
     if spec.gaussian_sigma > 0:
-        noisy += spec.gaussian_sigma * np.stack([g.standard_normal((c, t)) for g in rngs])
+        noisy += spec.gaussian_sigma * np.stack(floor)
     scaled_power = np.sum(np.square(scaled.reshape(n, c * t)), axis=-1)
     # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
     achieved = np.array([10.0 * math.log10(p / q) for p, q in zip(clean_power, scaled_power)])

@@ -181,19 +181,35 @@ def min_artifact_length(sample_rate: float) -> int:
     raise ConfigError(f"no segment length shapes the EMG bands {_EMG_BANDS} Hz at {sample_rate} Hz")
 
 
-def synth_artifact(kind: str, length: int, rngs: list[np.random.Generator],
-                   sample_rate: float = 128.0, rows: int = 1) -> np.ndarray:
+def _eog_hold(fs: float) -> int:
+    # random-step drift: piecewise-constant levels held ~0.7 s each
+    return max(1, int(round(0.7 * fs)))
+
+
+def artifact_draws(kind: str, length: int, rng: np.random.Generator,
+                   sample_rate: float = 128.0, rows: int = 1) -> list[np.ndarray]:
+    """The blocks one generator draws for `rows` rows of a kind, in draw
+    order: for emg the white noise (rows, 2, length); for eog the step
+    levels (rows, n_steps), then the blink uniforms (rows, n_blinks, 3)."""
+    if kind == "emg":
+        return [rng.standard_normal((rows, len(_EMG_BANDS), length))]
+    if kind == "eog":
+        n_blinks = max(1, int(round(length / sample_rate * 0.25)))
+        return [rng.standard_normal((rows, length // _eog_hold(sample_rate) + 2)),
+                rng.random((rows, n_blinks, 3))]
+    raise ConfigError(f"unknown artifact kind {kind!r}; expected 'emg' or 'eog'")
+
+
+def synth_artifact(kind: str, length: int, draws: list[list[np.ndarray]],
+                   sample_rate: float = 128.0) -> np.ndarray:
     """Unit-RMS artifact surrogate.
 
     emg: 20-45 Hz filtered white noise under a slow random burst envelope.
     eog: sub-4 Hz smoothed random-step drift plus blink bumps.
 
-    Returns a (len(rngs) * rows, length) array. Each generator draws its
-    `rows` consecutive rows as one block per draw: for emg the white noise
-    (rows, 2, length); for eog the step levels (rows, n_steps), then the
-    blink uniforms (rows, n_blinks, 3). The shaping then runs once over all
-    rows, and each row's arithmetic is its own, so a row's bytes depend only
-    on its generator's draws.
+    `draws` holds each generator's blocks as artifact_draws returns them.
+    All their rows, in order, are shaped at once, each with arithmetic of its
+    own, so a row's bytes depend only on its own draws: (rows, length).
     """
     if length < 1:
         raise DimensionError(f"artifact length must be >= 1, got {length}")
@@ -207,28 +223,21 @@ def synth_artifact(kind: str, length: int, rngs: list[np.random.Generator],
                 raise DegenerateDataError(
                     f"emg: no frequency bins in [{lo}, {hi}] Hz for length {length} at {fs} Hz"
                 )
-        white = np.concatenate([rng.standard_normal((rows, len(_EMG_BANDS), length))
-                                for rng in rngs])
+        white = np.concatenate([d[0] for d in draws])
         band, slow = np.fft.irfft(np.fft.rfft(white) * masks, length).swapaxes(0, 1)
         env = 0.2 + (slow - slow.min(axis=-1, keepdims=True))
         x = band * env
     elif kind == "eog":
-        # random-step drift: piecewise-constant levels held ~0.7 s each
-        hold = max(1, int(round(0.7 * fs)))
-        n_steps = length // hold + 2
         # blink bumps: positive Gaussian transients with uniform center,
         # width and amplitude, drawn as lo + (hi - lo) * U[0, 1)
-        n_blinks = max(1, int(round(length / fs * 0.25)))
         lo = np.array([0.0, 0.08, 1.0])
         hi = np.array([length / fs, 0.15, 3.0])
-        levels, bumps = [], []
-        for rng in rngs:
-            levels.append(rng.standard_normal((rows, n_steps)))
-            bumps.append(lo + (hi - lo) * rng.random((rows, n_blinks, 3)))
-        steps = np.repeat(np.concatenate(levels), hold, axis=-1)[:, :length]
+        levels = np.concatenate([d[0] for d in draws])
+        bumps = lo + (hi - lo) * np.concatenate([d[1] for d in draws])
+        steps = np.repeat(levels, _eog_hold(fs), axis=-1)[:, :length]
         t = np.arange(length) / fs
-        blinks = np.zeros((len(rngs) * rows, length))
-        for center, width, amp in np.concatenate(bumps).transpose(1, 2, 0)[..., None]:
+        blinks = np.zeros((len(levels), length))
+        for center, width, amp in bumps.transpose(1, 2, 0)[..., None]:
             blinks += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
         raw = steps + blinks
         # hard low-pass keeps the spectrum strictly below 4 Hz

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import derive_seed, split_indices
 from .errors import ConfigError, DegenerateDataError, FileFormatError, NonFiniteError
 from .fileio import atomic_writer
-from .metrics import metric_cc, metric_mse, metric_snr
+from .metrics import segment_cc, segment_mse, segment_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
 from .noise import NoiseSpec, check_snr_db, inject_noise
 from .optim import AdamW
@@ -207,20 +207,17 @@ def _level_metrics(model, segments, indices, labels, snr_db, noise, label, *key,
     gets its noise just before its eval-mode pass (see _reinject). Returns
     the means over segments of input SNR, output SNR, CC (as a fraction) and
     MSE, then the 4-class accuracy against labels[indices]."""
-    in_snrs, out_snrs, ccs, mses, ps = [], [], [], [], []
+    batches = []
     with no_grad():
         for lo in range(0, len(indices), batch_size):
             ids = indices[lo : lo + batch_size]
             noisy = _reinject(segments, ids, snr_db, noise, label, *key, seed=seed)
             out = model.forward(noisy.astype(COMPUTE_DTYPE), mode="eval")
-            for clean, xn, xh in zip(segments.clean[ids], noisy, out.x_hat.numpy()):
-                in_snrs.append(metric_snr(clean, xn))
-                out_snrs.append(metric_snr(clean, xh))
-                ccs.append(metric_cc(clean, xh))
-                mses.append(metric_mse(clean, xh))
-            ps.append(out.p.numpy())
-    means = (float(np.mean(v)) for v in (in_snrs, out_snrs, ccs, mses))
-    return (*means, accuracy_4class(np.concatenate(ps), labels[indices]))
+            clean, x_hat = segments.clean[ids], out.x_hat.numpy()
+            batches.append((segment_snr(clean, noisy), segment_snr(clean, x_hat), segment_cc(clean, x_hat),
+                            segment_mse(clean, x_hat), out.p.numpy()))
+    *values, p = (np.concatenate(column) for column in zip(*batches))
+    return (*(float(np.mean(v)) for v in values), accuracy_4class(p, labels[indices]))
 
 
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:

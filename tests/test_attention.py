@@ -254,6 +254,36 @@ class TestBlockedHead:
         check_grad(f, qkv[which], tol=1e-5)
 
 
+class _MaxNumpy:
+    """NumPy with fmax standing for maximum, so that the head takes its row
+    max as ndarray.max does (maximum.reduce)."""
+
+    fmax = np.maximum
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 4), (32, 2, 128, 8), (2, 8, 128, 16)])
+@pytest.mark.parametrize("values", ["normal", "tied"])
+def test_fmax_row_max_keeps_bytes(monkeypatch, dtype, shape, values):
+    # "tied": entries in {-1, -0, 0, 1}, so most rows hold several equal
+    # maxima, some of them zeros of either sign
+    r = rng(21)
+    if values == "tied":
+        q, k, v, w = (r.integers(-1, 2, size=shape) * r.choice([-1.0, 1.0], size=shape) for _ in range(4))
+    else:
+        q, k, v, w = (r.normal(size=shape) for _ in range(4))
+    q, k, v, w = (a.astype(dtype) for a in (q, k, v, w))
+    out, grads, _ = _run(attention_head_time, q, k, v, w)
+    monkeypatch.setattr(attention, "np", _MaxNumpy())
+    want, want_grads, _ = _run(attention_head_time, q, k, v, w)
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+    for got, expect in zip(grads, want_grads):
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_desk_training_step_records_135_tape_nodes():
     r = rng(15)
     model = FdcNet(replace(desk_preset().model, n_channels=8), seed=0)

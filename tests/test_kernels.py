@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import check_grad, rng, sq_sum
 from fdcnet.errors import DegenerateDataError, DimensionError
 from fdcnet.kernels import (
+    BN_MOMENTUM,
+    NORM_EPS,
     batch_norm,
     conv1d,
     conv1d_transposed,
@@ -404,6 +406,43 @@ class TestLayerNorm:
         g = Tensor(rng(26).normal(size=(6,)) + 1.0)
         b = Tensor(rng(27).normal(size=(6,)))
         check_grad(lambda t: sq_sum(layer_norm(t, g, b)), x, tol=1e-5)
+
+
+def _norm_inputs(dtype):
+    """Inputs to both norms in dtype: desk-sized, odd-sized, far off zero
+    mean, and a non-contiguous view."""
+    r = rng(28)
+    xs = [r.normal(size=(64, 128, 32)), r.normal(loc=50.0, scale=1e-3, size=(5, 7, 33)),
+          r.normal(size=(3, 9, 4)) * 1e3, r.normal(size=(6, 16, 10)).transpose(2, 1, 0)]
+    return [x.astype(dtype) for x in xs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_statistics_match_np_var(dtype):
+    for x in _norm_inputs(dtype):
+        d = x.shape[-1]
+        g, b = rng(29).normal(size=d), rng(30).normal(size=d)
+        mu = x.mean(axis=-1, keepdims=True)
+        ivar = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + NORM_EPS)
+        want = (x - mu) * ivar * g.astype(dtype) + b.astype(dtype)
+        got = layer_norm(Tensor(x), Tensor(g), Tensor(b)).numpy()
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_statistics_match_np_var(dtype):
+    for x in _norm_inputs(dtype):
+        c = x.shape[1]
+        g, b = rng(31).normal(size=c), rng(32).normal(size=c)
+        rm, rv = np.zeros(c), np.ones(c)
+        mu, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+        want_rm, want_rv = BN_MOMENTUM * (mu - np.zeros(c)), 1.0 + BN_MOMENTUM * (var - np.ones(c))
+        ivar = 1.0 / np.sqrt(var + NORM_EPS)
+        xhat = (x - mu.reshape(1, c, 1)) * ivar.reshape(1, c, 1)
+        want = xhat * g.astype(dtype).reshape(1, c, 1) + b.astype(dtype).reshape(1, c, 1)
+        got = batch_norm(Tensor(x), Tensor(g), Tensor(b), rm, rv, training=True).numpy()
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert rm.tobytes() == want_rm.tobytes() and rv.tobytes() == want_rv.tobytes()
 
 
 class TestDropout:

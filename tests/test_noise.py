@@ -99,6 +99,22 @@ class TestSegmentReference:
         assert achieved.shape == (1,) and achieved[0] == want_achieved
 
 
+# ids on both sides of 2**63, where a signed 64-bit word would wrap
+BIG_IDS = [0, 2**63 - 1, 2**63, 2**64 - 1, 7]
+
+
+class TestRekeyedStream:
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_ids_above_two_to_the_63_match_reference(self, sigma):
+        clean = rng(95).normal(size=(len(BIG_IDS), 3, 128))
+        spec = NoiseSpec(gaussian_sigma=sigma)
+        got, achieved = inject_noise(clean, spec, -1.5, 2**64 - 2, np.array(BIG_IDS, np.uint64))
+        for k, i in enumerate(BIG_IDS):
+            want, want_achieved = reference_segment(clean[k], spec, -1.5, 2**64 - 2, i)
+            assert got[k].tobytes() == want.tobytes()
+            assert achieved[k] == want_achieved
+
+
 class TestStreamInvariance:
     N, C, T = 20, 3, 128
 

@@ -12,6 +12,7 @@ from fdcnet.synth import (
     PINK_POWER,
     SynthSpec,
     _sinusoid_sums,
+    artifact_draws,
     min_artifact_length,
     segment_windows,
     synth_artifact,
@@ -201,9 +202,14 @@ class TestCleanEeg:
             SynthSpec(**{field: value}).validate()
 
 
+def _shaped(kind, length, rngs, fs=128.0, rows=1):
+    """synth_artifact over the draws of each generator in turn."""
+    return synth_artifact(kind, length, [artifact_draws(kind, length, g, fs, rows) for g in rngs], fs)
+
+
 def _artifact(kind, length, seed):
     """One (length,) realization from a single seeded generator."""
-    return synth_artifact(kind, length, [np.random.default_rng(seed)])[0]
+    return _shaped(kind, length, [np.random.default_rng(seed)])[0]
 
 
 class TestArtifacts:
@@ -233,7 +239,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("kind", ["emg", "eog"])
     @pytest.mark.parametrize("length", [3, 128, 1344])
     def test_generator_list_rows_equal_single_generator_calls(self, kind, length):
-        rows = synth_artifact(kind, length, [np.random.default_rng(s) for s in (7, 8, 9)])
+        rows = _shaped(kind, length, [np.random.default_rng(s) for s in (7, 8, 9)])
         assert rows.shape == (3, length)
         singles = [_artifact(kind, length, s) for s in (7, 8, 9)]
         for row, single in zip(rows, singles):
@@ -241,10 +247,10 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("kind", ["emg", "eog"])
     def test_rows_are_one_block_per_generator(self, kind):
-        rows = synth_artifact(kind, 256, [np.random.default_rng(s) for s in (3, 4)], rows=3)
+        rows = _shaped(kind, 256, [np.random.default_rng(s) for s in (3, 4)], rows=3)
         assert rows.shape == (6, 256)
         for k, s in enumerate((3, 4)):
-            block = synth_artifact(kind, 256, [np.random.default_rng(s)], rows=3)
+            block = _shaped(kind, 256, [np.random.default_rng(s)], rows=3)
             assert rows[3 * k:3 * k + 3].tobytes() == block.tobytes()
         assert len({r.tobytes() for r in rows}) == 6
 
@@ -252,7 +258,7 @@ class TestArtifacts:
         # 1344 samples at 128 Hz: 90-sample holds, 16 levels and 3 blinks a row
         g = np.random.default_rng(5)
         levels, u = g.standard_normal((2, 16)), g.random((2, 3, 3))
-        x = synth_artifact("eog", 1344, [np.random.default_rng(5)], rows=2)
+        x = _shaped("eog", 1344, [np.random.default_rng(5)], rows=2)
         f = np.fft.rfftfreq(1344, 1.0 / 128.0)
         t = np.arange(1344) / 128.0
         for r in range(2):
@@ -270,22 +276,22 @@ class TestArtifacts:
         for rngs in ([Silent(np.random.PCG64(0))],
                      [np.random.default_rng(1), Silent(np.random.PCG64(0))]):
             with pytest.raises(DegenerateDataError, match="emg"):
-                synth_artifact("emg", 128, rngs)
+                _shaped("emg", 128, rngs)
 
     def test_empty_band_error_names_kind(self):
         # two samples at 128 Hz hold only the 0 and 64 Hz bins
         for n in (1, 2):
             with pytest.raises(DegenerateDataError, match="emg"):
-                synth_artifact("emg", 2, [np.random.default_rng(s) for s in range(n)])
+                _shaped("emg", 2, [np.random.default_rng(s) for s in range(n)])
 
     @pytest.mark.parametrize("fs", [40.0, 41.0, 90.0, 128.0, 129.0, 256.0, 1000.0])
     def test_min_artifact_length_is_the_shortest_that_shapes(self, fs):
         n = min_artifact_length(fs)
         for kind in ("emg", "eog"):
-            assert synth_artifact(kind, n, [np.random.default_rng(0)], fs).shape == (1, n)
+            assert _shaped(kind, n, [np.random.default_rng(0)], fs).shape == (1, n)
         for length in range(1, n):
             with pytest.raises(DegenerateDataError, match="emg"):
-                synth_artifact("emg", length, [np.random.default_rng(0)], fs)
+                _shaped("emg", length, [np.random.default_rng(0)], fs)
 
     @pytest.mark.parametrize("fs", [39.0, 0.0, -128.0, np.nan, np.inf])
     def test_min_artifact_length_rejects_rates_no_length_serves(self, fs):
