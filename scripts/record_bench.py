@@ -2,17 +2,18 @@
 """Record the benchmark of this checkout, and optionally of a parent
 checkout, in BENCH_<n>.json.
 
-    python3 scripts/record_bench.py --parent ../parent --seeds 101 102 103 104 105 106
+    python3 scripts/record_bench.py --parent ../parent --seeds $(seq 101 110)
 
 Run from the root of a checkout. For each seed and workload it runs
-perfbench/run.py untraced as a child process in the parent checkout (when
-given) and in this one, one right after the other so that each pair shares
-the machine's state, and alternates which side runs first. Then each side
-gets one traced run per workload and one timed tier-1 run. The file
-records, per side: every run's end-to-end metrics, their median and
-interquartile range per workload, the traced per-layer metrics, the tier-1
-wall time and summary, the src/ line count and the git revision (marked
-"+dirty" when src/ has uncommitted changes); with a parent, also how many pairs the change wins
+perfbench/run.py untraced, for BENCHMARK.json's run_seconds, as a child
+process in the parent checkout (when given) and in this one, one right
+after the other so that each pair shares the machine's state, and
+alternates which side runs first. Then each side gets one traced run per
+workload and one timed tier-1 run. The file records, per side: every
+run's end-to-end metrics, their median and interquartile range per
+workload, the traced per-layer metrics, the tier-1 wall time and summary,
+the src/ line count and the git revision (marked "+dirty" when src/ has
+uncommitted changes); with a parent, also how many pairs the change wins
 on each end-to-end metric. The environment is the one perfbench/run.py
 reports: Python, NumPy and BLAS versions, BLAS threads and CPU count.
 """
@@ -114,7 +115,7 @@ def record(sides: dict, seeds: list[int], seconds: int, better: dict) -> dict:
             "src_lines": side["src_lines"],
             "tier1": side["tier1"],
             "workloads": {
-                w: {"runs": runs, "summary": summary(runs), "traced": side["traced"].get(w)}
+                w: {"runs": runs, "summary": summary(runs), "traced": side["traced"][w]}
                 for w, runs in side["runs"].items()
             },
         }
@@ -135,11 +136,8 @@ def next_path(root: Path) -> Path:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, help="a checkout of the parent revision")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103, 104, 105])
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--skip-tier1", action="store_true", help="record no tier-1 run")
-    ap.add_argument("--out", type=Path, help="default: the next free BENCH_<n>.json here")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True,
+                    help="one pair of runs per seed and workload; choose seeds not used in development")
     args = ap.parse_args(argv)
 
     root = Path.cwd()
@@ -147,24 +145,26 @@ def main(argv=None) -> int:
         print(f"error: {root} holds no perfbench/run.py; run from the repository root", file=sys.stderr)
         return 2
     checkouts = {"parent": args.parent.resolve(), "change": root} if args.parent else {"change": root}
-    better = {m["name"]: m["better"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
-    sides = {name: {"runs": {w: [] for w in args.workloads}, "traced": {}} for name in checkouts}
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    sides = {name: {"runs": {w: [] for w in WORKLOADS}, "traced": {}} for name in checkouts}
     for k, seed in enumerate(args.seeds):
-        for w in args.workloads:
+        for w in WORKLOADS:
             # the side that runs first alternates from seed to seed
             for name, checkout in list(checkouts.items())[:: 1 if k % 2 == 0 else -1]:
-                run = bench(checkout, w, seed, args.seconds, 0)
+                run = bench(checkout, w, seed, seconds, 0)
                 sides[name]["runs"][w].append(run)
                 print(f"{name} {w} seed {seed}: " + " ".join(f"{k} {v:.6g}" for k, v in run["metrics"].items()),
                       flush=True)
     for name, checkout in checkouts.items():
-        for w in args.workloads:
-            sides[name]["traced"][w] = bench(checkout, w, args.seeds[0], args.seconds, 1)["metrics"]
+        for w in WORKLOADS:
+            sides[name]["traced"][w] = bench(checkout, w, args.seeds[0], seconds, 1)["metrics"]
         sides[name].update(revision=revision(checkout), src_lines=src_lines(checkout),
-                           tier1=None if args.skip_tier1 else tier1(checkout))
+                           tier1=tier1(checkout))
         print(f"{name}: src {sides[name]['src_lines']} lines, tier-1 {sides[name]['tier1']}", flush=True)
-    out = args.out or next_path(root)
-    out.write_text(json.dumps(record(sides, args.seeds, args.seconds, better), indent=1) + "\n")
+    out = next_path(root)
+    out.write_text(json.dumps(record(sides, args.seeds, seconds, better), indent=1) + "\n")
     print(f"wrote {out}")
     return 0
 

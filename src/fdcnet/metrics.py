@@ -12,13 +12,13 @@ from .errors import DegenerateDataError, DimensionError
 SNR_CLAMP_DB = 100.0
 
 
-def _rows(clean, denoised, one: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Both as float64 (segments, samples) rows in C order; one row if `one`."""
+def _rows(clean, denoised) -> tuple[np.ndarray, np.ndarray]:
+    """Both as float64 (segments, samples) rows in C order."""
     clean = np.asarray(clean, dtype=np.float64)
     denoised = np.asarray(denoised, dtype=np.float64)
     if clean.shape != denoised.shape:
         raise DimensionError(f"shape mismatch: {clean.shape} vs {denoised.shape}")
-    shape = (1, clean.size) if one else (len(clean), math.prod(clean.shape[1:]))
+    shape = (len(clean), math.prod(clean.shape[1:]))
     return clean.reshape(shape), denoised.reshape(shape)
 
 
@@ -52,12 +52,12 @@ def segment_mse(clean, denoised) -> np.ndarray:
 
 
 def metric_snr(clean, denoised) -> float:
-    return float(segment_snr(*_rows(clean, denoised, one=True))[0])
+    return float(segment_snr(np.asarray(clean)[None], np.asarray(denoised)[None])[0])
 
 
 def metric_cc(clean, denoised) -> float:
-    return float(segment_cc(*_rows(clean, denoised, one=True))[0])
+    return float(segment_cc(np.asarray(clean)[None], np.asarray(denoised)[None])[0])
 
 
 def metric_mse(clean, denoised) -> float:
-    return float(segment_mse(*_rows(clean, denoised, one=True))[0])
+    return float(segment_mse(np.asarray(clean)[None], np.asarray(denoised)[None])[0])

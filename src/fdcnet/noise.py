@@ -101,7 +101,7 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     # one Philox re-keyed (seed, id) per segment: a fresh Philox(key=[seed, id])'s draws
     bits = np.random.Philox(key=np.zeros(2, np.uint64))
     g, state = np.random.Generator(bits), bits.state
-    state["state"]["counter"] = state["buffer"] = [0] * 4  # ints set fastest
+    state["state"]["counter"] = state["buffer"] = [0] * 4  # a fresh state; int lists set fastest
     fs, emg, eog, floor = spec.sample_rate_hz, [], [], []
     for i in ids.tolist():
         state["state"]["key"] = [seed, i]
