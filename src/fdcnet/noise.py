@@ -14,8 +14,12 @@ combined at the configured ratio. Its amplitude coefficient is chosen per
 channel so the channel hits the target SNR exactly; the global SNR (signal
 power over scaled-artifact power) then also equals the target. The Gaussian
 floor is added afterward and is excluded from the achieved-SNR measurement.
-Each call draws segment after segment from one re-keyed generator, then
-shapes all its artifacts in one synth_artifact call per artifact kind.
+
+A call makes its noise in two steps. draw_artifacts draws segment after
+segment from one re-keyed generator and shapes all its artifacts in one
+synth_artifact call per artifact kind; the target SNR then only sets each
+channel's gain. An SNR sweep draws each segment once and hands that draw to
+inject_noise at every level, with the bytes of a call that draws it anew.
 """
 
 from __future__ import annotations
@@ -62,42 +66,30 @@ def check_snr_db(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be within ±{MAX_ABS_SNR_DB:g} dB, got {value}")
 
 
-def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=None):
-    """Returns (noisy, achieved_snr_db).
-
-    `clean` holds N segments as an (N, C, T) array, and `ids` their N segment
-    ids (default 0..N-1); segment k draws from the Philox stream keyed
-    (seed, ids[k]). noisy is (N, C, T) and achieved_snr_db an (N,) array.
-
-    noisy = clean + lambda_c * n_c + Gaussian(0, sigma), with
-    lambda_c = RMS(clean_c) / (RMS(n_c) * 10^(target/20)) per channel.
-    achieved_snr_db is measured against the scaled bio-artifact only.
-    """
-    spec.validate()
-    check_snr_db("target_snr_db", target_snr_db)
+def _segment_ids(n: int, seed, ids) -> np.ndarray:
+    """The checked stream key of n segments: `ids` (default 0..n-1) as an
+    (n,) array, with seed in [0, 2**64)."""
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if clean.ndim != 3:
-        raise DimensionError(f"inject_noise expects (N, C, T), got shape {clean.shape}")
-    n, c, t = clean.shape
     ids = np.arange(n) if ids is None else np.asarray(ids).reshape(-1)
     if ids.shape != (n,):
-        raise DimensionError(f"inject_noise got {ids.size} segment ids for {n} segments")
-    if n == 0:  # synth_artifact needs at least one segment's draws
-        return np.empty((0, c, t)), np.empty(0)
-    if not (np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0):
+        raise DimensionError(f"got {ids.size} segment ids for {n} segments")
+    if n and not (np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0):
         raise ConfigError(f"segment ids must be non-negative integers, got {ids}")
-    # allocated before the temporaries, so the space they free stays one
-    # block that the caller's next arrays can reuse (peak RSS)
-    noisy = np.empty((n, c, t))
-    # C order keeps each row's reductions the same pairwise sums as a 1-D row
-    x = np.ascontiguousarray(clean, dtype=np.float64)
-    clean_power = np.sum(np.square(x.reshape(n, c * t)), axis=-1)
-    if not clean_power.all():
-        raise DegenerateDataError(
-            f"clean signal of segment {int(np.argmin(clean_power))} has zero RMS; "
-            "SNR target undefined"
-        )
+    return ids
+
+
+def draw_artifacts(spec: NoiseSpec, shape: tuple[int, int, int], seed: int, ids=None):
+    """The keyed draw-and-shape step of inject_noise for N segments of an
+    (N, C, T) shape: what it adds at any target SNR before each channel's
+    gain. Returns (mix, rms, floor): the mixed bio-artifact of each channel
+    (N*C, T), its RMS (N*C,), and gaussian_sigma times the Gaussian floor
+    (N, C, T), or None when gaussian_sigma is 0."""
+    spec.validate()
+    n, c, t = shape
+    ids = _segment_ids(n, seed, ids)
+    if n == 0:  # synth_artifact needs at least one segment's draws
+        raise DimensionError("draw_artifacts needs at least one segment")
     # one Philox re-keyed (seed, id) per segment: a fresh Philox(key=[seed, id])'s draws
     bits = np.random.Philox(key=np.zeros(2, np.uint64))
     g, state = np.random.Generator(bits), bits.state
@@ -114,12 +106,49 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     eog = synth_artifact("eog", t, eog, fs)
     ratio = spec.emg_eog_ratio
     mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
-    rms_n = np.sqrt(np.mean(np.square(mix), axis=-1))
+    rms = np.sqrt(np.mean(np.square(mix), axis=-1))
+    return mix, rms, spec.gaussian_sigma * np.stack(floor) if floor else None
+
+
+def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=None, *, artifacts=None):
+    """Returns (noisy, achieved_snr_db).
+
+    `clean` holds N segments as an (N, C, T) array, and `ids` their N segment
+    ids (default 0..N-1); segment k draws from the Philox stream keyed
+    (seed, ids[k]). noisy is (N, C, T) and achieved_snr_db an (N,) array.
+    `artifacts`, when given, is draw_artifacts(spec, clean.shape, seed, ids):
+    a sweep draws once and mixes that draw at each of its targets, with the
+    bytes of a call that draws it here.
+
+    noisy = clean + lambda_c * n_c + Gaussian(0, sigma), with
+    lambda_c = RMS(clean_c) / (RMS(n_c) * 10^(target/20)) per channel.
+    achieved_snr_db is measured against the scaled bio-artifact only.
+    """
+    spec.validate()
+    check_snr_db("target_snr_db", target_snr_db)
+    if clean.ndim != 3:
+        raise DimensionError(f"inject_noise expects (N, C, T), got shape {clean.shape}")
+    n, c, t = clean.shape
+    ids = _segment_ids(n, seed, ids)
+    if n == 0:
+        return np.empty((0, c, t)), np.empty(0)
+    # allocated before the temporaries, so the space they free stays one
+    # block that the caller's next arrays can reuse (peak RSS)
+    noisy = np.empty((n, c, t))
+    # C order keeps each row's reductions the same pairwise sums as a 1-D row
+    x = np.ascontiguousarray(clean, dtype=np.float64)
+    clean_power = np.sum(np.square(x.reshape(n, c * t)), axis=-1)
+    if not clean_power.all():
+        raise DegenerateDataError(
+            f"clean signal of segment {int(np.argmin(clean_power))} has zero RMS; "
+            "SNR target undefined"
+        )
+    mix, rms_n, floor = draw_artifacts(spec, clean.shape, seed, ids) if artifacts is None else artifacts
     rms_c = np.sqrt(np.mean(np.square(x.reshape(n * c, t)), axis=-1))
     scaled = (rms_c / (rms_n * 10.0 ** (target_snr_db / 20.0)))[:, None] * mix
     np.add(x, scaled.reshape(n, c, t), out=noisy)
-    if spec.gaussian_sigma > 0:
-        noisy += spec.gaussian_sigma * np.stack(floor)
+    if floor is not None:
+        noisy += floor
     scaled_power = np.sum(np.square(scaled.reshape(n, c * t)), axis=-1)
     # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
     achieved = np.array([10.0 * math.log10(p / q) for p, q in zip(clean_power, scaled_power)])

@@ -103,6 +103,29 @@ def _pink_noise(white: np.ndarray, fs: float, power: float) -> np.ndarray:
     return x * (math.sqrt(power) / r)
 
 
+def _channel_draws(rng: np.random.Generator, bands, n_ch: int, n: int):
+    """The draws of n_ch channels of one trial: (white, freqs, phases), the
+    (n_ch, n) pink-noise white samples and the (n_ch, J) sinusoid
+    frequencies and phases of the bands, given as (lo, hi, n_sin). Channel
+    after channel, the generator draws its white samples, then for each band
+    its frequencies, uniform in [lo, hi), and its phases, uniform in
+    [0, 2*pi). The uniforms of a channel come from one rng.random call and
+    are scaled per band afterwards: rng.uniform(lo, hi, k) is
+    lo + (hi - lo) * rng.random(k) bit for bit."""
+    j_total = sum(n_sin for _, _, n_sin in bands)
+    white, u = np.empty((n_ch, n)), np.empty((n_ch, 2 * j_total))
+    for c in range(n_ch):
+        rng.standard_normal(out=white[c])
+        rng.random(out=u[c])
+    freqs, phases = np.empty((n_ch, j_total)), np.empty((n_ch, j_total))
+    j = 0
+    for lo, hi, n_sin in bands:
+        freqs[:, j : j + n_sin] = lo + (hi - lo) * u[:, 2 * j : 2 * j + n_sin]
+        phases[:, j : j + n_sin] = 2.0 * math.pi * u[:, 2 * j + n_sin : 2 * (j + n_sin)]
+        j += n_sin
+    return white, freqs, phases
+
+
 def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
     """Generate all trials described by a SynthSpec.
 
@@ -143,16 +166,7 @@ def synth_clean_eeg(spec: SynthSpec) -> list[tuple[np.ndarray, int, int, int]]:
                     n_sin = max(3, int(round(hi - lo)))
                     bands.append((lo, hi, n_sin))
                     amps += [math.sqrt(2.0 * power / n_sin)] * n_sin
-            white = np.empty((n_ch, n))
-            freqs = np.empty((n_ch, len(amps)))
-            phases = np.empty((n_ch, len(amps)))
-            for c in range(n_ch):
-                white[c] = rng.standard_normal(n)
-                j = 0
-                for lo, hi, n_sin in bands:
-                    freqs[c, j : j + n_sin] = rng.uniform(lo, hi, n_sin)
-                    phases[c, j : j + n_sin] = rng.uniform(0.0, 2.0 * math.pi, n_sin)
-                    j += n_sin
+            white, freqs, phases = _channel_draws(rng, bands, n_ch, n)
             sines = _sinusoid_sums(freqs, phases, np.broadcast_to(amps, freqs.shape), n, fs)
             trial = _pink_noise(white, fs, PINK_POWER) + sines
             out.append((trial, valence, arousal, subject))
@@ -184,6 +198,19 @@ def min_artifact_length(sample_rate: float) -> int:
 def _eog_hold(fs: float) -> int:
     # random-step drift: piecewise-constant levels held ~0.7 s each
     return max(1, int(round(0.7 * fs)))
+
+
+def _exp_underflowing(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit. exp is +0.0 below -746 but takes a slow path
+    to get there, and the tails of a blink bump on a long row reach far
+    below it; so when any exponent leaves exp's normal range (-708), only
+    those above -746 are evaluated."""
+    if x.min() >= -708.0:
+        return np.exp(x)
+    out = np.zeros_like(x)
+    live = x > -746.0
+    out[live] = np.exp(x[live])
+    return out
 
 
 def artifact_draws(kind: str, length: int, rng: np.random.Generator,
@@ -238,7 +265,7 @@ def synth_artifact(kind: str, length: int, draws: list[list[np.ndarray]],
         t = np.arange(length) / fs
         blinks = np.zeros((len(levels), length))
         for center, width, amp in bumps.transpose(1, 2, 0)[..., None]:
-            blinks += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
+            blinks += amp * _exp_underflowing(-0.5 * ((t - center) / width) ** 2)
         raw = steps + blinks
         # hard low-pass keeps the spectrum strictly below 4 Hz
         x = np.fft.irfft(np.fft.rfft(raw) * (f < 3.5), length)

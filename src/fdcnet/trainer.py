@@ -3,9 +3,12 @@
 Each epoch re-injects fresh artifact noise into the clean training segments
 at the scheduled SNR; only ``fdcnet denoise`` reads the stored noisy
 signals, so train and eval load only the READ_FIELDS of a dataset.
-Training, validation and the SNR sweep inject one batch at a time, so no
-more than one batch of noisy segments is held; a segment's noise depends
-only on its stream key, not on its batch.
+Training injects one batch at a time. Validation and evaluation run one
+SNR sweep, validation with its one level: each batch draws its segments'
+artifacts once and scales that draw to every level of the grid, so no
+more than one batch of artifacts and noisy segments is held. A segment's
+noise depends only on its stream key and the level, not on its batch or
+the other levels of the grid.
 All randomness is derived from the config seed, so training logs and
 checkpoints are bit-reproducible.
 """
@@ -23,7 +26,7 @@ from .errors import ConfigError, DegenerateDataError, FileFormatError, NonFinite
 from .fileio import atomic_writer
 from .metrics import segment_cc, segment_mse, segment_snr
 from .model import FdcNet, ModelConfig, accuracy_4class, class_weights, joint_loss
-from .noise import NoiseSpec, check_snr_db, inject_noise
+from .noise import NoiseSpec, check_snr_db, draw_artifacts, inject_noise
 from .optim import AdamW
 from .tensor import GradTape, backward, no_grad
 
@@ -201,28 +204,36 @@ def train(dataset: np.recarray, cfg: TrainConfig) -> tuple[FdcNet, list[LogRow]]
     return model, log
 
 
-def _level_metrics(model, segments, indices, labels, snr_db, noise, label, *key,
-                   seed, batch_size) -> tuple:
-    """Metrics of segments[indices] at one SNR: each batch of batch_size
-    gets its noise just before its eval-mode pass (see _reinject). Returns
-    the means over segments of input SNR, output SNR, CC (as a fraction) and
-    MSE, then the 4-class accuracy against labels[indices]."""
-    batches = []
+def _sweep(model, segments, indices, labels, levels, noise, seed, batch_size) -> list[tuple]:
+    """Metrics of segments[indices] at each SNR of `levels`. Each batch of
+    batch_size draws its artifacts once, from the streams keyed (seed,
+    segment id), and inject_noise scales that draw to each level just
+    before the level's eval-mode pass. Returns per level the means over
+    segments of input SNR, output SNR, CC (as a fraction) and MSE, then the
+    4-class accuracy against labels[indices]."""
+    indices = np.asarray(indices, dtype=np.int64)
+    # per level, the per-segment input SNR, output SNR, CC and MSE, and p
+    values = np.empty((len(levels), 4, len(indices)))
+    p = np.empty((len(levels), len(indices), 2))
     with no_grad():
         for lo in range(0, len(indices), batch_size):
             ids = indices[lo : lo + batch_size]
-            noisy = _reinject(segments, ids, snr_db, noise, label, *key, seed=seed)
-            out = model.forward(noisy.astype(COMPUTE_DTYPE), mode="eval")
-            clean, x_hat = segments.clean[ids], out.x_hat.numpy()
-            batches.append((segment_snr(clean, noisy), segment_snr(clean, x_hat), segment_cc(clean, x_hat),
-                            segment_mse(clean, x_hat), out.p.numpy()))
-    *values, p = (np.concatenate(column) for column in zip(*batches))
-    return (*(float(np.mean(v)) for v in values), accuracy_4class(p, labels[indices]))
+            clean = segments.clean[ids]
+            artifacts = draw_artifacts(noise, clean.shape, seed, ids)
+            for level, snr_db in enumerate(levels):
+                noisy = inject_noise(clean, noise, snr_db, seed, ids, artifacts=artifacts)[0]
+                out = model.forward(noisy.astype(COMPUTE_DTYPE), mode="eval")
+                x_hat = out.x_hat.numpy()
+                values[level, :, lo : lo + len(ids)] = (segment_snr(clean, noisy), segment_snr(clean, x_hat),
+                                                        segment_cc(clean, x_hat), segment_mse(clean, x_hat))
+                p[level, lo : lo + len(ids)] = out.p.numpy()
+    return [(*(float(np.mean(v)) for v in row), accuracy_4class(pl, labels[indices]))
+            for row, pl in zip(values, p)]
 
 
 def _validate(model, dataset, test_idx, labels, snr, cfg, epoch) -> tuple[float, float]:
-    _, _, cc, _, acc = _level_metrics(model, dataset, test_idx, labels, snr, cfg.noise, "val-noise",
-                                      epoch, seed=cfg.seed, batch_size=cfg.batch_size)
+    _, _, cc, _, acc = _sweep(model, dataset, test_idx, labels, [snr], cfg.noise,
+                              derive_seed(cfg.seed, "val-noise", epoch), cfg.batch_size)[0]
     return acc, cc
 
 
@@ -242,22 +253,24 @@ def evaluate(
     eval_seed: int = 0,
     noise: NoiseSpec = NoiseSpec(),
 ) -> EvalReport:
-    """Sweep the SNR grid: re-inject noise with the artifact settings `noise`
-    into the clean segments at every grid level (fixed eval seed),
-    denoise/classify in eval mode, and report per-level mean metrics plus
-    the arithmetic average row."""
+    """Sweep the SNR grid: inject noise with the artifact settings `noise`
+    into the clean segments at every grid level, denoise/classify in eval
+    mode, and report per-level mean metrics plus the arithmetic average row.
+    Each segment's artifacts come from one draw, keyed by the eval seed and
+    the segment, scaled to each level, so a level's row does not depend on
+    the other levels of the grid."""
     if len(segments) == 0:
         raise DegenerateDataError("empty evaluation set")
     if eval_seed < 0:
         raise ConfigError(f"eval seed must be >= 0, got {eval_seed}")
-    indices, labels = np.arange(len(segments)), _labels(segments)
-    rows: list[EvalRow] = []
-    for gi, snr in enumerate(snr_grid):
-        in_snr, out_snr, cc, mse, acc = _level_metrics(
-            model, segments, indices, labels, snr, noise, "eval-noise", gi,
-            seed=eval_seed, batch_size=EVAL_BATCH_SIZE,
-        )
-        rows.append(EvalRow(in_snr, out_snr, cc * 100.0, mse, acc))
+    if len(snr_grid) == 0:
+        raise ConfigError("SNR grid is empty")
+    for snr in snr_grid:
+        check_snr_db("SNR grid level", snr)
+    rows = [EvalRow(in_snr, out_snr, cc * 100.0, mse, acc)
+            for in_snr, out_snr, cc, mse, acc in _sweep(
+                model, segments, np.arange(len(segments)), _labels(segments), snr_grid, noise,
+                derive_seed(eval_seed, "eval-noise"), EVAL_BATCH_SIZE)]
     average = EvalRow(*(float(np.mean(column)) for column in zip(*map(astuple, rows))))
     return EvalReport(grid=list(snr_grid), rows=rows, average=average)
 

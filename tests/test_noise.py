@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rng
 from fdcnet.errors import ConfigError, DegenerateDataError, DimensionError
-from fdcnet.noise import NoiseSpec, inject_noise
+from fdcnet.noise import NoiseSpec, draw_artifacts, inject_noise
 
 
 def _clean(seed=0, c=4, t=256):
@@ -97,6 +97,30 @@ class TestSegmentReference:
         want, want_achieved = reference_segment(clean[0], spec, 1.0, 2**64 - 1, 0)
         assert noisy[0].tobytes() == want.tobytes()
         assert achieved.shape == (1,) and achieved[0] == want_achieved
+
+
+class TestOneDrawManyTargets:
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_a_draw_mixed_at_each_target_matches_reference(self, sigma):
+        clean = rng(33).normal(size=(len(IDS), 3, 256))
+        spec = NoiseSpec(emg_eog_ratio=0.7, gaussian_sigma=sigma)
+        artifacts = draw_artifacts(spec, clean.shape, 51, IDS)
+        for target in (-3.0, 0.0, 2.5, 250.0):
+            got, achieved = inject_noise(clean, spec, target, 51, IDS, artifacts=artifacts)
+            for k, i in enumerate(IDS):
+                want, want_achieved = reference_segment(clean[k], spec, target, 51, i)
+                assert got[k].tobytes() == want.tobytes()
+                assert achieved[k] == want_achieved
+
+    def test_draw_checks_its_key(self):
+        with pytest.raises(DimensionError):
+            draw_artifacts(NoiseSpec(), (0, 2, 128), 0, [])
+        with pytest.raises(ConfigError, match="seed"):
+            draw_artifacts(NoiseSpec(), (1, 2, 128), -1)
+        with pytest.raises(DimensionError, match="ids"):
+            draw_artifacts(NoiseSpec(), (2, 2, 128), 0, [3])
+        with pytest.raises(ConfigError, match="gaussian_sigma"):
+            draw_artifacts(NoiseSpec(gaussian_sigma=-1.0), (1, 2, 128), 0)
 
 
 # ids on both sides of 2**63, where a signed 64-bit word would wrap

@@ -11,6 +11,8 @@ from fdcnet.synth import (
     BANDS,
     PINK_POWER,
     SynthSpec,
+    _channel_draws,
+    _exp_underflowing,
     _sinusoid_sums,
     artifact_draws,
     min_artifact_length,
@@ -118,6 +120,23 @@ class TestBatchedSynthesis:
         got = _sinusoid_sums(freqs, phases, amps, n, fs)
         assert got.shape == (3, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("effect", [0.5, 1.0])
+    @pytest.mark.parametrize("n_ch", [1, 8, 32])
+    def test_one_uniform_call_per_channel_gives_per_band_uniform_bytes(self, n_ch, effect):
+        # the bands of a trial whose labels leave beta at 1 - effect (1.0 drops it)
+        bands = [(lo, hi, max(3, int(round(hi - lo)))) for name, (lo, hi) in BANDS.items()
+                 if not (name == "beta" and effect == 1.0)]
+        for seed in range(3):
+            white, freqs, phases = _channel_draws(np.random.default_rng(seed), bands, n_ch, 1344)
+            rng = np.random.default_rng(seed)
+            for c in range(n_ch):
+                assert white[c].tobytes() == rng.standard_normal(1344).tobytes()
+                j = 0
+                for lo, hi, n_sin in bands:
+                    assert freqs[c, j : j + n_sin].tobytes() == rng.uniform(lo, hi, n_sin).tobytes()
+                    assert phases[c, j : j + n_sin].tobytes() == rng.uniform(0.0, 2.0 * np.pi, n_sin).tobytes()
+                    j += n_sin
 
     def test_sinusoid_sums_without_sinusoids_is_zero(self):
         got = _sinusoid_sums(np.empty((2, 0)), np.empty((2, 0)), np.empty((2, 0)), 130, 128.0)
@@ -267,6 +286,19 @@ class TestArtifacts:
                 raw = raw + amp * np.exp(-0.5 * ((t - center) / width) ** 2)
             want = np.fft.irfft(np.fft.rfft(raw) * (f < 3.5), 1344)
             np.testing.assert_allclose(x[r], want / np.sqrt(np.mean(want**2)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [128, 1344])
+    def test_masked_blink_exp_is_the_plain_formula(self, length):
+        # 10.5 s rows reach exponents far below exp's -745 underflow, 1 s rows do not
+        r = np.random.default_rng(length)
+        t = np.arange(length) / 128.0
+        center = r.random((64, 1)) * length / 128.0
+        width = 0.08 + 0.07 * r.random((64, 1))
+        x = -0.5 * ((t - center) / width) ** 2
+        assert (x.min() < -746.0) == (length == 1344)
+        assert _exp_underflowing(x).tobytes() == np.exp(x).tobytes()
+        for row in x:
+            assert _exp_underflowing(row).tobytes() == np.exp(row).tobytes()
 
     def test_zero_rms_error_names_kind(self):
         class Silent(np.random.Generator):

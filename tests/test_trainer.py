@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcnet import trainer
+from fdcnet import noise, trainer
+from fdcnet.cli import parse_snr_grid
 from fdcnet.dataset import build_dataset, derive_seed, split_indices
 from fdcnet.errors import ConfigError, DegenerateDataError
 from fdcnet.model import FdcNet, ModelConfig
-from fdcnet.noise import NoiseSpec, inject_noise
+from fdcnet.noise import NoiseSpec, draw_artifacts, inject_noise
 from fdcnet.synth import SynthSpec
 from fdcnet.trainer import (
     EvalRow,
@@ -212,24 +213,85 @@ class TestEvaluate:
         with pytest.raises(DegenerateDataError):
             evaluate(model, [], [0.0])
 
+    @pytest.mark.parametrize("grid", [[], [0.0, float("nan")], [1.0, float("inf")], [-301.0], [0.0, 400.0]])
+    def test_grid_checked_before_any_work(self, monkeypatch, grid):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluate worked on a bad grid")
+
+        monkeypatch.setattr(FdcNet, "forward", no_work)
+        monkeypatch.setattr(trainer, "draw_artifacts", no_work)
+        with pytest.raises(ConfigError, match="SNR grid"):
+            evaluate(FdcNet(TINY_MODEL, seed=0), tiny_segments()[:4], grid)
+
+    def test_each_level_mixes_the_bytes_of_inject_noise(self, monkeypatch):
+        segs = tiny_segments()[:10]
+        spec = NoiseSpec(gaussian_sigma=0.02)
+        mixed, inject = [], trainer.inject_noise
+
+        def recording(clean, spec, snr_db, seed, ids, **kwargs):
+            noisy = inject(clean, spec, snr_db, seed, ids, **kwargs)
+            mixed.append((clean, snr_db, seed, ids, noisy))
+            return noisy
+
+        monkeypatch.setattr(trainer, "inject_noise", recording)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
+        evaluate(FdcNet(TINY_MODEL, seed=0), segs, [-2.0, 0.5, 3.0], eval_seed=9, noise=spec)
+        assert len(mixed) == 3 * 3
+        for clean, snr_db, seed, ids, (noisy, achieved) in mixed:
+            assert seed == derive_seed(9, "eval-noise")
+            assert clean.tobytes() == segs.clean[ids].tobytes()
+            want, want_snr = inject_noise(segs.clean[ids], spec, snr_db, derive_seed(9, "eval-noise"), ids)
+            assert noisy.tobytes() == want.tobytes()
+            assert achieved.tobytes() == want_snr.tobytes()
+
+    def test_level_row_does_not_depend_on_the_grid(self):
+        segs = tiny_segments()[:12]
+        model = FdcNet(TINY_MODEL, seed=0)
+        grid = parse_snr_grid("-3:3:1")
+        sweep = evaluate(model, segs, grid, eval_seed=4)
+        for level in (-3.0, 1.0, 3.0):
+            alone = evaluate(model, segs, [level], eval_seed=4)
+            assert alone.rows == [sweep.rows[grid.index(level)]]
+
+    @pytest.mark.parametrize("grid", [[0.0], parse_snr_grid("-3:3:1")])
+    def test_sweep_draws_each_segment_once_a_batch_at_a_time(self, monkeypatch, grid):
+        segs = tiny_segments()[:11]
+        events, inject = [], trainer.inject_noise
+
+        def recording_draw(spec, shape, seed, ids=None):
+            events.append(("draw", [int(i) for i in ids]))
+            return draw_artifacts(spec, shape, seed, ids)
+
+        def recording_inject(clean, spec, snr_db, seed, ids, **kwargs):
+            events.append(("mix", [int(i) for i in ids]))
+            return inject(clean, spec, snr_db, seed, ids, **kwargs)
+
+        monkeypatch.setattr(trainer, "draw_artifacts", recording_draw)
+        monkeypatch.setattr(trainer, "inject_noise", recording_inject)
+        monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
+        evaluate(FdcNet(TINY_MODEL, seed=0), segs, grid)
+        batches = [list(range(lo, min(lo + 4, 11))) for lo in range(0, 11, 4)]
+        # each batch draws once, then every level mixes that batch
+        assert events == [e for ids in batches for e in [("draw", ids)] + [("mix", ids)] * len(grid)]
+
 
 class TestReinject:
     def test_segment_i_draws_from_stream_keyed_by_call_and_index(self):
         segs = tiny_segments()
         spec = NoiseSpec(gaussian_sigma=0.02)
-        got = _reinject(segs, [5, 0, 11], -1.0, spec, "val-noise", 3, seed=4)
+        got = _reinject(segs, [5, 0, 11], -1.0, spec, "train-noise", 3, seed=4)
         for k, i in enumerate([5, 0, 11]):
-            want, _ = inject_noise(segs.clean[i : i + 1], spec, -1.0, derive_seed(4, "val-noise", 3), [i])
+            want, _ = inject_noise(segs.clean[i : i + 1], spec, -1.0, derive_seed(4, "train-noise", 3), [i])
             assert got[k].tobytes() == want[0].tobytes()
 
     def test_subset_and_order_keep_each_segments_bytes(self):
         segs = tiny_segments()
         spec = NoiseSpec()
-        full = _reinject(segs, range(len(segs)), 2.0, spec, "eval-noise", 1, seed=0)
+        full = _reinject(segs, range(len(segs)), 2.0, spec, "train-noise", 1, seed=0)
         pick = np.array([9, 2, 14, 3])
-        part = _reinject(segs, pick, 2.0, spec, "eval-noise", 1, seed=0)
+        part = _reinject(segs, pick, 2.0, spec, "train-noise", 1, seed=0)
         assert part.tobytes() == full[pick].tobytes()
-        other = _reinject(segs, pick, 2.0, spec, "eval-noise", 2, seed=0)
+        other = _reinject(segs, pick, 2.0, spec, "train-noise", 2, seed=0)
         assert not np.array_equal(other, part)
 
     def test_label_is_the_fifth_parameter(self):
@@ -243,24 +305,30 @@ class TestReinject:
         segs = tiny_segments()
         calls = []
 
-        def recording(segments, indices, snr_db, noise, label, *key, seed):
-            calls.append((label, key, [int(i) for i in indices]))
-            return _reinject(segments, indices, snr_db, noise, label, *key, seed=seed)
+        def recording(spec, shape, seed, ids=None):
+            calls.append((seed, [int(i) for i in ids]))
+            return draw_artifacts(spec, shape, seed, ids)
 
-        monkeypatch.setattr(trainer, "_reinject", recording)
+        # training draws inside inject_noise, validation and eval in the sweep
+        monkeypatch.setattr(noise, "draw_artifacts", recording)
+        monkeypatch.setattr(trainer, "draw_artifacts", recording)
         monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
         model, _ = train(segs, tiny_cfg(batch_size=3))
         evaluate(model, segs, [0.0, 1.0])
-        labels = {label for label, _, _ in calls}
-        assert labels == {"train-noise", "val-noise", "eval-noise"}
-        assert max(len(ids) for label, _, ids in calls if label != "eval-noise") <= 3
-        assert max(len(ids) for label, _, ids in calls if label == "eval-noise") <= 4
-        # each call key still injects every segment of its set exactly once
         train_idx, test_idx = split_indices(len(segs), 0.8, 0)
-        sets = {"train-noise": train_idx, "val-noise": test_idx, "eval-noise": np.arange(len(segs))}
-        for label, key in {(label, key) for label, key, _ in calls}:
-            got = [i for lb, k, ids in calls if (lb, k) == (label, key) for i in ids]
-            assert sorted(got) == sorted(sets[label].tolist())
+        sets = {derive_seed(0, "eval-noise"): np.arange(len(segs))}
+        for epoch in range(2):
+            sets[derive_seed(0, "train-noise", epoch)] = train_idx
+            sets[derive_seed(0, "val-noise", epoch)] = test_idx
+        assert {seed for seed, _ in calls} == set(sets)
+        eval_seed = derive_seed(0, "eval-noise")
+        assert max(len(ids) for seed, ids in calls if seed != eval_seed) <= 3
+        assert max(len(ids) for seed, ids in calls if seed == eval_seed) <= 4
+        # each stream key still draws every segment of its set exactly once,
+        # the eval key once for the whole grid
+        for key, want in sets.items():
+            got = [i for seed, ids in calls if seed == key for i in ids]
+            assert sorted(got) == sorted(want.tolist())
 
 
 class TestBatches:
