@@ -56,20 +56,9 @@ def record_dtype(c: int, t: int, *, packed: bool = False) -> np.dtype:
     )
 
 
-def _zeroed(n: int, dtype: np.dtype) -> np.ndarray:
-    """n zeroed records of ``dtype`` in a memory map of their own. A dataset
-    is a command's largest array. Its own map is unmapped when the array is
-    freed, so its pages go back to the OS at once; in the malloc heap it
-    would leave a resident hole that small allocations split, and a later
-    buffer of its size would grow the heap past that hole."""
-    import mmap  # only here, so the CLI's start-up does not import it
-
-    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype, n)
-
-
 def new_dataset(n: int, c: int, t: int) -> np.recarray:
     """n zeroed records of (C, T) segments."""
-    return _zeroed(n, record_dtype(c, t)).view(np.recarray)
+    return np.zeros(n, record_dtype(c, t)).view(np.recarray)
 
 
 def write_header(fh, c: int, t: int, count: int) -> None:
@@ -158,7 +147,7 @@ def load_dataset(path, fields=None) -> np.recarray:
     with DatasetReader(path) as reader:
         names = reader.aligned.names if fields is None else fields
         dtype = np.dtype([(name, reader.aligned.fields[name][0]) for name in names], align=True)
-        segments = _zeroed(reader.count, dtype)
+        segments = np.zeros(reader.count, dtype)
         for lo, chunk in reader.chunks(max(1, CHUNK_BYTES // reader.packed.itemsize)):
             rows = segments[lo : lo + len(chunk)]
             for name in names:

@@ -90,6 +90,12 @@ def draw_artifacts(spec: NoiseSpec, shape: tuple[int, int, int], seed: int, ids=
     ids = _segment_ids(n, seed, ids)
     if n == 0:  # synth_artifact needs at least one segment's draws
         raise DimensionError("draw_artifacts needs at least one segment")
+    return _draw(spec, c, t, seed, ids)
+
+
+def _draw(spec: NoiseSpec, c: int, t: int, seed: int, ids: np.ndarray):
+    """draw_artifacts on checked arguments: a valid spec and a non-empty
+    (N,) ids array from _segment_ids."""
     # one Philox re-keyed (seed, id) per segment: a fresh Philox(key=[seed, id])'s draws
     bits = np.random.Philox(key=np.zeros(2, np.uint64))
     g, state = np.random.Generator(bits), bits.state
@@ -143,7 +149,7 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
             f"clean signal of segment {int(np.argmin(clean_power))} has zero RMS; "
             "SNR target undefined"
         )
-    mix, rms_n, floor = draw_artifacts(spec, clean.shape, seed, ids) if artifacts is None else artifacts
+    mix, rms_n, floor = _draw(spec, c, t, seed, ids) if artifacts is None else artifacts
     rms_c = np.sqrt(np.mean(np.square(x.reshape(n * c, t)), axis=-1))
     scaled = (rms_c / (rms_n * 10.0 ** (target_snr_db / 20.0)))[:, None] * mix
     np.add(x, scaled.reshape(n, c, t), out=noisy)

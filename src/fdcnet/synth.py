@@ -200,19 +200,6 @@ def _eog_hold(fs: float) -> int:
     return max(1, int(round(0.7 * fs)))
 
 
-def _exp_underflowing(x: np.ndarray) -> np.ndarray:
-    """np.exp(x) bit for bit. exp is +0.0 below -746 but takes a slow path
-    to get there, and the tails of a blink bump on a long row reach far
-    below it; so when any exponent leaves exp's normal range (-708), only
-    those above -746 are evaluated."""
-    if x.min() >= -708.0:
-        return np.exp(x)
-    out = np.zeros_like(x)
-    live = x > -746.0
-    out[live] = np.exp(x[live])
-    return out
-
-
 def artifact_draws(kind: str, length: int, rng: np.random.Generator,
                    sample_rate: float = 128.0, rows: int = 1) -> list[np.ndarray]:
     """The blocks one generator draws for `rows` rows of a kind, in draw
@@ -265,7 +252,7 @@ def synth_artifact(kind: str, length: int, draws: list[list[np.ndarray]],
         t = np.arange(length) / fs
         blinks = np.zeros((len(levels), length))
         for center, width, amp in bumps.transpose(1, 2, 0)[..., None]:
-            blinks += amp * _exp_underflowing(-0.5 * ((t - center) / width) ** 2)
+            blinks += amp * np.exp(-0.5 * ((t - center) / width) ** 2)
         raw = steps + blinks
         # hard low-pass keeps the spectrum strictly below 4 Hz
         x = np.fft.irfft(np.fft.rfft(raw) * (f < 3.5), length)

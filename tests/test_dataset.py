@@ -74,23 +74,6 @@ class TestChunkedReader:
         for name in want.dtype.names:
             assert back[name].tobytes() == want[name].tobytes(), name
 
-    @pytest.mark.parametrize("n", [0, 1, STEP + 1])
-    def test_datasets_live_in_their_own_memory_map(self, tmp_path, n):
-        import mmap
-
-        def owner(a):
-            while isinstance(a, np.ndarray):
-                a = a.base
-            return a.obj if isinstance(a, memoryview) else a
-
-        made = new_dataset(n, 2, 4)
-        assert made.tobytes() == np.zeros(n, record_dtype(2, 4)).tobytes()
-        path = tmp_path / "d.fdcd"
-        save_dataset(path, _segments(n, 2, 4, seed=n))
-        for segments in (made, load_dataset(path), load_dataset(path, ["clean", "valence"])):
-            assert isinstance(owner(segments), mmap.mmap) and segments.flags.writeable
-            assert segments.flags.aligned and segments.flags.c_contiguous
-
     def test_file_cut_after_header_check(self, tmp_path, monkeypatch):
         path = tmp_path / "d.fdcd"
         save_dataset(path, _segments(STEP + 1, 2, 4))

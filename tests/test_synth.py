@@ -12,7 +12,6 @@ from fdcnet.synth import (
     PINK_POWER,
     SynthSpec,
     _channel_draws,
-    _exp_underflowing,
     _sinusoid_sums,
     artifact_draws,
     min_artifact_length,
@@ -286,19 +285,6 @@ class TestArtifacts:
                 raw = raw + amp * np.exp(-0.5 * ((t - center) / width) ** 2)
             want = np.fft.irfft(np.fft.rfft(raw) * (f < 3.5), 1344)
             np.testing.assert_allclose(x[r], want / np.sqrt(np.mean(want**2)), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("length", [128, 1344])
-    def test_masked_blink_exp_is_the_plain_formula(self, length):
-        # 10.5 s rows reach exponents far below exp's -745 underflow, 1 s rows do not
-        r = np.random.default_rng(length)
-        t = np.arange(length) / 128.0
-        center = r.random((64, 1)) * length / 128.0
-        width = 0.08 + 0.07 * r.random((64, 1))
-        x = -0.5 * ((t - center) / width) ** 2
-        assert (x.min() < -746.0) == (length == 1344)
-        assert _exp_underflowing(x).tobytes() == np.exp(x).tobytes()
-        for row in x:
-            assert _exp_underflowing(row).tobytes() == np.exp(row).tobytes()
 
     def test_zero_rms_error_names_kind(self):
         class Silent(np.random.Generator):

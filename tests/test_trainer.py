@@ -305,13 +305,14 @@ class TestReinject:
         segs = tiny_segments()
         calls = []
 
-        def recording(spec, shape, seed, ids=None):
+        def recording(spec, c, t, seed, ids):
             calls.append((seed, [int(i) for i in ids]))
-            return draw_artifacts(spec, shape, seed, ids)
+            return draw(spec, c, t, seed, ids)
 
-        # training draws inside inject_noise, validation and eval in the sweep
-        monkeypatch.setattr(noise, "draw_artifacts", recording)
-        monkeypatch.setattr(trainer, "draw_artifacts", recording)
+        # every draw runs the one core: training's inside inject_noise,
+        # validation's and eval's through draw_artifacts in the sweep
+        draw = noise._draw
+        monkeypatch.setattr(noise, "_draw", recording)
         monkeypatch.setattr(trainer, "EVAL_BATCH_SIZE", 4)
         model, _ = train(segs, tiny_cfg(batch_size=3))
         evaluate(model, segs, [0.0, 1.0])
