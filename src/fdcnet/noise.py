@@ -83,9 +83,8 @@ def draw_artifacts(spec: NoiseSpec, shape: tuple[int, int, int], seed: int, ids=
     """The keyed draw-and-shape step of inject_noise for N segments of an
     (N, C, T) shape: what it adds at any target SNR before each channel's
     gain. Returns (mix, rms, floor): the mixed bio-artifact of each channel
-    (N*C, T), its RMS (N*C,), and the unit Gaussian floor as a list of N
-    (C, T) blocks, empty when gaussian_sigma is 0; inject_noise adds
-    gaussian_sigma times their stack."""
+    (N*C, T), its RMS (N*C,), and gaussian_sigma times the Gaussian floor
+    (N, C, T), or None when gaussian_sigma is 0."""
     spec.validate()
     n, c, t = shape
     ids = _segment_ids(n, seed, ids)
@@ -114,7 +113,7 @@ def _draw(spec: NoiseSpec, c: int, t: int, seed: int, ids: np.ndarray):
     ratio = spec.emg_eog_ratio
     mix = (emg + ratio * eog) / math.sqrt(1.0 + ratio * ratio)
     rms = np.sqrt(np.mean(np.square(mix), axis=-1))
-    return mix, rms, floor
+    return mix, rms, spec.gaussian_sigma * np.stack(floor) if floor else None
 
 
 def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=None, *, artifacts=None):
@@ -154,8 +153,8 @@ def inject_noise(clean, spec: NoiseSpec, target_snr_db: float, seed: int, ids=No
     rms_c = np.sqrt(np.mean(np.square(x.reshape(n * c, t)), axis=-1))
     scaled = (rms_c / (rms_n * 10.0 ** (target_snr_db / 20.0)))[:, None] * mix
     np.add(x, scaled.reshape(n, c, t), out=noisy)
-    if floor:
-        noisy += spec.gaussian_sigma * np.stack(floor)
+    if floor is not None:
+        noisy += floor
     scaled_power = np.sum(np.square(scaled.reshape(n, c * t)), axis=-1)
     # libm's scalar log10; NumPy's vectorised log10 can differ by a few ulps
     achieved = np.array([10.0 * math.log10(p / q) for p, q in zip(clean_power, scaled_power)])
